@@ -15,7 +15,7 @@ import json
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import enumeration, quotient, tables
 from .enumeration import (
@@ -92,7 +92,7 @@ def _record_fields(rec: ChernRecord) -> list[str]:
     ]
 
 
-def _write_csv(rows: Sequence[Sequence[str]], stream) -> None:
+def _write_csv(rows: Iterable[Sequence[str]], stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerows(rows)
 
@@ -112,7 +112,7 @@ def _write_markdown(header: Sequence[str], rows: Sequence[Sequence[str]], stream
 
 def _emit_records(records: Sequence[ChernRecord], fmt: str, stream) -> None:
     if fmt == "csv":
-        _write_csv([_record_fields(rec) for rec in records], stream)
+        _write_csv((_record_fields(rec) for rec in records), stream)
     elif fmt == "jsonl":
         for rec in records:
             payload = {
@@ -244,73 +244,67 @@ def _scenario_lines(result) -> list[str]:
 
 
 def _cmd_verify_tables(args) -> int:
-    try:
-        failures = 0
+    failures = 0
 
-        def report(name: str, ok: bool, detail: list[str]) -> None:
-            nonlocal failures
-            print(f"{'ok  ' if ok else 'FAIL'} {name}")
-            for line in detail:
-                print(line)
-            if not ok:
-                failures += 1
+    def report(name: str, ok: bool, detail: list[str]) -> None:
+        nonlocal failures
+        print(f"{'ok  ' if ok else 'FAIL'} {name}")
+        for line in detail:
+            print(line)
+        if not ok:
+            failures += 1
 
-        for table in (1, 2):
-            fixture = _load_table_fixture(getattr(args, f"table{table}"), table)
-            check = enumeration.reproduce_table(table, fixture=fixture)
-            report(
-                f"table {table}: {len(check.records)} records vs {len(fixture)} fixture rows",
-                check.ok,
-                _table_check_lines(check),
-            )
-
-        k3_rows = _load_quotient_fixture(args.table4, 4)
-        enriques_rows = _load_quotient_fixture(args.table5, 5)
-        for table, rows in ((4, k3_rows), (5, enriques_rows)):
-            results = [check_scenario(row) for row in rows]
-            detail = [line for res in results for line in _scenario_lines(res)]
-            report(
-                f"table {table}: {len(rows)} scenario rows",
-                all(res.ok for res in results),
-                detail,
-            )
-
-        derived = derive_enriques(k3_rows)
-        derived_keys = {row.key() for row in derived}
-        expected_keys = {row.key() for row in enriques_rows}
-        detail = []
-        for key in sorted(derived_keys - expected_keys, key=lambda k: k[0]):
-            detail.append(f"  derived but not in fixture: order {key[0]}, {format_profile(key[1])}")
-        for key in sorted(expected_keys - derived_keys, key=lambda k: k[0]):
-            detail.append(f"  in fixture but not derived: order {key[0]}, {format_profile(key[1])}")
+    for table in (1, 2):
+        fixture = _load_table_fixture(getattr(args, f"table{table}"), table)
+        check = enumeration.reproduce_table(table, fixture=fixture)
         report(
-            f"derive-enriques: {len(derived)} derived rows vs {len(enriques_rows)} fixture rows",
-            derived_keys == expected_keys and len(derived) == len(enriques_rows),
+            f"table {table}: {len(check.records)} records vs {len(fixture)} fixture rows",
+            check.ok,
+            _table_check_lines(check),
+        )
+
+    k3_rows = _load_quotient_fixture(args.table4, 4)
+    enriques_rows = _load_quotient_fixture(args.table5, 5)
+    for table, rows in ((4, k3_rows), (5, enriques_rows)):
+        results = [check_scenario(row) for row in rows]
+        detail = [line for res in results for line in _scenario_lines(res)]
+        report(
+            f"table {table}: {len(rows)} scenario rows",
+            all(res.ok for res in results),
             detail,
         )
 
-        minimum, _ = enumeration.min_positive_c1c2(1)
-        bound = enumeration.effective_bound(minimum)
-        bound_ok = (
-            minimum == Fraction(1, 252)
-            and bound == 81648
-            and _factorization(81648) == "2^4 * 3^6 * 7"
-        )
-        report(
-            f"effective bound: 324 / ({minimum}) = {bound} = {_factorization(int(bound))}",
-            bound_ok,
-            [],
-        )
+    derived = derive_enriques(k3_rows)
+    derived_keys = {row.key() for row in derived}
+    expected_keys = {row.key() for row in enriques_rows}
+    detail = []
+    for key in sorted(derived_keys - expected_keys, key=lambda k: k[0]):
+        detail.append(f"  derived but not in fixture: order {key[0]}, {format_profile(key[1])}")
+    for key in sorted(expected_keys - derived_keys, key=lambda k: k[0]):
+        detail.append(f"  in fixture but not derived: order {key[0]}, {format_profile(key[1])}")
+    report(
+        f"derive-enriques: {len(derived)} derived rows vs {len(enriques_rows)} fixture rows",
+        derived_keys == expected_keys and len(derived) == len(enriques_rows),
+        detail,
+    )
 
-        gorenstein = enumeration.effective_bound(Fraction(24), Fraction(72))
-        report(f"Gorenstein bound: 72 / 24 = {gorenstein}", gorenstein == 3, [])
+    minimum, _ = enumeration.min_positive_c1c2(1)
+    bound = enumeration.effective_bound(minimum)
+    bound_ok = (
+        minimum == Fraction(1, 252)
+        and bound == 81648
+        and _factorization(81648) == "2^4 * 3^6 * 7"
+    )
+    report(
+        f"effective bound: 324 / ({minimum}) = {bound} = {_factorization(int(bound))}",
+        bound_ok,
+        [],
+    )
 
-        return EXIT_OK if failures == 0 else EXIT_MISMATCH
-    except ValueError:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive, per the exit contract
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    gorenstein = enumeration.effective_bound(Fraction(24), Fraction(72))
+    report(f"Gorenstein bound: 72 / 24 = {gorenstein}", gorenstein == 3, [])
+
+    return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
 
 def _cmd_quotient_check(args) -> int:

@@ -13,6 +13,13 @@ fractional part of l(2) can take over all admissible b-assignments; this
 is the same dynamic program `exists_integral_basket` runs for a single
 multiset, factored along the search tree.  A multiset admits a basket with
 integral l(2) exactly when 0 is reachable.
+
+The walk also carries each node's Cartier index (the running lcm of its
+indices), applies the record filter as it goes, and visits nodes in
+lexicographic order of the expanded index sequence, so a stable sort on
+the scaled c1.c2 alone gives the canonical order.  Every emitted
+`ChernRecord` re-checks its c1.c2 and Cartier index in integers scaled by
+that lcm; `Fraction` appears only at the record boundary.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from . import tables
@@ -30,7 +38,7 @@ from .riemann_roch import (
     Basket,
     BasketPoint,
     IndexMultiset,
-    c1c2_from_indices,
+    c1c2_from_indices,  # noqa: F401  (perfbench/trace_cli.py times it here)
     cartier_index,
     format_index_multiset,
     l_value,
@@ -65,6 +73,20 @@ class RecordFilter:
                 raise ValueError(f"empty range: {self.lo} > {self.hi}")
         elif self.lo is not None or self.hi is not None:
             raise ValueError(f"bounds are only meaningful for c1c2-range, not {self.kind!r}")
+
+    def accepts(self, num: int, den: int, has_int: bool = True) -> bool:
+        """Does a record with c1.c2 = num/den (den > 0) pass the filter?
+
+        `has_int` defaults to True so the c1.c2 conditions can be tested
+        before the integrality DP decides the real flag.
+        """
+        if self.kind == "c1c2-zero":
+            return num == 0
+        if self.kind == "c1c2-range":
+            return self.lo <= Fraction(num, den) <= self.hi
+        if self.kind == "l2-integral":
+            return has_int
+        return True
 
 
 ALL = RecordFilter("all")
@@ -102,6 +124,9 @@ class ChernRecord:
 
     Construction re-derives c1.c2 and the Cartier index from the multiset
     and re-checks the witness, so a record that exists is consistent.
+    c1.c2 is checked in integers scaled by the Cartier index, the lcm of
+    the indices, which every weight term r - 1/r has as a common
+    denominator.
     """
 
     indices: IndexMultiset
@@ -113,17 +138,19 @@ class ChernRecord:
     integrality_depth: int = 2
 
     def __post_init__(self) -> None:
-        expected = c1c2_from_indices(self.indices, self.chi0)
-        if self.c1c2 != expected:
+        lcm = cartier_index(self.indices)
+        # c1c2 * lcm, by 24*chi0 = c1c2 + weight
+        scaled = 24 * self.chi0 * lcm - self.indices.scaled_weight(lcm)
+        if self.c1c2.numerator * lcm != scaled * self.c1c2.denominator:
             raise ValueError(
                 f"c1c2 mismatch for {format_index_multiset(self.indices)}: "
-                f"stated {self.c1c2}, derived {expected}"
+                f"stated {self.c1c2}, derived {Fraction(scaled, lcm)}"
             )
-        if self.c1c2 < 0:
+        if scaled < 0:
             raise ValueError(
                 f"{format_index_multiset(self.indices)} has negative c1c2 {self.c1c2}"
             )
-        if self.cartier_index != cartier_index(self.indices):
+        if self.cartier_index != lcm:
             raise ValueError(
                 f"Cartier index mismatch for {format_index_multiset(self.indices)}"
             )
@@ -183,35 +210,6 @@ def _l2_step(aset: set[int], den: int, r: int) -> tuple[int, set[int]]:
     return nd, {(a + c) % nd for a in aset for c in steps}
 
 
-def _scan(
-    rmin: int,
-    rmax: int,
-    rem: int,
-    prefix: _Groups,
-    den: int,
-    aset: set[int],
-    weights: Sequence[int],
-    out: list,
-) -> None:
-    """Extend a non-decreasing run-length prefix within the remaining budget."""
-    for r in range(rmin, rmax + 1):
-        w = weights[r]
-        if w > rem:
-            break
-        cur_den, cur = den, aset
-        rem_k = rem
-        k = 1
-        while True:
-            rem_k -= w
-            cur_den, cur = _l2_step(cur, cur_den, r)
-            node = prefix + ((r, k),)
-            out.append((node, rem_k, 0 in cur))
-            _scan(r + 1, rmax, rem_k, node, cur_den, cur, weights, out)
-            if rem_k < w:
-                break
-            k += 1
-
-
 def _resolve_integral(
     groups: _Groups, l2_reachable: bool, depth: int
 ) -> tuple[bool, Optional[tuple[tuple[int, int, int], ...]]]:
@@ -228,54 +226,67 @@ def _resolve_integral(
 def _finish_node(
     groups: _Groups,
     rem: int,
+    lcm: int,
     l2_reachable: bool,
     scale: int,
     depth: int,
-    kind: str,
-    lo: Optional[Fraction],
-    hi: Optional[Fraction],
+    flt: RecordFilter,
 ):
-    """Apply the record filter; rem is c1c2 in units of 1/scale."""
-    if kind == "c1c2-zero" and rem != 0:
-        return None
-    if kind == "c1c2-range" and not lo <= Fraction(rem, scale) <= hi:
+    """The item for one walked node, or None when the filter rejects it.
+
+    rem is c1c2 in units of 1/scale and lcm the Cartier index.  The c1c2
+    conditions are tested first, so rejected nodes skip the integrality DP.
+    """
+    if not flt.accepts(rem, scale):
         return None
     has_int, witness = _resolve_integral(groups, l2_reachable, depth)
-    if kind == "l2-integral" and not has_int:
+    if not has_int and not flt.accepts(rem, scale, False):
         return None
-    return (groups, rem, has_int, witness)
+    return (groups, rem, lcm, has_int, witness)
 
 
-def _run_task(args) -> list:
-    """Enumerate the subtree of multisets whose smallest run is (r0, k0)."""
-    budget_scaled, rmax, weight_den, scale, depth, kind, lo, hi, r0, k0 = args
+def _run_task(args) -> tuple[list, list]:
+    """Filtered items for the multisets whose smallest run is (r0, k0).
+
+    Returns the root r0^k0 (or nothing, if filtered out) and, separately,
+    its subtree in lexicographic order of the expanded index sequence.
+    """
+    budget_scaled, rmax, weight_den, scale, depth, flt, r0, k0 = args
     weights = _weight_table(rmax, weight_den)
+    tail: list = []
+
+    def scan(rmin: int, rem: int, prefix: _Groups, lcm: int, den: int, aset: set[int]):
+        # pre-order over non-decreasing index sequences: each node is followed
+        # by its extensions repeating its last index, then by larger indices
+        for r in range(rmin, rmax + 1):
+            w = weights[r]
+            if w > rem:
+                break
+            if prefix[-1][0] == r:
+                node, node_lcm = prefix[:-1] + ((r, prefix[-1][1] + 1),), lcm
+            else:
+                node, node_lcm = prefix + ((r, 1),), math.lcm(lcm, r)
+            node_rem = rem - w
+            node_den, node_aset = _l2_step(aset, den, r)
+            item = _finish_node(
+                node, node_rem, node_lcm, 0 in node_aset, scale, depth, flt
+            )
+            if item is not None:
+                tail.append(item)
+            scan(r, node_rem, node, node_lcm, node_den, node_aset)
+
     den, aset = 1, {0}
-    rem = budget_scaled
     for _ in range(k0):
-        rem -= weights[r0]
         den, aset = _l2_step(aset, den, r0)
-    raw = [(((r0, k0),), rem, 0 in aset)]
-    _scan(r0 + 1, rmax, rem, ((r0, k0),), den, aset, weights, raw)
-    finished = []
-    for groups, node_rem, l2_ok in raw:
-        item = _finish_node(groups, node_rem, l2_ok, scale, depth, kind, lo, hi)
-        if item is not None:
-            finished.append(item)
-    return finished
-
-
-def _expanded(groups: _Groups) -> tuple[int, ...]:
-    return tuple(r for r, mult in groups for _ in range(mult))
+    root = ((r0, k0),)
+    rem = budget_scaled - k0 * weights[r0]
+    head = _finish_node(root, rem, r0, 0 in aset, scale, depth, flt)
+    scan(r0 + 1, rem, root, r0, den, aset)
+    return ([] if head is None else [head]), tail
 
 
 def _enumerate_raw(
-    max_weight: Fraction,
-    depth: int,
-    kind: str,
-    lo: Optional[Fraction],
-    hi: Optional[Fraction],
-    jobs: int,
+    max_weight: Fraction, depth: int, flt: RecordFilter, jobs: int
 ) -> tuple[list, int]:
     """Filtered raw nodes in canonical order plus the budget scale."""
     rmax = max_index(max_weight)
@@ -287,16 +298,11 @@ def _enumerate_raw(
     budget_scaled = max_weight.numerator * lcm_all
     weights = _weight_table(rmax, den)
 
-    tasks = []
-    for r in range(2, rmax + 1):
-        w = weights[r]
-        if w > budget_scaled:
-            break
-        rem, k = budget_scaled, 1
-        while w <= rem:
-            tasks.append((budget_scaled, rmax, den, scale, depth, kind, lo, hi, r, k))
-            rem -= w
-            k += 1
+    tasks = [
+        (budget_scaled, rmax, den, scale, depth, flt, r, k)
+        for r in range(2, rmax + 1)
+        for k in range(1, budget_scaled // weights[r] + 1)
+    ]
 
     if jobs > 1 and len(tasks) > 1:
         with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
@@ -304,10 +310,23 @@ def _enumerate_raw(
     else:
         chunks = [_run_task(task) for task in tasks]
 
-    raw = [item for chunk in chunks for item in chunk]
+    # Concatenate in lexicographic order of the expanded index sequence.  For
+    # one smallest index r0, every root r0^k sorts before every longer
+    # sequence starting with r0, and the subtree of r0^(k+1) before that of
+    # r0^k.
+    by_first: dict[int, list] = {}
+    for task, chunk in zip(tasks, chunks):
+        by_first.setdefault(task[-2], []).append(chunk)
+    raw = []
+    for group in by_first.values():
+        for head, _ in group:
+            raw.extend(head)
+        for _, tail in reversed(group):
+            raw.extend(tail)
     # canonical total order: weight ascending, then lexicographic on the
-    # expanded index sequence; independent of task scheduling
-    raw.sort(key=lambda item: (budget_scaled - item[1], _expanded(item[0])))
+    # expanded index sequence, which the stable sort keeps among equal
+    # weights; independent of task scheduling
+    raw.sort(key=itemgetter(1), reverse=True)
     return raw, scale
 
 
@@ -321,48 +340,41 @@ def enumerate_index_multisets(
     """
     flt = query.filter
     raw, scale = _enumerate_raw(
-        Fraction(24 * query.chi0), query.integrality_depth, flt.kind, flt.lo, flt.hi, jobs
+        Fraction(24 * query.chi0), query.integrality_depth, flt, jobs
     )
 
-    records = []
-    if query.include_empty:
-        empty_c1c2 = Fraction(24 * query.chi0)
-        keep = True
-        if flt.kind == "c1c2-zero":
-            keep = empty_c1c2 == 0
-        elif flt.kind == "c1c2-range":
-            keep = flt.lo <= empty_c1c2 <= flt.hi
-        # the empty basket has l(m) = 0 for all m, so it always passes l2-integral
-        if keep:
-            records.append(
-                ChernRecord(
-                    indices=IndexMultiset(),
-                    chi0=query.chi0,
-                    c1c2=empty_c1c2,
-                    cartier_index=1,
-                    has_integral_basket=True,
-                    witness=Basket(),
-                    integrality_depth=query.integrality_depth,
-                )
-            )
-
-    for groups, rem, has_int, witness_runs in raw:
-        indices = IndexMultiset(groups)
+    # each raw item is replaced by its record in place, so the raw items are
+    # freed while the records are built
+    for i, (groups, rem, lcm, has_int, witness_runs) in enumerate(raw):
         witness = None
         if witness_runs is not None:
             witness = Basket(
                 tuple((BasketPoint(b, r), mult) for b, r, mult in witness_runs)
             )
-        records.append(
+        raw[i] = ChernRecord(
+            indices=IndexMultiset(groups),
+            chi0=query.chi0,
+            c1c2=Fraction(rem, scale),
+            cartier_index=lcm,
+            has_integral_basket=has_int,
+            witness=witness,
+            integrality_depth=query.integrality_depth,
+        )
+    records: list[ChernRecord] = raw
+
+    # the empty basket has l(m) = 0 for all m, so it always passes l2-integral
+    if query.include_empty and flt.accepts(24 * query.chi0, 1, True):
+        records.insert(
+            0,
             ChernRecord(
-                indices=indices,
+                indices=IndexMultiset(),
                 chi0=query.chi0,
-                c1c2=Fraction(rem, scale),
-                cartier_index=cartier_index(indices),
-                has_integral_basket=has_int,
-                witness=witness,
+                c1c2=Fraction(24 * query.chi0),
+                cartier_index=1,
+                has_integral_basket=True,
+                witness=Basket(),
                 integrality_depth=query.integrality_depth,
-            )
+            ),
         )
     return records
 
@@ -373,8 +385,8 @@ def feasible_index_multisets(max_weight: Fraction) -> list[IndexMultiset]:
     This is the bare pruned generator, exposed so it can be diffed against
     an unpruned oracle over arbitrary rational budgets.
     """
-    raw, _ = _enumerate_raw(Fraction(max_weight), 2, "all", None, None, jobs=1)
-    return [IndexMultiset(groups) for groups, _, _, _ in raw]
+    raw, _ = _enumerate_raw(Fraction(max_weight), 2, ALL, jobs=1)
+    return [IndexMultiset(groups) for groups, *_ in raw]
 
 
 def _vadd(u: tuple, v: tuple) -> tuple:

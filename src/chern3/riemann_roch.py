@@ -27,7 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 EMPTY_SYMBOL = "∅"
 
@@ -90,12 +90,6 @@ class Basket:
     def size(self) -> int:
         return sum(mult for _, mult in self.groups)
 
-    def points(self) -> Iterator[BasketPoint]:
-        """Iterate the points with multiplicity expanded."""
-        for point, mult in self.groups:
-            for _ in range(mult):
-                yield point
-
     def index_multiset(self) -> "IndexMultiset":
         """Forget the b's, keeping the multiset of local indices."""
         return IndexMultiset(tuple((p.r, mult) for p, mult in self.groups))
@@ -128,9 +122,12 @@ class IndexMultiset:
     @property
     def weight(self) -> Fraction:
         """Sum of (r - 1/r) over the multiset, exactly."""
-        return sum(
-            (mult * Fraction(r * r - 1, r) for r, mult in self.groups), Fraction(0)
-        )
+        lcm = cartier_index(self)
+        return Fraction(self.scaled_weight(lcm), lcm)
+
+    def scaled_weight(self, scale: int) -> int:
+        """The weight times `scale`, which every index must divide."""
+        return sum(mult * (r * r - 1) * (scale // r) for r, mult in self.groups)
 
     def indices(self) -> tuple[int, ...]:
         """The indices expanded with multiplicity, ascending."""

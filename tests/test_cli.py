@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from chern3 import cli, tables
+from chern3 import cli, enumeration, tables
 from chern3 import (
     ChernRecord,
     EnumerationQuery,
@@ -252,6 +252,14 @@ class TestVerifyTables:
         assert code == 1
         assert "2^4,3^3,5^2" in out
         assert "not in fixture" in out
+
+    def test_internal_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("internal fault")
+
+        monkeypatch.setattr(enumeration, "reproduce_table", broken)
+        with pytest.raises(RuntimeError, match="internal fault"):
+            cli.main(["verify-tables"])
 
     def test_tampered_quotient_order_fails(self, tmp_path):
         lines = tables.K3_QUOTIENTS.strip().splitlines()

@@ -30,7 +30,8 @@ from chern3 import (
     parse_index_multiset,
     reproduce_table,
 )
-from chern3 import tables
+from chern3 import enumeration, tables
+from chern3.enumeration import _enumerate_raw
 
 
 def weight(indices_tuple):
@@ -86,6 +87,12 @@ class TestPrunedVsOracle:
         keys = [(m.weight, m.indices()) for m in out]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+    def test_canonical_order_breaks_weight_ties_lexicographically(self):
+        out = feasible_index_multisets(Fraction(24))
+        keys = [(m.weight, m.indices()) for m in out]
+        assert len({w for w, _ in keys}) < len(keys) - 700  # many equal weights
+        assert keys == sorted(keys)
 
 
 class TestExistsIntegralBasket:
@@ -238,6 +245,31 @@ class TestEnumerate:
             assert rec.c1c2 >= 0
             assert rec.cartier_index == cartier_index(rec.indices)
 
+    def test_c1c2_filter_runs_before_integrality(self, monkeypatch):
+        decided = []
+        real = enumeration.exists_integral_basket
+
+        def recording(indices, depth=2):
+            decided.append(indices)
+            return real(indices, depth)
+
+        monkeypatch.setattr(enumeration, "exists_integral_basket", recording)
+        records = enumerate_index_multisets(EnumerationQuery(chi0=1, filter=C1C2_ZERO))
+        assert decided
+        assert set(decided) <= {rec.indices for rec in records}
+
+    @pytest.mark.parametrize("chi0", [0, 1])
+    def test_walk_carries_cartier_index(self, chi0):
+        raw, _ = _enumerate_raw(Fraction(24 * chi0), 2, ALL, jobs=1)
+        for groups, _, lcm, _, _ in raw:
+            assert lcm == cartier_index(IndexMultiset(groups))
+        records = enumerate_index_multisets(
+            EnumerationQuery(chi0=chi0, include_empty=True)
+        )
+        assert len(records) == len(raw) + 1
+        for rec in records:
+            assert rec.cartier_index == cartier_index(rec.indices)
+
 
 class TestQueryValidation:
     def test_rejects_chi_outside_domain(self):
@@ -281,6 +313,38 @@ class TestChernRecordValidation:
                 c1c2=c1c2_from_indices(indices, 1),
                 cartier_index=6,
                 has_integral_basket=False,
+            )
+
+    def test_rejects_wrong_cartier_index(self):
+        indices = parse_index_multiset("2^3,4,7,9")
+        with pytest.raises(ValueError, match="Cartier index mismatch"):
+            ChernRecord(
+                indices=indices,
+                chi0=1,
+                c1c2=Fraction(1, 252),
+                cartier_index=126,
+                has_integral_basket=False,
+            )
+
+    @pytest.mark.parametrize("chi0", [0, 1, 2])
+    def test_empty_multiset(self, chi0):
+        rec = ChernRecord(
+            indices=IndexMultiset(),
+            chi0=chi0,
+            c1c2=Fraction(24 * chi0),
+            cartier_index=1,
+            has_integral_basket=True,
+            witness=Basket(),
+        )
+        assert rec.cartier_index == 1
+        with pytest.raises(ValueError, match=f"stated {24 * chi0 + 1}, derived {24 * chi0}"):
+            ChernRecord(
+                indices=IndexMultiset(),
+                chi0=chi0,
+                c1c2=Fraction(24 * chi0 + 1),
+                cartier_index=1,
+                has_integral_basket=True,
+                witness=Basket(),
             )
 
     def test_rejects_missing_witness(self):

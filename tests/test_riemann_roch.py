@@ -181,6 +181,13 @@ class TestEulerIdentity:
         assert isinstance(w, Fraction)
         assert gcd(w.numerator, w.denominator) == 1 and w.denominator >= 1
 
+    @given(index_multisets)
+    def test_weight_matches_naive_fraction_sum(self, indices):
+        naive = sum(
+            (mult * Fraction(r * r - 1, r) for r, mult in indices.groups), Fraction(0)
+        )
+        assert indices.weight == naive
+
 
 class TestCartierIndex:
     @pytest.mark.parametrize(
