@@ -243,6 +243,16 @@ def _scenario_lines(result) -> list[str]:
     return lines
 
 
+def _quotient_key_diff(derived, expected) -> tuple[list, list]:
+    """Keys derived but not expected, and expected but not derived, by group order."""
+    derived_keys = {row.key() for row in derived}
+    expected_keys = {row.key() for row in expected}
+    return (
+        sorted(derived_keys - expected_keys, key=lambda k: k[0]),
+        sorted(expected_keys - derived_keys, key=lambda k: k[0]),
+    )
+
+
 def _cmd_verify_tables(args) -> int:
     failures = 0
 
@@ -275,16 +285,12 @@ def _cmd_verify_tables(args) -> int:
         )
 
     derived = derive_enriques(k3_rows)
-    derived_keys = {row.key() for row in derived}
-    expected_keys = {row.key() for row in enriques_rows}
-    detail = []
-    for key in sorted(derived_keys - expected_keys, key=lambda k: k[0]):
-        detail.append(f"  derived but not in fixture: order {key[0]}, {format_profile(key[1])}")
-    for key in sorted(expected_keys - derived_keys, key=lambda k: k[0]):
-        detail.append(f"  in fixture but not derived: order {key[0]}, {format_profile(key[1])}")
+    extra, missing = _quotient_key_diff(derived, enriques_rows)
+    detail = [f"  derived but not in fixture: order {k[0]}, {format_profile(k[1])}" for k in extra]
+    detail += [f"  in fixture but not derived: order {k[0]}, {format_profile(k[1])}" for k in missing]
     report(
         f"derive-enriques: {len(derived)} derived rows vs {len(enriques_rows)} fixture rows",
-        derived_keys == expected_keys and len(derived) == len(enriques_rows),
+        not extra and not missing and len(derived) == len(enriques_rows),
         detail,
     )
 
@@ -333,13 +339,12 @@ def _cmd_quotient_derive(args) -> int:
             f"{row.group_label} {row.group_order} {format_profile(row.profile)} "
             f"{format_index_multiset(row.expected_indices)} {row.expected_c1c2}"
         )
-    derived_keys = {row.key() for row in derived}
-    expected_keys = {row.key() for row in expected}
-    if derived_keys == expected_keys and len(derived) == len(expected):
+    extra, missing = _quotient_key_diff(derived, expected)
+    if not extra and not missing and len(derived) == len(expected):
         return EXIT_OK
-    for key in sorted(derived_keys - expected_keys, key=lambda k: k[0]):
+    for key in extra:
         print(f"derived but not expected: order {key[0]}, {format_profile(key[1])}", file=sys.stderr)
-    for key in sorted(expected_keys - derived_keys, key=lambda k: k[0]):
+    for key in missing:
         print(f"expected but not derived: order {key[0]}, {format_profile(key[1])}", file=sys.stderr)
     return EXIT_MISMATCH
 
@@ -358,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=parse_rational, default=None, help="lower c1c2 bound (c1c2-range)")
     p.add_argument("--hi", type=parse_rational, default=None, help="upper c1c2 bound (c1c2-range)")
     p.add_argument("--depth", type=int, default=2,
-                   help="require integral l(m) for all 2 <= m <= depth (default 2)")
+                   help="l(2) integral already implies every l(m); records re-check "
+                        "their witness through depth (default 2)")
     p.add_argument("--include-empty", action="store_true", help="also emit the empty multiset")
     p.add_argument("--format", choices=["csv", "jsonl", "md"], default="csv")
     p.add_argument("--output", default=None, help="write to a file instead of stdout")

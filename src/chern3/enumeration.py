@@ -8,11 +8,13 @@ weight budget cannot absorb another index.  All budget arithmetic is done
 in integers scaled by lcm(1..r_max) times the budget denominator, so no
 comparison ever involves a float or an unreduced fraction.
 
-Alongside the multisets themselves, the walk tracks which values the
-fractional part of l(2) can take over all admissible b-assignments; this
-is the same dynamic program `exists_integral_basket` runs for a single
-multiset, factored along the search tree.  A multiset admits a basket with
-integral l(2) exactly when 0 is reachable.
+Alongside the multisets themselves, the walk tracks which values l(2)
+takes modulo 1 over all admissible b-assignments, as integer numerators
+over the fixed modulus 2*lcm(1..r_max); a multiset admits a basket with
+integral l(2) exactly when 0 is reachable.  That settles every depth at
+once: for any basket l(m) = (1^2 + ... + (m-1)^2) * l(2) (mod 1), so
+integral l(2) makes every l(m) integral.  `exists_integral_basket` runs the
+same integer DP for a single multiset and rebuilds its witness.
 
 The walk also carries each node's Cartier index (the running lcm of its
 indices), applies the record filter as it goes, and visits nodes in
@@ -31,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import tables
 from .riemann_roch import (
@@ -42,7 +44,6 @@ from .riemann_roch import (
     cartier_index,
     format_index_multiset,
     l_value,
-    point_correction,
 )
 
 DEFAULT_CHI_DOMAIN = (0, 1, 2)
@@ -174,9 +175,22 @@ def _admissible_b(r: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _l2_contributions(r: int) -> tuple[int, ...]:
-    """Distinct fractional parts of b(r-b)/(2r), as numerators over 2r."""
-    return tuple(sorted({(b * (r - b)) % (2 * r) for b in _admissible_b(r)}))
+def _l2_corrections(r: int) -> tuple[tuple[int, int], ...]:
+    """(b, c) per admissible b, where c/(2r) = b(r-b)/(2r) mod 1 is the point's l(2)."""
+    return tuple((b, b * (r - b) % (2 * r)) for b in _admissible_b(r))
+
+
+@lru_cache(maxsize=None)
+def _l2_steps(r: int, mod: int) -> tuple[int, ...]:
+    """The distinct l(2) corrections of index r, as numerators over mod."""
+    scale = mod // (2 * r)
+    return tuple(sorted({c * scale for _, c in _l2_corrections(r)}))
+
+
+def _add_point(reach: set[int], mod: int, r: int) -> set[int]:
+    """Reachable l(2) numerators over mod, a multiple of 2r, after a point of index r."""
+    steps = _l2_steps(r, mod)
+    return {(a + c) % mod for a in reach for c in steps}
 
 
 def max_index(budget: Fraction) -> int:
@@ -199,50 +213,23 @@ def _weight_table(rmax: int, den: int) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def _l2_step(aset: set[int], den: int, r: int) -> tuple[int, set[int]]:
-    """Reachable l(2) fractional parts after one more point of index r."""
-    d2 = 2 * r
-    nd = den * d2 // math.gcd(den, d2)
-    if nd != den:
-        scale = nd // den
-        aset = {a * scale % nd for a in aset}
-    steps = [c * (nd // d2) for c in _l2_contributions(r)]
-    return nd, {(a + c) % nd for a in aset for c in steps}
-
-
-def _resolve_integral(
-    groups: _Groups, l2_reachable: bool, depth: int
-) -> tuple[bool, Optional[tuple[tuple[int, int, int], ...]]]:
-    """Integral-basket flag and witness runs (b, r, mult) for one multiset."""
-    if not l2_reachable:
-        return False, None
-    ok, witness = exists_integral_basket(IndexMultiset(groups), depth)
-    if not ok:
-        return False, None
-    assert witness is not None
-    return True, tuple((p.b, p.r, mult) for p, mult in witness.groups)
-
-
 def _finish_node(
-    groups: _Groups,
-    rem: int,
-    lcm: int,
-    l2_reachable: bool,
-    scale: int,
-    depth: int,
-    flt: RecordFilter,
+    groups: _Groups, rem: int, lcm: int, l2_reachable: bool, scale: int, flt: RecordFilter
 ):
-    """The item for one walked node, or None when the filter rejects it.
+    """The item (groups, rem, lcm, witness) for one walked node, or None.
 
-    rem is c1c2 in units of 1/scale and lcm the Cartier index.  The c1c2
-    conditions are tested first, so rejected nodes skip the integrality DP.
+    rem is c1c2 in units of 1/scale, lcm the Cartier index and witness the
+    integral basket or None.  The c1c2 conditions are tested first, so
+    nodes the filter rejects skip the witness rebuild.
     """
     if not flt.accepts(rem, scale):
         return None
-    has_int, witness = _resolve_integral(groups, l2_reachable, depth)
-    if not has_int and not flt.accepts(rem, scale, False):
+    witness = None
+    if l2_reachable:
+        _, witness = exists_integral_basket(IndexMultiset(groups))
+    if witness is None and not flt.accepts(rem, scale, False):
         return None
-    return (groups, rem, lcm, has_int, witness)
+    return (groups, rem, lcm, witness)
 
 
 def _run_task(args) -> tuple[list, list]:
@@ -251,11 +238,12 @@ def _run_task(args) -> tuple[list, list]:
     Returns the root r0^k0 (or nothing, if filtered out) and, separately,
     its subtree in lexicographic order of the expanded index sequence.
     """
-    budget_scaled, rmax, weight_den, scale, depth, flt, r0, k0 = args
+    budget_scaled, rmax, weight_den, scale, flt, r0, k0 = args
     weights = _weight_table(rmax, weight_den)
+    mod = 2 * math.lcm(*range(1, rmax + 1))
     tail: list = []
 
-    def scan(rmin: int, rem: int, prefix: _Groups, lcm: int, den: int, aset: set[int]):
+    def scan(rmin: int, rem: int, prefix: _Groups, lcm: int, reach: set[int]):
         # pre-order over non-decreasing index sequences: each node is followed
         # by its extensions repeating its last index, then by larger indices
         for r in range(rmin, rmax + 1):
@@ -267,27 +255,23 @@ def _run_task(args) -> tuple[list, list]:
             else:
                 node, node_lcm = prefix + ((r, 1),), math.lcm(lcm, r)
             node_rem = rem - w
-            node_den, node_aset = _l2_step(aset, den, r)
-            item = _finish_node(
-                node, node_rem, node_lcm, 0 in node_aset, scale, depth, flt
-            )
+            node_reach = _add_point(reach, mod, r)
+            item = _finish_node(node, node_rem, node_lcm, 0 in node_reach, scale, flt)
             if item is not None:
                 tail.append(item)
-            scan(r, node_rem, node, node_lcm, node_den, node_aset)
+            scan(r, node_rem, node, node_lcm, node_reach)
 
-    den, aset = 1, {0}
+    reach = {0}
     for _ in range(k0):
-        den, aset = _l2_step(aset, den, r0)
+        reach = _add_point(reach, mod, r0)
     root = ((r0, k0),)
     rem = budget_scaled - k0 * weights[r0]
-    head = _finish_node(root, rem, r0, 0 in aset, scale, depth, flt)
-    scan(r0 + 1, rem, root, r0, den, aset)
+    head = _finish_node(root, rem, r0, 0 in reach, scale, flt)
+    scan(r0 + 1, rem, root, r0, reach)
     return ([] if head is None else [head]), tail
 
 
-def _enumerate_raw(
-    max_weight: Fraction, depth: int, flt: RecordFilter, jobs: int
-) -> tuple[list, int]:
+def _enumerate_raw(max_weight: Fraction, flt: RecordFilter, jobs: int) -> tuple[list, int]:
     """Filtered raw nodes in canonical order plus the budget scale."""
     rmax = max_index(max_weight)
     if rmax < 2:
@@ -299,7 +283,7 @@ def _enumerate_raw(
     weights = _weight_table(rmax, den)
 
     tasks = [
-        (budget_scaled, rmax, den, scale, depth, flt, r, k)
+        (budget_scaled, rmax, den, scale, flt, r, k)
         for r in range(2, rmax + 1)
         for k in range(1, budget_scaled // weights[r] + 1)
     ]
@@ -339,24 +323,17 @@ def enumerate_index_multisets(
     on the expanded index sequence) regardless of `jobs`.
     """
     flt = query.filter
-    raw, scale = _enumerate_raw(
-        Fraction(24 * query.chi0), query.integrality_depth, flt, jobs
-    )
+    raw, scale = _enumerate_raw(Fraction(24 * query.chi0), flt, jobs)
 
     # each raw item is replaced by its record in place, so the raw items are
     # freed while the records are built
-    for i, (groups, rem, lcm, has_int, witness_runs) in enumerate(raw):
-        witness = None
-        if witness_runs is not None:
-            witness = Basket(
-                tuple((BasketPoint(b, r), mult) for b, r, mult in witness_runs)
-            )
+    for i, (groups, rem, lcm, witness) in enumerate(raw):
         raw[i] = ChernRecord(
             indices=IndexMultiset(groups),
             chi0=query.chi0,
             c1c2=Fraction(rem, scale),
             cartier_index=lcm,
-            has_integral_basket=has_int,
+            has_integral_basket=witness is not None,
             witness=witness,
             integrality_depth=query.integrality_depth,
         )
@@ -385,80 +362,53 @@ def feasible_index_multisets(max_weight: Fraction) -> list[IndexMultiset]:
     This is the bare pruned generator, exposed so it can be diffed against
     an unpruned oracle over arbitrary rational budgets.
     """
-    raw, _ = _enumerate_raw(Fraction(max_weight), 2, ALL, jobs=1)
+    raw, _ = _enumerate_raw(Fraction(max_weight), ALL, jobs=1)
     return [IndexMultiset(groups) for groups, *_ in raw]
 
 
-def _vadd(u: tuple, v: tuple) -> tuple:
-    return tuple((x + y) % 1 for x, y in zip(u, v))
+def exists_integral_basket(indices: IndexMultiset) -> tuple[bool, Optional[Basket]]:
+    """Does some b-assignment over the multiset make every l(m) integral?
 
+    For a point (b, r) and t = jb mod r, t(r - t) = jbr - j^2 b^2 (mod 2r).
+    Summed over the basket and over j = 1..m-1 this gives
 
-def _run_lengths(values: Iterable) -> list[tuple[object, int]]:
-    runs: list[tuple[object, int]] = []
-    for value in values:
-        if runs and runs[-1][0] == value:
-            runs[-1] = (value, runs[-1][1] + 1)
-        else:
-            runs.append((value, 1))
-    return runs
+        l(m) = (1^2 + ... + (m-1)^2) * l(2)  (mod 1),
 
-
-def exists_integral_basket(
-    indices: IndexMultiset, depth: int = 2
-) -> tuple[bool, Optional[Basket]]:
-    """Does some b-assignment over the multiset make l(m) integral for 2 <= m <= depth?
-
-    A single basket must satisfy every level simultaneously.  On success the
-    lexicographically smallest witness is returned, ordering baskets by their
-    canonical (r, b) point sequence.  Decided by dynamic programming over the
-    reachable fractional parts (one coordinate per level), with suffix sets
-    guiding a greedy lexicographic reconstruction.
+    so a basket with integral l(2) has integral l(m) for every m, and l(2)
+    alone decides every depth.  On success the lexicographically smallest
+    witness is returned, ordering baskets by their canonical (r, b) point
+    sequence.  Decided by dynamic programming over the reachable l(2)
+    numerators modulo 2 * Cartier index, with suffix sets guiding a greedy
+    lexicographic reconstruction.
     """
-    if depth < 2:
-        raise ValueError(f"integrality depth must be >= 2, got {depth}")
-    zero = (Fraction(0),) * (depth - 1)
+    mod = 2 * cartier_index(indices)
 
-    choice_vectors = []
-    for r, mult in indices.groups:
-        options = []
-        for b in _admissible_b(r):
-            point = BasketPoint(b, r)
-            vec = tuple(point_correction(point, m) % 1 for m in range(2, depth + 1))
-            options.append((b, vec))
-        choice_vectors.append((r, mult, options))
-
-    # suffix[i] = fractional-part vectors reachable using groups i..end
-    suffix = [frozenset([zero])]
-    for r, mult, options in reversed(choice_vectors):
-        layer = {zero}
+    # suffix[i] = l(2) numerators over mod reachable using groups i..end
+    suffix = [{0}]
+    for r, mult in reversed(indices.groups):
+        reach = suffix[-1]
         for _ in range(mult):
-            layer = {_vadd(s, vec) for s in layer for _, vec in options}
-        suffix.append(frozenset(_vadd(s, t) for s in layer for t in suffix[-1]))
+            reach = _add_point(reach, mod, r)
+        suffix.append(reach)
     suffix.reverse()
 
-    if zero not in suffix[0]:
+    if 0 not in suffix[0]:
         return False, None
 
-    chosen: list[tuple[BasketPoint, int]] = []
-    prefix = zero
-    for i, (r, mult, options) in enumerate(choice_vectors):
-        vec_by_b = dict(options)
-        for combo in combinations_with_replacement([b for b, _ in options], mult):
-            total = zero
-            for b in combo:
-                total = _vadd(total, vec_by_b[b])
-            need = tuple((-x - y) % 1 for x, y in zip(prefix, total))
-            if need in suffix[i + 1]:
-                prefix = _vadd(prefix, total)
-                chosen.extend(
-                    (BasketPoint(b, r), reps) for b, reps in _run_lengths(combo)
-                )
+    chosen: list[BasketPoint] = []
+    prefix = 0
+    for (r, mult), rest in zip(indices.groups, suffix[1:]):
+        scale = mod // (2 * r)
+        correction = dict(_l2_corrections(r))
+        for combo in combinations_with_replacement(correction, mult):
+            total = prefix + scale * sum(correction[b] for b in combo)
+            if -total % mod in rest:
+                prefix = total
+                chosen.extend(BasketPoint(b, r) for b in combo)
                 break
         else:
-            raise RuntimeError(
-                "reachability and reconstruction disagree; this is a bug"
-            )
-    return True, Basket(tuple(chosen))
+            raise RuntimeError("reachability and reconstruction disagree; this is a bug")
+    return True, Basket.from_points(chosen)
 
 
 @dataclass(frozen=True, slots=True)

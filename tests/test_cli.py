@@ -142,6 +142,24 @@ class TestEnumerateCommand:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_depth_beyond_two_prints_the_same_bytes(self):
+        # integral l(2) already forces integral l(m) for every m
+        outputs = [
+            run_cli("enumerate", "--chi", "1", "--filter", "l2-integral", "--depth", depth)
+            for depth in ("2", "7")
+        ]
+        assert outputs[0][0] == outputs[1][0] == 0
+        assert len(outputs[0][1].splitlines()) == 40
+        assert outputs[0][1] == outputs[1][1]
+
+    def test_depth_below_two_is_a_usage_error(self):
+        code, out, err = run_cli(
+            "enumerate", "--chi", "1", "--filter", "l2-integral", "--depth", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "integrality depth" in err
+
     def test_jobs_are_byte_identical(self, tmp_path):
         paths = [tmp_path / "j1.csv", tmp_path / "j2.csv"]
         for path, jobs in zip(paths, ("1", "2")):

@@ -59,17 +59,24 @@ def admissible_b(r):
     return [b for b in range(1, r // 2 + 1) if gcd(b, r) == 1]
 
 
-def brute_force_integral(indices, depth=2):
-    """Try every b-assignment directly; independent of the sumset DP."""
-    slots = [(r,) * mult for r, mult in indices.groups]
-    flat = tuple(r for run in slots for r in run)
+def brute_force_witness(indices, depth=2):
+    """First b-assignment, in lexicographic order, with l(2..depth) integral.
+
+    Tries every assignment directly, independent of the sumset DP; None when
+    there is none.
+    """
+    flat = indices.indices()
     for bs in product(*(admissible_b(r) for r in flat)):
         basket = Basket.from_points(
             BasketPoint(b, r) for b, r in zip(bs, flat)
         )
         if all(l_value(basket, m).denominator == 1 for m in range(2, depth + 1)):
-            return True
-    return False
+            return basket
+    return None
+
+
+def brute_force_integral(indices, depth=2):
+    return brute_force_witness(indices, depth) is not None
 
 
 class TestPrunedVsOracle:
@@ -135,7 +142,7 @@ class TestExistsIntegralBasket:
 
     def test_depth_three_agrees_with_brute_force_on_fixture(self):
         for row in tables.table_rows(2):
-            ok, witness = exists_integral_basket(row.indices, depth=3)
+            ok, witness = exists_integral_basket(row.indices)
             assert ok == brute_force_integral(row.indices, depth=3), row
             if ok:
                 assert l_value(witness, 2).denominator == 1
@@ -143,7 +150,22 @@ class TestExistsIntegralBasket:
 
     def test_rejects_depth_below_two(self):
         with pytest.raises(ValueError):
-            exists_integral_basket(IndexMultiset(), depth=1)
+            EnumerationQuery(chi0=1, integrality_depth=1)
+
+    def test_agrees_with_brute_force_at_every_depth(self):
+        # l(m) = (1^2 + ... + (m-1)^2) * l(2) (mod 1): deeper levels add no
+        # condition, and the DP's witness is brute force's first hit.  Every
+        # chi = 1 multiset with at most 8 points; 2^3,4,8^2, 2^3,5^2,10,
+        # 2^2,3^2,4,12 and 5^5 each have two witnesses.
+        small = [m for m in feasible_index_multisets(Fraction(24)) if m.size <= 8]
+        integral = 0
+        for indices in small:
+            ok, witness = exists_integral_basket(indices)
+            assert ok == (witness is not None)
+            integral += ok
+            for depth in range(2, 7):
+                assert brute_force_witness(indices, depth) == witness, (indices, depth)
+        assert len(small) == 1925 and integral == 28
 
 
 class TestEnumerate:
@@ -199,7 +221,7 @@ class TestEnumerate:
                 EnumerationQuery(chi0=1, filter=INTEGRAL_L2, integrality_depth=3)
             )
         }
-        assert depth3 <= depth2
+        assert depth3 == depth2
 
     def test_range_filter(self):
         records = enumerate_index_multisets(
@@ -249,19 +271,35 @@ class TestEnumerate:
         decided = []
         real = enumeration.exists_integral_basket
 
-        def recording(indices, depth=2):
+        def recording(indices):
             decided.append(indices)
-            return real(indices, depth)
+            return real(indices)
 
         monkeypatch.setattr(enumeration, "exists_integral_basket", recording)
         records = enumerate_index_multisets(EnumerationQuery(chi0=1, filter=C1C2_ZERO))
         assert decided
         assert set(decided) <= {rec.indices for rec in records}
 
+    def test_walk_hands_over_only_integral_multisets(self, monkeypatch):
+        # the walk runs the same l(2) DP as exists_integral_basket, so every
+        # multiset it hands over has an integral basket
+        outcomes = []
+        real = enumeration.exists_integral_basket
+
+        def recording(indices):
+            ok, witness = real(indices)
+            outcomes.append(ok)
+            return ok, witness
+
+        monkeypatch.setattr(enumeration, "exists_integral_basket", recording)
+        records = enumerate_index_multisets(EnumerationQuery(chi0=1))
+        assert all(outcomes)
+        assert len(outcomes) == sum(rec.has_integral_basket for rec in records) == 40
+
     @pytest.mark.parametrize("chi0", [0, 1])
     def test_walk_carries_cartier_index(self, chi0):
-        raw, _ = _enumerate_raw(Fraction(24 * chi0), 2, ALL, jobs=1)
-        for groups, _, lcm, _, _ in raw:
+        raw, _ = _enumerate_raw(Fraction(24 * chi0), ALL, jobs=1)
+        for groups, _, lcm, _ in raw:
             assert lcm == cartier_index(IndexMultiset(groups))
         records = enumerate_index_multisets(
             EnumerationQuery(chi0=chi0, include_empty=True)

@@ -118,6 +118,13 @@ class TestLValue:
         )
         assert 0 <= l_value(basket, 2) <= bound
 
+    @given(baskets(), st.integers(1, 30))
+    def test_lm_is_sum_of_squares_times_l2_mod_one(self, basket, m):
+        # l(m) = (1^2 + ... + (m-1)^2) * l(2) (mod 1), so integral l(2)
+        # forces integral l(m) for every m
+        squares = sum(j * j for j in range(1, m))
+        assert (l_value(basket, m) - squares * l_value(basket, 2)).denominator == 1
+
 
 class TestChiMinusNk:
     @given(baskets(), st.integers(-3, 3), st.integers(-8, 8))
