@@ -19,14 +19,10 @@ from typing import Iterable, Optional, Sequence
 
 from . import enumeration, quotient, tables
 from .enumeration import (
-    ALL,
-    C1C2_ZERO,
-    INTEGRAL_L2,
     ChernRecord,
     EnumerationQuery,
     NoPositiveValueError,
     RecordFilter,
-    c1c2_in_range,
 )
 from .quotient import (
     CoverType,
@@ -47,12 +43,6 @@ from .riemann_roch import (
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-
-_FILTERS = {
-    "all": ALL,
-    "c1c2-zero": C1C2_ZERO,
-    "l2-integral": INTEGRAL_L2,
-}
 
 
 def _factorization(n: int) -> str:
@@ -137,10 +127,9 @@ def _build_filter(args) -> RecordFilter:
     if args.filter == "c1c2-range":
         if args.lo is None or args.hi is None:
             raise ValueError("--filter c1c2-range requires both --lo and --hi")
-        return c1c2_in_range(args.lo, args.hi)
-    if args.lo is not None or args.hi is not None:
+    elif args.lo is not None or args.hi is not None:
         raise ValueError("--lo/--hi are only meaningful with --filter c1c2-range")
-    return _FILTERS[args.filter]
+    return RecordFilter(args.filter, args.lo, args.hi)
 
 
 def _cmd_enumerate(args) -> int:
@@ -358,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate admissible index multisets")
     p.add_argument("--chi", type=int, required=True, help="chi(O_X), normally 0, 1 or 2")
-    p.add_argument("--filter", choices=["all", "c1c2-zero", "l2-integral", "c1c2-range"],
-                   default="all")
+    p.add_argument("--filter", choices=RecordFilter.KINDS, default="all")
     p.add_argument("--lo", type=parse_rational, default=None, help="lower c1c2 bound (c1c2-range)")
     p.add_argument("--hi", type=parse_rational, default=None, help="upper c1c2 bound (c1c2-range)")
     p.add_argument("--depth", type=int, default=2,

@@ -6,7 +6,8 @@ enough to exhaust on a desk machine.  The enumerator walks non-decreasing
 index sequences depth-first, cutting a branch as soon as the remaining
 weight budget cannot absorb another index.  All budget arithmetic is done
 in integers scaled by lcm(1..r_max) times the budget denominator, so no
-comparison ever involves a float or an unreduced fraction.
+comparison ever involves a float or an unreduced fraction; `_frame` owns
+that scale, the weight table and the l(2) modulus for a budget.
 
 Alongside the multisets themselves, the walk tracks which values l(2)
 takes modulo 1 over all admissible b-assignments, as integer numerators
@@ -17,7 +18,8 @@ integral l(2) makes every l(m) integral.  `exists_integral_basket` runs the
 same integer DP for a single multiset and rebuilds its witness.
 
 The walk also carries each node's Cartier index (the running lcm of its
-indices), applies the record filter as it goes, and visits nodes in
+indices), passes every node, the empty multiset at its root included,
+through one filter test in `_finish_node`, and visits nodes in
 lexicographic order of the expanded index sequence, so a stable sort on
 the scaled c1.c2 alone gives the canonical order.  Every emitted
 `ChernRecord` re-checks its c1.c2 and Cartier index in integers scaled by
@@ -33,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from . import tables
 from .riemann_roch import (
@@ -60,12 +62,14 @@ class NoPositiveValueError(ValueError):
 class RecordFilter:
     """Predicate selecting which enumerated records are emitted."""
 
+    KINDS: ClassVar[tuple[str, ...]] = ("all", "c1c2-zero", "l2-integral", "c1c2-range")
+
     kind: str
     lo: Optional[Fraction] = None
     hi: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("all", "c1c2-zero", "l2-integral", "c1c2-range"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}")
         if self.kind == "c1c2-range":
             if self.lo is None or self.hi is None:
@@ -75,11 +79,10 @@ class RecordFilter:
         elif self.lo is not None or self.hi is not None:
             raise ValueError(f"bounds are only meaningful for c1c2-range, not {self.kind!r}")
 
-    def accepts(self, num: int, den: int, has_int: bool = True) -> bool:
+    def accepts(self, num: int, den: int, has_int: bool) -> bool:
         """Does a record with c1.c2 = num/den (den > 0) pass the filter?
 
-        `has_int` defaults to True so the c1.c2 conditions can be tested
-        before the integrality DP decides the real flag.
+        has_int says whether some basket over the record has integral l(2).
         """
         if self.kind == "c1c2-zero":
             return num == 0
@@ -204,13 +207,19 @@ def max_index(budget: Fraction) -> int:
 
 
 @lru_cache(maxsize=None)
-def _weight_table(rmax: int, den: int) -> tuple[int, ...]:
-    """weights[r] = (r - 1/r) * lcm(1..rmax) * den, an exact integer."""
+def _frame(max_weight: Fraction) -> tuple[int, int, int, tuple[int, ...], int]:
+    """The walk's integers for a budget: (rmax, scale, budget, weights, mod).
+
+    The budget and weights[r] = r - 1/r are in units of 1/scale, with scale =
+    lcm(1..rmax) * the budget's denominator; mod = 2*lcm(1..rmax) for l(2).
+    """
+    rmax = max_index(max_weight)
     lcm_all = math.lcm(*range(1, rmax + 1))
+    scale = lcm_all * max_weight.denominator
     weights = [0] * (rmax + 1)
     for r in range(2, rmax + 1):
-        weights[r] = (r * lcm_all - lcm_all // r) * den
-    return tuple(weights)
+        weights[r] = (r * lcm_all - lcm_all // r) * max_weight.denominator
+    return rmax, scale, max_weight.numerator * lcm_all, tuple(weights), 2 * lcm_all
 
 
 def _finish_node(
@@ -219,16 +228,16 @@ def _finish_node(
     """The item (groups, rem, lcm, witness) for one walked node, or None.
 
     rem is c1c2 in units of 1/scale, lcm the Cartier index and witness the
-    integral basket or None.  The c1c2 conditions are tested first, so
-    nodes the filter rejects skip the witness rebuild.
+    integral basket or None.  The filter is tested first, so nodes it
+    rejects skip the witness rebuild.
     """
-    if not flt.accepts(rem, scale):
+    if not flt.accepts(rem, scale, l2_reachable):
         return None
     witness = None
     if l2_reachable:
         _, witness = exists_integral_basket(IndexMultiset(groups))
-    if witness is None and not flt.accepts(rem, scale, False):
-        return None
+        if witness is None:
+            raise RuntimeError("walk and exists_integral_basket disagree; this is a bug")
     return (groups, rem, lcm, witness)
 
 
@@ -238,9 +247,8 @@ def _run_task(args) -> tuple[list, list]:
     Returns the root r0^k0 (or nothing, if filtered out) and, separately,
     its subtree in lexicographic order of the expanded index sequence.
     """
-    budget_scaled, rmax, weight_den, scale, flt, r0, k0 = args
-    weights = _weight_table(rmax, weight_den)
-    mod = 2 * math.lcm(*range(1, rmax + 1))
+    max_weight, flt, r0, k0 = args
+    rmax, scale, budget_scaled, weights, mod = _frame(max_weight)
     tail: list = []
 
     def scan(rmin: int, rem: int, prefix: _Groups, lcm: int, reach: set[int]):
@@ -273,17 +281,9 @@ def _run_task(args) -> tuple[list, list]:
 
 def _enumerate_raw(max_weight: Fraction, flt: RecordFilter, jobs: int) -> tuple[list, int]:
     """Filtered raw nodes in canonical order plus the budget scale."""
-    rmax = max_index(max_weight)
-    if rmax < 2:
-        return [], 1
-    lcm_all = math.lcm(*range(1, rmax + 1))
-    den = max_weight.denominator
-    scale = lcm_all * den
-    budget_scaled = max_weight.numerator * lcm_all
-    weights = _weight_table(rmax, den)
-
+    rmax, scale, budget_scaled, weights, _ = _frame(max_weight)
     tasks = [
-        (budget_scaled, rmax, den, scale, flt, r, k)
+        (max_weight, flt, r, k)
         for r in range(2, rmax + 1)
         for k in range(1, budget_scaled // weights[r] + 1)
     ]
@@ -322,8 +322,15 @@ def enumerate_index_multisets(
     Records come in canonical order (weight ascending, then lexicographic
     on the expanded index sequence) regardless of `jobs`.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     flt = query.filter
     raw, scale = _enumerate_raw(Fraction(24 * query.chi0), flt, jobs)
+    if query.include_empty:
+        # the walk's root: weight 0, Cartier index 1, and l(2) = 0 reachable
+        root = _finish_node((), 24 * query.chi0 * scale, 1, True, scale, flt)
+        if root is not None:
+            raw.insert(0, root)
 
     # each raw item is replaced by its record in place, so the raw items are
     # freed while the records are built
@@ -337,23 +344,7 @@ def enumerate_index_multisets(
             witness=witness,
             integrality_depth=query.integrality_depth,
         )
-    records: list[ChernRecord] = raw
-
-    # the empty basket has l(m) = 0 for all m, so it always passes l2-integral
-    if query.include_empty and flt.accepts(24 * query.chi0, 1, True):
-        records.insert(
-            0,
-            ChernRecord(
-                indices=IndexMultiset(),
-                chi0=query.chi0,
-                c1c2=Fraction(24 * query.chi0),
-                cartier_index=1,
-                has_integral_basket=True,
-                witness=Basket(),
-                integrality_depth=query.integrality_depth,
-            ),
-        )
-    return records
+    return raw
 
 
 def feasible_index_multisets(max_weight: Fraction) -> list[IndexMultiset]:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, formats, determinism, fault injection."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -159,6 +160,32 @@ class TestEnumerateCommand:
         assert code == 2
         assert out == ""
         assert "integrality depth" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, jobs):
+        code, out, err = run_cli("enumerate", "--chi", "1", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert "jobs" in err
+
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (["--chi", "1"],
+             "ea4dc6aaf9d3f05fa48ab1c16cd6a06442408269f0cb69aae9f07bc03f25945a"),
+            (["--chi", "1", "--filter", "l2-integral", "--format", "jsonl"],
+             "decba8ca7e1d08cd75baca457d1143eb2098832bb9ca024a05375bf32f9a6e9f"),
+            (["--chi", "1", "--filter", "c1c2-zero", "--format", "md"],
+             "c548e043e2b7b106d356992b91d1d97ba1b5dbfaaf4c008fba457ae49f7587a4"),
+            (["--chi", "0", "--include-empty"],
+             "16f22637c67955a52282cb648e42ae622e534aea4def4e11253900148242742f"),
+        ],
+        ids=["chi1-csv", "chi1-l2-jsonl", "chi1-zero-md", "chi0-empty"],
+    )
+    def test_golden_bytes(self, argv, sha256):
+        code, out, _ = run_cli("enumerate", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
     def test_jobs_are_byte_identical(self, tmp_path):
         paths = [tmp_path / "j1.csv", tmp_path / "j2.csv"]

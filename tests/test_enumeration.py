@@ -55,6 +55,26 @@ def naive_multisets(max_weight):
     return found
 
 
+# one filter of every kind; the ranges put c1c2 = 0 and c1c2 = 24 on either side
+EVERY_FILTER_KIND = [
+    ALL,
+    C1C2_ZERO,
+    INTEGRAL_L2,
+    c1c2_in_range(Fraction(0), Fraction(1, 2)),
+    c1c2_in_range(Fraction(23), Fraction(24)),
+    c1c2_in_range(Fraction(24), Fraction(48)),
+]
+
+
+def empty_multiset_passes(flt, chi0):
+    """Does the empty multiset, c1c2 = 24*chi0 and l(m) = 0, pass the filter?"""
+    if flt.kind == "c1c2-zero":
+        return chi0 == 0
+    if flt.kind == "c1c2-range":
+        return flt.lo <= 24 * chi0 <= flt.hi
+    return True
+
+
 def admissible_b(r):
     return [b for b in range(1, r // 2 + 1) if gcd(b, r) == 1]
 
@@ -148,10 +168,6 @@ class TestExistsIntegralBasket:
                 assert l_value(witness, 2).denominator == 1
                 assert l_value(witness, 3).denominator == 1
 
-    def test_rejects_depth_below_two(self):
-        with pytest.raises(ValueError):
-            EnumerationQuery(chi0=1, integrality_depth=1)
-
     def test_agrees_with_brute_force_at_every_depth(self):
         # l(m) = (1^2 + ... + (m-1)^2) * l(2) (mod 1): deeper levels add no
         # condition, and the DP's witness is brute force's first hit.  Every
@@ -178,6 +194,28 @@ class TestEnumerate:
         assert records[0].c1c2 == 0
         assert records[0].cartier_index == 1
         assert records[0].has_integral_basket and records[0].witness == Basket()
+
+    @pytest.mark.parametrize("chi0", [0, 1])
+    @pytest.mark.parametrize(
+        "flt",
+        EVERY_FILTER_KIND,
+        ids=lambda f: f.kind if f.lo is None else f"{f.kind}-{f.lo}-{f.hi}",
+    )
+    def test_include_empty_is_the_walks_root(self, flt, chi0):
+        without = enumerate_index_multisets(EnumerationQuery(chi0=chi0, filter=flt))
+        records = enumerate_index_multisets(
+            EnumerationQuery(chi0=chi0, filter=flt, include_empty=True)
+        )
+        empty = ChernRecord(IndexMultiset(), chi0, Fraction(24 * chi0), 1, True, Basket())
+        if empty_multiset_passes(flt, chi0):
+            assert records == [empty] + without
+        else:
+            assert records == without
+
+    def test_walk_and_witness_rebuild_must_agree(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "exists_integral_basket", lambda indices: (False, None))
+        with pytest.raises(RuntimeError):
+            enumerate_index_multisets(EnumerationQuery(chi0=1, filter=INTEGRAL_L2))
 
     def test_chi_zero_without_empty(self):
         assert enumerate_index_multisets(EnumerationQuery(chi0=0)) == []
@@ -324,6 +362,11 @@ class TestQueryValidation:
     def test_rejects_shallow_depth(self):
         with pytest.raises(ValueError):
             EnumerationQuery(chi0=1, integrality_depth=1)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError):
+            enumerate_index_multisets(EnumerationQuery(chi0=1), jobs=jobs)
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
