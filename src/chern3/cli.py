@@ -133,11 +133,12 @@ def _build_filter(args) -> RecordFilter:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.depth < 2:
+        raise ValueError(f"integrality depth must be >= 2, got {args.depth}")
     query = EnumerationQuery(
         chi0=args.chi,
         filter=_build_filter(args),
         include_empty=args.include_empty,
-        integrality_depth=args.depth,
         allow_any_chi=args.unsafe_chi,
     )
     records = enumeration.enumerate_index_multisets(query, jobs=args.jobs)
@@ -351,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=parse_rational, default=None, help="lower c1c2 bound (c1c2-range)")
     p.add_argument("--hi", type=parse_rational, default=None, help="upper c1c2 bound (c1c2-range)")
     p.add_argument("--depth", type=int, default=2,
-                   help="l(2) integral already implies every l(m); records re-check "
-                        "their witness through depth (default 2)")
+                   help="accepted for compatibility and ignored: every record checks "
+                        "l(m) of its witness at every m; must be >= 2 (default 2)")
     p.add_argument("--include-empty", action="store_true", help="also emit the empty multiset")
     p.add_argument("--format", choices=["csv", "jsonl", "md"], default="csv")
     p.add_argument("--output", default=None, help="write to a file instead of stdout")

@@ -12,10 +12,10 @@ that scale, the weight table and the l(2) modulus for a budget.
 Alongside the multisets themselves, the walk tracks which values l(2)
 takes modulo 1 over all admissible b-assignments, as integer numerators
 over the fixed modulus 2*lcm(1..r_max); a multiset admits a basket with
-integral l(2) exactly when 0 is reachable.  That settles every depth at
-once: for any basket l(m) = (1^2 + ... + (m-1)^2) * l(2) (mod 1), so
-integral l(2) makes every l(m) integral.  `exists_integral_basket` runs the
-same integer DP for a single multiset and rebuilds its witness.
+integral l(2) exactly when 0 is reachable.  That settles every m at once:
+for any basket l(m) = (1^2 + ... + (m-1)^2) * l(2) (mod 1), so integral
+l(2) makes every l(m) integral.  `exists_integral_basket` runs the same
+integer DP for a single multiset and rebuilds its witness.
 
 The walk also carries each node's Cartier index (the running lcm of its
 indices), passes every node, the empty multiset at its root included,
@@ -23,7 +23,9 @@ through one filter test in `_finish_node`, and visits nodes in
 lexicographic order of the expanded index sequence, so a stable sort on
 the scaled c1.c2 alone gives the canonical order.  Every emitted
 `ChernRecord` re-checks its c1.c2 and Cartier index in integers scaled by
-that lcm; `Fraction` appears only at the record boundary.
+that lcm, and checks that its witness has integral l(m) at every m with one
+integer scan over a period (`first_fractional_l`), without using the
+congruence above; `Fraction` appears only at the record boundary.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .riemann_roch import (
     IndexMultiset,
     c1c2_from_indices,  # noqa: F401  (perfbench/trace_cli.py times it here)
     cartier_index,
+    first_fractional_l,
     format_index_multiset,
     l_value,
 )
@@ -107,7 +110,6 @@ class EnumerationQuery:
     chi0: int
     filter: RecordFilter = ALL
     include_empty: bool = False
-    integrality_depth: int = 2
     allow_any_chi: bool = False
 
     def __post_init__(self) -> None:
@@ -118,8 +120,6 @@ class EnumerationQuery:
                 f"chi0={self.chi0} is outside {{0, 1, 2}}; "
                 "set allow_any_chi to explore anyway"
             )
-        if self.integrality_depth < 2:
-            raise ValueError(f"integrality depth must be >= 2, got {self.integrality_depth}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,7 +130,9 @@ class ChernRecord:
     and re-checks the witness, so a record that exists is consistent.
     c1.c2 is checked in integers scaled by the Cartier index, the lcm of
     the indices, which every weight term r - 1/r has as a common
-    denominator.
+    denominator.  The witness must have integral l(m) for every m >= 2,
+    which `first_fractional_l` checks over one period of l, at a cost
+    that grows with the Cartier index only.
     """
 
     indices: IndexMultiset
@@ -139,7 +141,6 @@ class ChernRecord:
     cartier_index: int
     has_integral_basket: bool
     witness: Optional[Basket] = None
-    integrality_depth: int = 2
 
     def __post_init__(self) -> None:
         lcm = cartier_index(self.indices)
@@ -163,10 +164,11 @@ class ChernRecord:
                 raise ValueError("integral record lacks a witness basket")
             if self.witness.index_multiset() != self.indices:
                 raise ValueError("witness does not project onto the index multiset")
-            for m in range(2, self.integrality_depth + 1):
-                value = l_value(self.witness, m)
-                if value.denominator != 1:
-                    raise ValueError(f"witness has non-integral l({m}) = {value}")
+            m = first_fractional_l(self.witness)
+            if m is not None:
+                raise ValueError(
+                    f"witness has non-integral l({m}) = {l_value(self.witness, m)}"
+                )
         elif self.witness is not None:
             raise ValueError("witness present although has_integral_basket is false")
 
@@ -342,7 +344,6 @@ def enumerate_index_multisets(
             cartier_index=lcm,
             has_integral_basket=witness is not None,
             witness=witness,
-            integrality_depth=query.integrality_depth,
         )
     return raw
 
@@ -366,7 +367,7 @@ def exists_integral_basket(indices: IndexMultiset) -> tuple[bool, Optional[Baske
         l(m) = (1^2 + ... + (m-1)^2) * l(2)  (mod 1),
 
     so a basket with integral l(2) has integral l(m) for every m, and l(2)
-    alone decides every depth.  On success the lexicographically smallest
+    alone decides every m.  On success the lexicographically smallest
     witness is returned, ordering baskets by their canonical (r, b) point
     sequence.  Decided by dynamic programming over the reachable l(2)
     numerators modulo 2 * Cartier index, with suffix sets guiding a greedy
@@ -421,9 +422,7 @@ def _row_key(row: tables.TableRow):
 
 
 def reproduce_table(
-    table: int,
-    fixture: Optional[Sequence[tables.TableRow]] = None,
-    jobs: int = 1,
+    table: int, fixture: Optional[Sequence[tables.TableRow]] = None
 ) -> TableCheck:
     """Re-enumerate table 1 or 2 and diff the result against the fixture."""
     if table == 1:
@@ -435,7 +434,7 @@ def reproduce_table(
     if fixture is None:
         fixture = tables.table_rows(table)
 
-    records = enumerate_index_multisets(EnumerationQuery(chi0=1, filter=flt), jobs=jobs)
+    records = enumerate_index_multisets(EnumerationQuery(chi0=1, filter=flt))
     produced = {
         tables.TableRow(rec.indices, rec.cartier_index, rec.c1c2) for rec in records
     }
@@ -446,11 +445,11 @@ def reproduce_table(
 
 
 def min_positive_c1c2(
-    chi0: int, require_integral: bool = False, jobs: int = 1
+    chi0: int, require_integral: bool = False
 ) -> tuple[Fraction, list[IndexMultiset]]:
     """Smallest positive c1.c2 over the enumerated records, with every attaining multiset."""
     flt = INTEGRAL_L2 if require_integral else ALL
-    records = enumerate_index_multisets(EnumerationQuery(chi0=chi0, filter=flt), jobs=jobs)
+    records = enumerate_index_multisets(EnumerationQuery(chi0=chi0, filter=flt))
     positive = [rec for rec in records if rec.c1c2 > 0]
     if not positive:
         raise NoPositiveValueError(
@@ -461,18 +460,10 @@ def min_positive_c1c2(
     return best, [rec.indices for rec in positive if rec.c1c2 == best]
 
 
-def count_candidates(
-    chi0: int,
-    flt: RecordFilter = ALL,
-    depth: int = 2,
-    include_empty: bool = False,
-    jobs: int = 1,
-) -> int:
+def count_candidates(chi0: int, flt: RecordFilter = ALL, include_empty: bool = False) -> int:
     """Number of records the corresponding enumeration emits."""
-    query = EnumerationQuery(
-        chi0=chi0, filter=flt, include_empty=include_empty, integrality_depth=depth
-    )
-    return len(enumerate_index_multisets(query, jobs=jobs))
+    query = EnumerationQuery(chi0=chi0, filter=flt, include_empty=include_empty)
+    return len(enumerate_index_multisets(query))
 
 
 def effective_bound(

@@ -27,7 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 EMPTY_SYMBOL = "∅"
 
@@ -179,6 +179,28 @@ def l_value(basket: Basket, m: int) -> Fraction:
         (mult * point_correction(point, m) for point, mult in basket.groups),
         Fraction(0),
     )
+
+
+def first_fractional_l(basket: Basket) -> Optional[int]:
+    """The smallest m >= 2 with l(m) not an integer; None when every l(m) is.
+
+    Every summand of l is periodic in j with a period dividing r_X, the lcm
+    of the basket's indices, so l(m + r_X) = l(m) + l(r_X + 1) and the values
+    m = 2..r_X + 1 settle every m.  They are scanned as partial sums of
+    2 r_X * l(m) modulo 2 r_X, in integers.
+    """
+    r_x = math.lcm(*(point.r for point, _ in basket.groups))
+    mod = 2 * r_x
+    terms = [(point.b, point.r, mult * (r_x // point.r)) for point, mult in basket.groups]
+    total = 0
+    for j in range(1, r_x + 1):
+        for b, r, scale in terms:
+            t = j * b % r
+            total += t * (r - t) * scale
+        total %= mod
+        if total:
+            return j + 1
+    return None
 
 
 def chi_minus_nk(basket: Basket, ctx: ChernContext, n: int) -> Fraction:

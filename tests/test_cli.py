@@ -147,11 +147,11 @@ class TestEnumerateCommand:
         # integral l(2) already forces integral l(m) for every m
         outputs = [
             run_cli("enumerate", "--chi", "1", "--filter", "l2-integral", "--depth", depth)
-            for depth in ("2", "7")
+            for depth in ("2", "7", "1000000000")
         ]
-        assert outputs[0][0] == outputs[1][0] == 0
+        assert all(code == 0 for code, _, _ in outputs)
         assert len(outputs[0][1].splitlines()) == 40
-        assert outputs[0][1] == outputs[1][1]
+        assert all(out == outputs[0][1] for _, out, _ in outputs)
 
     def test_depth_below_two_is_a_usage_error(self):
         code, out, err = run_cli(
@@ -179,8 +179,10 @@ class TestEnumerateCommand:
              "c548e043e2b7b106d356992b91d1d97ba1b5dbfaaf4c008fba457ae49f7587a4"),
             (["--chi", "0", "--include-empty"],
              "16f22637c67955a52282cb648e42ae622e534aea4def4e11253900148242742f"),
+            (["--chi", "2", "--filter", "l2-integral", "--depth", "12"],
+             "8f783c45b491a90fff32f7748cb5d39d906a1803d0536b248aec6309cbf68ac3"),
         ],
-        ids=["chi1-csv", "chi1-l2-jsonl", "chi1-zero-md", "chi0-empty"],
+        ids=["chi1-csv", "chi1-l2-jsonl", "chi1-zero-md", "chi0-empty", "chi2-l2-depth12"],
     )
     def test_golden_bytes(self, argv, sha256):
         code, out, _ = run_cli("enumerate", *argv)

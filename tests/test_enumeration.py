@@ -246,21 +246,6 @@ class TestEnumerate:
         assert integral <= every
         assert zero <= every
 
-    def test_deeper_integrality_shrinks(self):
-        depth2 = {
-            r.indices
-            for r in enumerate_index_multisets(
-                EnumerationQuery(chi0=1, filter=INTEGRAL_L2, integrality_depth=2)
-            )
-        }
-        depth3 = {
-            r.indices
-            for r in enumerate_index_multisets(
-                EnumerationQuery(chi0=1, filter=INTEGRAL_L2, integrality_depth=3)
-            )
-        }
-        assert depth3 == depth2
-
     def test_range_filter(self):
         records = enumerate_index_multisets(
             EnumerationQuery(
@@ -358,10 +343,6 @@ class TestQueryValidation:
     def test_rejects_negative_chi(self):
         with pytest.raises(ValueError):
             EnumerationQuery(chi0=-1, allow_any_chi=True)
-
-    def test_rejects_shallow_depth(self):
-        with pytest.raises(ValueError):
-            EnumerationQuery(chi0=1, integrality_depth=1)
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_rejects_jobs_below_one(self, jobs):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chern3 import (
     Basket,
@@ -23,6 +23,7 @@ from chern3 import (
     point_correction,
     residue,
 )
+from chern3.riemann_roch import first_fractional_l
 
 
 def admissible_b(r):
@@ -30,10 +31,10 @@ def admissible_b(r):
 
 
 @st.composite
-def baskets(draw):
+def baskets(draw, max_r=30):
     groups = []
     for _ in range(draw(st.integers(0, 5))):
-        r = draw(st.integers(2, 30))
+        r = draw(st.integers(2, max_r))
         b = draw(st.sampled_from(admissible_b(r)))
         mult = draw(st.integers(1, 4))
         groups.append((BasketPoint(b, r), mult))
@@ -124,6 +125,19 @@ class TestLValue:
         # forces integral l(m) for every m
         squares = sum(j * j for j in range(1, m))
         assert (l_value(basket, m) - squares * l_value(basket, 2)).denominator == 1
+
+
+class TestFirstFractionalL:
+    @settings(max_examples=200, deadline=None)
+    @given(baskets(max_r=6))  # so r_X <= 60
+    def test_matches_l_value_over_two_periods(self, basket):
+        r_x = cartier_index(basket.index_multiset())
+        l = {m: l_value(basket, m) for m in range(1, 2 * r_x + 3)}
+        # l(m + r_X) = l(m) + l(r_X + 1): one period of m = 2..r_X + 1 settles every m
+        for m in range(1, r_x + 1):
+            assert l[m + r_x] == l[m] + l[r_x + 1], m
+        fractional = [m for m in range(2, 2 * r_x + 3) if l[m].denominator != 1]
+        assert first_fractional_l(basket) == (fractional[0] if fractional else None)
 
 
 class TestChiMinusNk:
