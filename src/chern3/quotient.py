@@ -24,7 +24,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .riemann_roch import EMPTY_SYMBOL, IndexMultiset, format_index_multiset
+from .riemann_roch import EMPTY_SYMBOL, IndexMultiset, RunMultiset
+from .riemann_roch import format_index_multiset, parse_terms
 
 
 class CoverType(Enum):
@@ -40,25 +41,12 @@ EXPECTED_CHI = {CoverType.K3: 2, CoverType.ENRIQUES: 1}
 P1_BUNDLE_OVER_ABELIAN_C1C2 = Fraction(0)
 
 
-@dataclass(frozen=True, slots=True)
-class SingularityProfile:
-    """Multiset of Du Val A_n types, stored as (n, multiplicity) runs."""
+class SingularityProfile(RunMultiset):
+    """Multiset of Du Val A_n types, stored as (n, multiplicity) runs: the
+    `RunMultiset` of baskets and index multisets, read by `parse_terms`."""
 
-    groups: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        merged: dict[int, int] = {}
-        for n, mult in self.groups:
-            if n < 1:
-                raise ValueError(f"A_n type needs n >= 1, got {n}")
-            if mult < 1:
-                raise ValueError(f"multiplicity must be >= 1, got {mult}")
-            merged[n] = merged.get(n, 0) + mult
-        object.__setattr__(self, "groups", tuple(sorted(merged.items())))
-
-    @property
-    def size(self) -> int:
-        return sum(mult for _, mult in self.groups)
+    __slots__ = ()
+    _item, _floor = "A_n type n", 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,19 +200,9 @@ _PROFILE_TERM_RE = re.compile(r"(\d*)A_(\d+)")
 
 
 def parse_profile(text: str) -> SingularityProfile:
-    s = text.replace(" ", "")
-    if s in ("", EMPTY_SYMBOL):
-        return SingularityProfile()
-    groups = []
-    for term in s.split(","):
-        m = _PROFILE_TERM_RE.fullmatch(term)
-        if m is None:
-            raise ValueError(f"malformed profile term {term!r} in {text!r}")
-        mult = int(m.group(1)) if m.group(1) else 1
-        if mult < 1:
-            raise ValueError(f"multiplicity must be >= 1 in {term!r}")
-        groups.append((int(m.group(2)), mult))
-    return SingularityProfile(tuple(groups))
+    return SingularityProfile(
+        (int(m[2]), int(m[1] or 1)) for m in parse_terms(text, _PROFILE_TERM_RE)
+    )
 
 
 def format_profile(profile: SingularityProfile) -> str:

@@ -19,6 +19,9 @@ drive everything downstream:
       24 * chi(O) = c1.c2 + sum over local indices of (r - 1/r),
 
   which lets c1.c2 be read off from the index multiset alone.
+
+Baskets, index multisets and the Du Val profiles of `chern3.quotient` share
+one run-length model, `RunMultiset`, and one text scanner, `parse_terms`.
 """
 
 from __future__ import annotations
@@ -62,62 +65,73 @@ class BasketPoint:
             b = r - b
         return cls(b, r)
 
+    def __lt__(self, other: "BasketPoint") -> bool:
+        """Baskets order their points by (r, b)."""
+        return (self.r, self.b) < (other.r, other.b)
+
 
 @dataclass(frozen=True, slots=True)
-class Basket:
-    """Multiset of basket points, stored as (point, multiplicity) runs.
+class RunMultiset:
+    """A multiset stored as (item, multiplicity) runs, strictly ascending by item.
 
-    Constructors merge duplicate points and keep the runs in ascending
-    (r, b) order, so equal multisets compare equal.
+    One pass validates every run and keeps an already canonical tuple of
+    tuples as it is; anything else is merged and sorted into that form, so
+    equal multisets compare and hash alike.  Subclasses add only empty slots
+    and may bound their items below by `_floor`, named `_item` in the error.
     """
 
-    groups: tuple[tuple[BasketPoint, int], ...] = ()
+    _item, _floor = "item", None
+
+    groups: tuple = ()
 
     def __post_init__(self) -> None:
-        merged: dict[BasketPoint, int] = {}
-        for point, mult in self.groups:
+        keep = type(self.groups) is tuple
+        runs = self.groups if keep else tuple(self.groups)
+        last = None
+        for run in runs:
+            item, mult = run
             if mult < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {mult}")
-            merged[point] = merged.get(point, 0) + mult
-        canonical = tuple(sorted(merged.items(), key=lambda it: (it[0].r, it[0].b)))
-        object.__setattr__(self, "groups", canonical)
-
-    @classmethod
-    def from_points(cls, points: Iterable[BasketPoint]) -> "Basket":
-        return cls(tuple((p, 1) for p in points))
+            keep = keep and type(run) is tuple and (last is None or last < item)
+            last = item
+        if not keep:
+            merged: dict = {}
+            for item, mult in runs:
+                merged[item] = merged.get(item, 0) + mult
+            runs = tuple(sorted(merged.items()))
+            object.__setattr__(self, "groups", runs)
+        # the runs ascend, so the first item is the smallest
+        if self._floor is not None and runs and runs[0][0] < self._floor:
+            raise ValueError(f"{self._item} must be >= {self._floor}, got {runs[0][0]}")
 
     @property
     def size(self) -> int:
         return sum(mult for _, mult in self.groups)
+
+
+class Basket(RunMultiset):
+    """Multiset of basket points as (point, multiplicity) runs, ascending by (r, b)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_points(cls, points: Iterable[BasketPoint]) -> "Basket":
+        return cls(tuple((p, 1) for p in points))
 
     def index_multiset(self) -> "IndexMultiset":
         """Forget the b's, keeping the multiset of local indices."""
         return IndexMultiset(tuple((p.r, mult) for p, mult in self.groups))
 
 
-@dataclass(frozen=True, slots=True)
-class IndexMultiset:
+class IndexMultiset(RunMultiset):
     """Multiset of local indices r >= 2, stored as (r, multiplicity) runs."""
 
-    groups: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        merged: dict[int, int] = {}
-        for r, mult in self.groups:
-            if r < 2:
-                raise ValueError(f"local index must be >= 2, got {r}")
-            if mult < 1:
-                raise ValueError(f"multiplicity must be >= 1, got {mult}")
-            merged[r] = merged.get(r, 0) + mult
-        object.__setattr__(self, "groups", tuple(sorted(merged.items())))
+    __slots__ = ()
+    _item, _floor = "local index", 2
 
     @classmethod
     def from_indices(cls, indices: Iterable[int]) -> "IndexMultiset":
         return cls(tuple((r, 1) for r in indices))
-
-    @property
-    def size(self) -> int:
-        return sum(mult for _, mult in self.groups)
 
     @property
     def weight(self) -> Fraction:
@@ -227,8 +241,11 @@ def cartier_index(indices: IndexMultiset) -> int:
 #   rational:       p or p/q, reduced, q > 0 (str() of a Fraction)
 #   index multiset: r or r^k terms, ascending, e.g. 2^3,4,7,9
 #   basket:         (b,r) or (b,r)^k terms, ascending by (r, b)
+#   profile:        A_n or kA_n terms, ascending by n (quotient.py)
 #
-# The empty multiset and the empty basket both print as the empty-set sign.
+# Each multiset form prints its runs as comma-separated terms, and the one
+# scanner `parse_terms` reads all three back.  An empty multiset, basket or
+# profile prints as the empty-set sign.
 # ---------------------------------------------------------------------------
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
@@ -257,18 +274,32 @@ def _parse_exponent(raw: str | None, term: str) -> int:
     return mult
 
 
-def parse_index_multiset(text: str) -> IndexMultiset:
-    """Parse 'r' / 'r^k' terms, e.g. '2^3,4,7,9'; '' and the empty sign parse empty."""
+def parse_terms(text: str, term_re: re.Pattern) -> list[re.Match]:
+    """Match `term_re` terms joined by single commas; spaces are ignored.
+
+    '' and the empty-set sign hold no terms; a stray comma or trailing text raises.
+    """
     s = text.replace(" ", "")
     if s in ("", EMPTY_SYMBOL):
-        return IndexMultiset()
-    groups = []
-    for term in s.split(","):
-        m = _INDEX_TERM_RE.fullmatch(term)
+        return []
+    terms, pos = [], 0
+    while pos <= len(s):
+        m = term_re.match(s, pos)
         if m is None:
-            raise ValueError(f"malformed index term {term!r} in {text!r}")
-        groups.append((int(m.group(1)), _parse_exponent(m.group(2), term)))
-    return IndexMultiset(tuple(groups))
+            raise ValueError(f"malformed term at {s[pos:]!r} in {text!r}")
+        terms.append(m)
+        pos = m.end()
+        if pos < len(s) and s[pos] != ",":
+            raise ValueError(f"expected ',' at {s[pos:]!r} in {text!r}")
+        pos += 1
+    return terms
+
+
+def parse_index_multiset(text: str) -> IndexMultiset:
+    """Parse 'r' / 'r^k' terms, e.g. '2^3,4,7,9'."""
+    return IndexMultiset(
+        (int(m[1]), _parse_exponent(m[2], m[0])) for m in parse_terms(text, _INDEX_TERM_RE)
+    )
 
 
 def format_index_multiset(indices: IndexMultiset) -> str:
@@ -279,24 +310,10 @@ def format_index_multiset(indices: IndexMultiset) -> str:
 
 def parse_basket(text: str) -> Basket:
     """Parse '(b,r)' / '(b,r)^k' terms; point invariants are enforced."""
-    s = text.replace(" ", "")
-    if s in ("", EMPTY_SYMBOL):
-        return Basket()
-    groups = []
-    pos = 0
-    while True:
-        m = _BASKET_TERM_RE.match(s, pos)
-        if m is None:
-            raise ValueError(f"malformed basket term at {s[pos:]!r} in {text!r}")
-        point = BasketPoint(int(m.group(1)), int(m.group(2)))
-        groups.append((point, _parse_exponent(m.group(3), m.group(0))))
-        pos = m.end()
-        if pos == len(s):
-            break
-        if s[pos] != ",":
-            raise ValueError(f"expected ',' at {s[pos:]!r} in {text!r}")
-        pos += 1
-    return Basket(tuple(groups))
+    return Basket(
+        (BasketPoint(int(m[1]), int(m[2])), _parse_exponent(m[3], m[0]))
+        for m in parse_terms(text, _BASKET_TERM_RE)
+    )
 
 
 def format_basket(basket: Basket) -> str:

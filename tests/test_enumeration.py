@@ -331,6 +331,13 @@ class TestEnumerate:
         for rec in records:
             assert rec.cartier_index == cartier_index(rec.indices)
 
+    @pytest.mark.parametrize("chi0", [0, 1])
+    def test_walk_emits_canonical_groups(self, chi0):
+        # canonical runs are kept as they are, so records reuse the walk's tuples
+        raw, _ = _enumerate_raw(Fraction(24 * chi0), ALL, jobs=1)
+        for groups, *_ in raw:
+            assert IndexMultiset(groups).groups is groups
+
 
 class TestQueryValidation:
     def test_rejects_chi_outside_domain(self):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from chern3 import (
     CoverType,
@@ -19,6 +20,10 @@ from chern3 import (
 )
 from chern3.quotient import P1_BUNDLE_OVER_ABELIAN_C1C2
 from chern3.tables import quotient_scenarios
+
+profiles = st.lists(st.tuples(st.integers(1, 30), st.integers(1, 12)), max_size=6).map(
+    SingularityProfile
+)
 
 
 class TestProfiles:
@@ -41,6 +46,10 @@ class TestProfiles:
     def test_malformed(self, text):
         with pytest.raises(ValueError):
             parse_profile(text)
+
+    @given(profiles)
+    def test_parse_format_roundtrip(self, profile):
+        assert parse_profile(format_profile(profile)) == profile
 
 
 class TestIndicesFromProfile:
