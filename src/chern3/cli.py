@@ -69,7 +69,18 @@ def _factorization(n: int) -> str:
 def _open_output(path: Optional[str]):
     if path is None:
         return nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="")
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _read_fixture(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _record_fields(rec: ChernRecord) -> list[str]:
@@ -148,24 +159,23 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_chi_series(args) -> int:
+    if args.n_max < 0:
+        raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
     basket = parse_basket(args.basket)
     ctx = ChernContext(chi0=args.chi, anticanonical_cube=args.kcube)
-    rows = []
-    for n in range(args.n_max + 1):
-        rows.append((n, l_value(basket, n + 1), chi_minus_nk(basket, ctx, n)))
+    rows = [
+        [str(n), str(l_value(basket, n + 1)), str(chi_minus_nk(basket, ctx, n))]
+        for n in range(args.n_max + 1)
+    ]
     with _open_output(args.output) as stream:
         if args.format == "csv":
-            _write_csv([[str(n), str(l), str(chi)] for n, l, chi in rows], stream)
+            _write_csv(rows, stream)
         elif args.format == "jsonl":
-            for n, l, chi in rows:
-                payload = {"n": n, "l": str(l), "chi": str(chi)}
+            for n, (_, l, chi) in enumerate(rows):
+                payload = {"n": n, "l": l, "chi": chi}
                 stream.write(json.dumps(payload, separators=(",", ":")) + "\n")
         else:
-            _write_markdown(
-                ["n", "l(n+1)", "chi(-nK)"],
-                [[str(n), str(l), str(chi)] for n, l, chi in rows],
-                stream,
-            )
+            _write_markdown(["n", "l(n+1)", "chi(-nK)"], rows, stream)
     return EXIT_OK
 
 
@@ -195,16 +205,14 @@ def _cmd_bound(args) -> int:
 def _load_table_fixture(path: Optional[str], table: int):
     if path is None:
         return tables.table_rows(table)
-    with open(path, "r", encoding="utf-8") as fh:
-        return tables.parse_enumeration_fixture(fh.read())
+    return tables.parse_enumeration_fixture(_read_fixture(path))
 
 
 def _load_quotient_fixture(path: Optional[str], table: int):
     if path is None:
         return tables.quotient_scenarios(table)
     cover = CoverType.K3 if table == 4 else CoverType.ENRIQUES
-    with open(path, "r", encoding="utf-8") as fh:
-        return tables.parse_quotient_fixture(fh.read(), cover)
+    return tables.parse_quotient_fixture(_read_fixture(path), cover)
 
 
 def _table_check_lines(check: enumeration.TableCheck) -> list[str]:

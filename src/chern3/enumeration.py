@@ -174,15 +174,14 @@ class ChernRecord:
 
 
 @lru_cache(maxsize=None)
-def _admissible_b(r: int) -> tuple[int, ...]:
-    """The b values allowed at index r: coprime to r with 0 < 2b <= r."""
-    return tuple(b for b in range(1, r // 2 + 1) if math.gcd(b, r) == 1)
-
-
-@lru_cache(maxsize=None)
 def _l2_corrections(r: int) -> tuple[tuple[int, int], ...]:
-    """(b, c) per admissible b, where c/(2r) = b(r-b)/(2r) mod 1 is the point's l(2)."""
-    return tuple((b, b * (r - b) % (2 * r)) for b in _admissible_b(r))
+    """(b, c) per admissible b at index r, with c/(2r) = b(r-b)/(2r) mod 1 its l(2).
+
+    The admissible b are coprime to r with 0 < 2b <= r, in ascending order.
+    """
+    return tuple(
+        (b, b * (r - b) % (2 * r)) for b in range(1, r // 2 + 1) if math.gcd(b, r) == 1
+    )
 
 
 @lru_cache(maxsize=None)
@@ -225,33 +224,38 @@ def _frame(max_weight: Fraction) -> tuple[int, int, int, tuple[int, ...], int]:
 
 
 def _finish_node(
-    groups: _Groups, rem: int, lcm: int, l2_reachable: bool, scale: int, flt: RecordFilter
-):
-    """The item (groups, rem, lcm, witness) for one walked node, or None.
+    out: list, groups: _Groups, rem: int, lcm: int, l2_reachable: bool, scale: int,
+    flt: RecordFilter,
+) -> None:
+    """Append the item (groups, rem, lcm, witness) for one walked node to out.
 
     rem is c1c2 in units of 1/scale, lcm the Cartier index and witness the
     integral basket or None.  The filter is tested first, so nodes it
-    rejects skip the witness rebuild.
+    rejects are dropped before the witness rebuild.
     """
     if not flt.accepts(rem, scale, l2_reachable):
-        return None
+        return
     witness = None
     if l2_reachable:
         _, witness = exists_integral_basket(IndexMultiset(groups))
         if witness is None:
             raise RuntimeError("walk and exists_integral_basket disagree; this is a bug")
-    return (groups, rem, lcm, witness)
+    out.append((groups, rem, lcm, witness))
 
 
-def _run_task(args) -> tuple[list, list]:
+def _run_task(args) -> list:
     """Filtered items for the multisets whose smallest run is (r0, k0).
 
-    Returns the root r0^k0 (or nothing, if filtered out) and, separately,
-    its subtree in lexicographic order of the expanded index sequence.
+    The items come in lexicographic order of the expanded index sequence,
+    and so do the chunks of the tasks listed by r0 ascending, then k0
+    descending: every root r0^k sorts before every longer sequence starting
+    with r0, and the subtree of r0^(k+1) before that of r0^k.  So the task
+    with the largest k0 that fits first emits the roots r0, ..., r0^k0, and
+    every task emits the subtree of r0^k0 extended by larger indices.
     """
     max_weight, flt, r0, k0 = args
     rmax, scale, budget_scaled, weights, mod = _frame(max_weight)
-    tail: list = []
+    out: list = []
 
     def scan(rmin: int, rem: int, prefix: _Groups, lcm: int, reach: set[int]):
         # pre-order over non-decreasing index sequences: each node is followed
@@ -266,19 +270,18 @@ def _run_task(args) -> tuple[list, list]:
                 node, node_lcm = prefix + ((r, 1),), math.lcm(lcm, r)
             node_rem = rem - w
             node_reach = _add_point(reach, mod, r)
-            item = _finish_node(node, node_rem, node_lcm, 0 in node_reach, scale, flt)
-            if item is not None:
-                tail.append(item)
+            _finish_node(out, node, node_rem, node_lcm, 0 in node_reach, scale, flt)
             scan(r, node_rem, node, node_lcm, node_reach)
 
-    reach = {0}
-    for _ in range(k0):
-        reach = _add_point(reach, mod, r0)
-    root = ((r0, k0),)
     rem = budget_scaled - k0 * weights[r0]
-    head = _finish_node(root, rem, r0, 0 in reach, scale, flt)
-    scan(r0 + 1, rem, root, r0, reach)
-    return ([] if head is None else [head]), tail
+    reach = {0}
+    for k in range(1, k0 + 1):
+        reach = _add_point(reach, mod, r0)
+        if rem < weights[r0]:  # k0 is the largest that fits
+            root_rem = budget_scaled - k * weights[r0]
+            _finish_node(out, ((r0, k),), root_rem, r0, 0 in reach, scale, flt)
+    scan(r0 + 1, rem, ((r0, k0),), r0, reach)
+    return out
 
 
 def _enumerate_raw(max_weight: Fraction, flt: RecordFilter, jobs: int) -> tuple[list, int]:
@@ -287,7 +290,7 @@ def _enumerate_raw(max_weight: Fraction, flt: RecordFilter, jobs: int) -> tuple[
     tasks = [
         (max_weight, flt, r, k)
         for r in range(2, rmax + 1)
-        for k in range(1, budget_scaled // weights[r] + 1)
+        for k in range(budget_scaled // weights[r], 0, -1)
     ]
 
     if jobs > 1 and len(tasks) > 1:
@@ -296,19 +299,7 @@ def _enumerate_raw(max_weight: Fraction, flt: RecordFilter, jobs: int) -> tuple[
     else:
         chunks = [_run_task(task) for task in tasks]
 
-    # Concatenate in lexicographic order of the expanded index sequence.  For
-    # one smallest index r0, every root r0^k sorts before every longer
-    # sequence starting with r0, and the subtree of r0^(k+1) before that of
-    # r0^k.
-    by_first: dict[int, list] = {}
-    for task, chunk in zip(tasks, chunks):
-        by_first.setdefault(task[-2], []).append(chunk)
-    raw = []
-    for group in by_first.values():
-        for head, _ in group:
-            raw.extend(head)
-        for _, tail in reversed(group):
-            raw.extend(tail)
+    raw = [item for chunk in chunks for item in chunk]
     # canonical total order: weight ascending, then lexicographic on the
     # expanded index sequence, which the stable sort keeps among equal
     # weights; independent of task scheduling
@@ -330,9 +321,9 @@ def enumerate_index_multisets(
     raw, scale = _enumerate_raw(Fraction(24 * query.chi0), flt, jobs)
     if query.include_empty:
         # the walk's root: weight 0, Cartier index 1, and l(2) = 0 reachable
-        root = _finish_node((), 24 * query.chi0 * scale, 1, True, scale, flt)
-        if root is not None:
-            raw.insert(0, root)
+        root: list = []
+        _finish_node(root, (), 24 * query.chi0 * scale, 1, True, scale, flt)
+        raw[:0] = root
 
     # each raw item is replaced by its record in place, so the raw items are
     # freed while the records are built

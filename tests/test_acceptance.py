@@ -5,6 +5,7 @@ also asserts, so a plain pytest run fails loudly on any criterion.
 """
 
 import csv
+import hashlib
 import io
 import random
 import subprocess
@@ -36,6 +37,10 @@ from chern3 import (
 )
 from chern3.cli import _factorization
 from chern3.tables import quotient_scenarios, table_rows
+
+
+# sha256 of the chi = 2 census csv, the same bytes the benchmark pins
+CENSUS_SHA256 = "c86732b16c2b8ae57568bbe1736b0df83728a2d467654e1c57859f8ada1f8eb6"
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -220,10 +225,11 @@ def test_criterion_9_parallel_determinism(tmp_path):
     payload = out1.read_bytes()
     identical = payload == out8.read_bytes()
     records = payload.count(b"\n")
-    ok = r1.returncode == 0 and r8.returncode == 0 and identical
+    digest = hashlib.sha256(payload).hexdigest()
+    ok = r1.returncode == 0 and r8.returncode == 0 and identical and digest == CENSUS_SHA256
     _report(
         9,
         ok,
         f"chi=2 outputs byte-identical across --jobs 1/8 "
-        f"({len(payload)} bytes, {records} records)",
+        f"({len(payload)} bytes, {records} records, sha256 {digest[:8]}…)",
     )

@@ -239,6 +239,37 @@ class TestChiSeriesCommand:
         # chi(-K) = 1/4 + 3 - 1/4 = 3 and chi(-2K) = 5/4 + 5 - 1/4 = 6
         assert out.splitlines() == ["0,0,1", "1,1/4,3", "2,1/4,6"]
 
+    def test_negative_n_max_is_a_usage_error(self):
+        code, out, err = run_cli(
+            "chi-series", "--basket", "(1,2)", "--chi", "1", "--n-max", "-3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n-max must be >= 0, got -3\n"
+
+
+class TestUnopenablePaths:
+    """A path on the command line that cannot be opened is an input error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--chi", "0", "--output"],
+            ["verify-tables", "--table1"],
+            ["quotient", "check", "--table", "4", "--fixture"],
+            ["quotient", "derive-enriques", "--k3"],
+            ["quotient", "derive-enriques", "--expected"],
+        ],
+        ids=["enumerate-output", "verify-tables", "quotient-check", "derive-k3",
+             "derive-expected"],
+    )
+    def test_missing_path_is_an_input_error(self, tmp_path, argv):
+        path = str(tmp_path / "missing" / "x.csv")
+        code, out, err = run_cli(*argv, path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and path in err
+
 
 class TestMinCommand:
     def test_unfiltered_minimum(self):

@@ -1,5 +1,6 @@
 """Enumeration tests: oracle equivalence, table reproduction, integral baskets."""
 
+import multiprocessing
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd
@@ -276,6 +277,33 @@ class TestEnumerate:
         serial = enumerate_index_multisets(EnumerationQuery(chi0=1))
         parallel = enumerate_index_multisets(EnumerationQuery(chi0=1), jobs=3)
         assert serial == parallel
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_jobs_under_fresh_import_start_methods(self, monkeypatch, method):
+        # macOS starts pool workers with spawn and Python 3.14 on Linux with
+        # forkserver: the workers import the package afresh
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        serial = enumerate_index_multisets(EnumerationQuery(chi0=1))
+        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
+        assert enumerate_index_multisets(EnumerationQuery(chi0=1), jobs=2) == serial
+
+    @pytest.mark.parametrize("max_weight", [Fraction(24), Fraction(37, 3)])
+    def test_chunks_join_in_output_order(self, monkeypatch, max_weight):
+        # the task chunks, joined in task order, are already in lexicographic
+        # order of the expanded index sequence, before the sort by weight
+        chunks = []
+        real = enumeration._run_task
+
+        def recording(task):
+            chunks.append(real(task))
+            return chunks[-1]
+
+        monkeypatch.setattr(enumeration, "_run_task", recording)
+        raw, _ = _enumerate_raw(max_weight, ALL, jobs=1)
+        joined = [IndexMultiset(item[0]).indices() for chunk in chunks for item in chunk]
+        assert joined == sorted(set(joined))
+        assert len(joined) == len(raw)
 
     def test_every_emitted_witness_reverifies(self):
         records = enumerate_index_multisets(EnumerationQuery(chi0=1, filter=INTEGRAL_L2))
