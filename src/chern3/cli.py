@@ -32,10 +32,9 @@ from .quotient import (
 )
 from .riemann_roch import (
     ChernContext,
-    chi_minus_nk,
+    chi_series,
     format_basket,
     format_index_multiset,
-    l_value,
     parse_basket,
     parse_rational,
 )
@@ -146,15 +145,20 @@ def _build_filter(args) -> RecordFilter:
 def _cmd_enumerate(args) -> int:
     if args.depth < 2:
         raise ValueError(f"integrality depth must be >= 2, got {args.depth}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     query = EnumerationQuery(
         chi0=args.chi,
         filter=_build_filter(args),
         include_empty=args.include_empty,
         allow_any_chi=args.unsafe_chi,
     )
-    records = enumeration.enumerate_index_multisets(query, jobs=args.jobs)
-    with _open_output(args.output) as stream:
-        _emit_records(records, args.format, stream)
+    # every usage check is done before --output is opened, and the records
+    # are freed before the collector resumes, so it never traverses them
+    with _open_output(args.output) as stream, enumeration.collector_paused():
+        _emit_records(
+            enumeration.enumerate_index_multisets(query, jobs=args.jobs), args.format, stream
+        )
     return EXIT_OK
 
 
@@ -164,8 +168,8 @@ def _cmd_chi_series(args) -> int:
     basket = parse_basket(args.basket)
     ctx = ChernContext(chi0=args.chi, anticanonical_cube=args.kcube)
     rows = [
-        [str(n), str(l_value(basket, n + 1)), str(chi_minus_nk(basket, ctx, n))]
-        for n in range(args.n_max + 1)
+        [str(n), str(l), str(chi)]
+        for n, (l, chi) in enumerate(chi_series(basket, ctx, args.n_max))
     ]
     with _open_output(args.output) as stream:
         if args.format == "csv":

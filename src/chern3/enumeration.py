@@ -7,15 +7,18 @@ index sequences depth-first, cutting a branch as soon as the remaining
 weight budget cannot absorb another index.  All budget arithmetic is done
 in integers scaled by lcm(1..r_max) times the budget denominator, so no
 comparison ever involves a float or an unreduced fraction; `_frame` owns
-that scale, the weight table and the l(2) modulus for a budget.
+that scale, the weight table and each index's l(2) step for a budget.
 
 Alongside the multisets themselves, the walk tracks which values l(2)
-takes modulo 1 over all admissible b-assignments, as integer numerators
-over the fixed modulus 2*lcm(1..r_max); a multiset admits a basket with
-integral l(2) exactly when 0 is reachable.  That settles every m at once:
+takes modulo 1 over all admissible b-assignments.  By CRT a point's l(2)
+term splits into one part per prime p dividing 2r, and the b choose those
+parts independently, so the state is one bitmask per prime p <= r_max over
+Z/p^e, p^e <= 2*r_max (`_prime_moduli`), and a point rotates the masks of
+the primes it touches.  A multiset admits a basket with integral l(2)
+exactly when 0 is reachable in every mask.  That settles every m at once:
 for any basket l(m) = (1^2 + ... + (m-1)^2) * l(2) (mod 1), so integral
-l(2) makes every l(m) integral.  `exists_integral_basket` runs the same
-integer DP for a single multiset and rebuilds its witness.
+l(2) makes every l(m) integral.  `exists_integral_basket` runs the same DP
+for a single multiset and rebuilds its witness.
 
 The walk also carries each node's Cartier index (the running lcm of its
 indices), passes every node, the empty multiset at its root included,
@@ -25,19 +28,23 @@ the scaled c1.c2 alone gives the canonical order.  Every emitted
 `ChernRecord` re-checks its c1.c2 and Cartier index in integers scaled by
 that lcm, and checks that its witness has integral l(m) at every m with one
 integer scan over a period (`first_fractional_l`), without using the
-congruence above; `Fraction` appears only at the record boundary.
+congruence above; `Fraction` appears only at the record boundary.  The walk
+and the record build leave no reference cycle and run with the cyclic
+garbage collector paused (`collector_paused`).
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import multiprocessing
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import itemgetter
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, Iterator, Optional, Sequence
 
 from . import tables
 from .riemann_roch import (
@@ -174,27 +181,86 @@ class ChernRecord:
 
 
 @lru_cache(maxsize=None)
-def _l2_corrections(r: int) -> tuple[tuple[int, int], ...]:
-    """(b, c) per admissible b at index r, with c/(2r) = b(r-b)/(2r) mod 1 its l(2).
+def _prime_moduli(rmax: int) -> tuple[int, ...]:
+    """The modulus of l(2)'s p-component for each prime p <= rmax, p ascending.
 
-    The admissible b are coprime to r with 0 < 2b <= r, in ascending order.
+    It is the largest power of p dividing 2r for some r <= rmax: twice the
+    largest power of 2 up to rmax for p = 2, the largest power of p up to
+    rmax otherwise, so at most 2 * rmax.
     """
-    return tuple(
-        (b, b * (r - b) % (2 * r)) for b in range(1, r // 2 + 1) if math.gcd(b, r) == 1
-    )
+    moduli = []
+    for p in range(2, rmax + 1):
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            n = p
+            while n * p <= rmax:
+                n *= p
+            moduli.append(2 * n if p == 2 else n)
+    return tuple(moduli)
 
 
 @lru_cache(maxsize=None)
-def _l2_steps(r: int, mod: int) -> tuple[int, ...]:
-    """The distinct l(2) corrections of index r, as numerators over mod."""
-    scale = mod // (2 * r)
-    return tuple(sorted({c * scale for _, c in _l2_corrections(r)}))
+def _l2_parts(r: int, rmax: int):
+    """The p-components of l(2) that a point of index r <= rmax moves.
+
+    Returns (slots, parts).  slots lists (position in `_prime_moduli(rmax)`,
+    modulus n) for each prime p whose part is not always 0; parts lists
+    (b, numerators) per admissible b (coprime to r, 0 < 2b <= r, ascending),
+    with b's part of each slot as a numerator over its n.  The l(2) term of
+    (b, r) is c/(2r) with c = b(r - b) mod 2r.  By CRT, c/(2r) is the sum
+    over p | 2r of u/q, q = p^v_p(2r) and u = c * (2r/q)^-1 mod q, and u
+    depends on b mod p^v_p(r) only, so the b in (Z/r)^* choose the parts of
+    different primes independently.
+    """
+    corrections = [
+        (b, b * (r - b) % (2 * r)) for b in range(1, r // 2 + 1) if math.gcd(b, r) == 1
+    ]
+    slots, columns = [], []
+    for slot, n in enumerate(_prime_moduli(rmax)):
+        q = math.gcd(n, 2 * r)
+        if q == 1:
+            continue
+        inv = pow(2 * r // q, -1, q)
+        column = [c * inv % q * (n // q) for _, c in corrections]
+        if any(column):  # the 2-part of an odd index is always 0
+            slots.append((slot, n))
+            columns.append(column)
+    parts = tuple(
+        (b, tuple(column[i] for column in columns)) for i, (b, _) in enumerate(corrections)
+    )
+    return tuple(slots), parts
 
 
-def _add_point(reach: set[int], mod: int, r: int) -> set[int]:
-    """Reachable l(2) numerators over mod, a multiple of 2r, after a point of index r."""
-    steps = _l2_steps(r, mod)
-    return {(a + c) % mod for a in reach for c in steps}
+@lru_cache(maxsize=None)
+def _l2_rotations(r: int, rmax: int) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+    """The walk's l(2) step for index r: (slot, n, 2^n - 1, downs) per moved slot.
+
+    A slot's reachable numerators are an n-bit mask.  A point with part s
+    rotates it left by s, which is (d >> (n - s)) & (2^n - 1) for the mask
+    d doubled to 2n bits; downs lists n - s for each distinct part s.
+    """
+    slots, parts = _l2_parts(r, rmax)
+    return tuple(
+        (slot, n, (1 << n) - 1, tuple(sorted({n - part[i] for _, part in parts})))
+        for i, (slot, n) in enumerate(slots)
+    )
+
+
+def _add_l2(reach: tuple[int, ...], rotations) -> tuple[int, ...]:
+    """Reachable l(2) masks, one per prime, after one more point with these rotations."""
+    masks = list(reach)
+    for slot, n, full, downs in rotations:
+        d = masks[slot]
+        d |= d << n
+        acc = 0
+        for t in downs:
+            acc |= d >> t
+        masks[slot] = acc & full
+    return tuple(masks)
+
+
+def _reaches_zero(reach: tuple[int, ...]) -> bool:
+    """Is l(2) = 0 mod 1 reachable, i.e. 0 reachable in every prime's component?"""
+    return all(mask & 1 for mask in reach)
 
 
 def max_index(budget: Fraction) -> int:
@@ -208,19 +274,23 @@ def max_index(budget: Fraction) -> int:
 
 
 @lru_cache(maxsize=None)
-def _frame(max_weight: Fraction) -> tuple[int, int, int, tuple[int, ...], int]:
-    """The walk's integers for a budget: (rmax, scale, budget, weights, mod).
+def _frame(max_weight: Fraction) -> tuple[int, int, int, tuple[int, ...], tuple]:
+    """The walk's integers for a budget: (rmax, scale, budget, weights, rotations).
 
     The budget and weights[r] = r - 1/r are in units of 1/scale, with scale =
-    lcm(1..rmax) * the budget's denominator; mod = 2*lcm(1..rmax) for l(2).
+    lcm(1..rmax) * the budget's denominator; rotations[r] is index r's l(2)
+    step over `_prime_moduli(rmax)`.
     """
     rmax = max_index(max_weight)
     lcm_all = math.lcm(*range(1, rmax + 1))
     scale = lcm_all * max_weight.denominator
     weights = [0] * (rmax + 1)
+    rotations = [()] * (rmax + 1)
     for r in range(2, rmax + 1):
         weights[r] = (r * lcm_all - lcm_all // r) * max_weight.denominator
-    return rmax, scale, max_weight.numerator * lcm_all, tuple(weights), 2 * lcm_all
+        rotations[r] = _l2_rotations(r, rmax)
+    budget = max_weight.numerator * lcm_all
+    return rmax, scale, budget, tuple(weights), tuple(rotations)
 
 
 def _finish_node(
@@ -243,6 +313,27 @@ def _finish_node(
     out.append((groups, rem, lcm, witness))
 
 
+def _scan(ctx, rmin: int, rem: int, prefix: _Groups, lcm: int, reach: tuple[int, ...]):
+    """Visit the extensions of prefix by indices >= rmin, in pre-order.
+
+    Each node is followed by its extensions repeating its last index, then
+    by larger indices.  ctx is (out, rmax, weights, rotations, scale, flt).
+    """
+    out, rmax, weights, rotations, scale, flt = ctx
+    for r in range(rmin, rmax + 1):
+        w = weights[r]
+        if w > rem:
+            break
+        if prefix[-1][0] == r:
+            node, node_lcm = prefix[:-1] + ((r, prefix[-1][1] + 1),), lcm
+        else:
+            node, node_lcm = prefix + ((r, 1),), math.lcm(lcm, r)
+        node_rem = rem - w
+        node_reach = _add_l2(reach, rotations[r])
+        _finish_node(out, node, node_rem, node_lcm, _reaches_zero(node_reach), scale, flt)
+        _scan(ctx, r, node_rem, node, node_lcm, node_reach)
+
+
 def _run_task(args) -> list:
     """Filtered items for the multisets whose smallest run is (r0, k0).
 
@@ -254,43 +345,27 @@ def _run_task(args) -> list:
     every task emits the subtree of r0^k0 extended by larger indices.
     """
     max_weight, flt, r0, k0 = args
-    rmax, scale, budget_scaled, weights, mod = _frame(max_weight)
+    rmax, scale, budget, weights, rotations = _frame(max_weight)
     out: list = []
-
-    def scan(rmin: int, rem: int, prefix: _Groups, lcm: int, reach: set[int]):
-        # pre-order over non-decreasing index sequences: each node is followed
-        # by its extensions repeating its last index, then by larger indices
-        for r in range(rmin, rmax + 1):
-            w = weights[r]
-            if w > rem:
-                break
-            if prefix[-1][0] == r:
-                node, node_lcm = prefix[:-1] + ((r, prefix[-1][1] + 1),), lcm
-            else:
-                node, node_lcm = prefix + ((r, 1),), math.lcm(lcm, r)
-            node_rem = rem - w
-            node_reach = _add_point(reach, mod, r)
-            _finish_node(out, node, node_rem, node_lcm, 0 in node_reach, scale, flt)
-            scan(r, node_rem, node, node_lcm, node_reach)
-
-    rem = budget_scaled - k0 * weights[r0]
-    reach = {0}
+    rem = budget - k0 * weights[r0]
+    reach = (1,) * len(_prime_moduli(rmax))
     for k in range(1, k0 + 1):
-        reach = _add_point(reach, mod, r0)
+        reach = _add_l2(reach, rotations[r0])
         if rem < weights[r0]:  # k0 is the largest that fits
-            root_rem = budget_scaled - k * weights[r0]
-            _finish_node(out, ((r0, k),), root_rem, r0, 0 in reach, scale, flt)
-    scan(r0 + 1, rem, ((r0, k0),), r0, reach)
+            root_rem = budget - k * weights[r0]
+            _finish_node(out, ((r0, k),), root_rem, r0, _reaches_zero(reach), scale, flt)
+    ctx = (out, rmax, weights, rotations, scale, flt)
+    _scan(ctx, r0 + 1, rem, ((r0, k0),), r0, reach)
     return out
 
 
 def _enumerate_raw(max_weight: Fraction, flt: RecordFilter, jobs: int) -> tuple[list, int]:
     """Filtered raw nodes in canonical order plus the budget scale."""
-    rmax, scale, budget_scaled, weights, _ = _frame(max_weight)
+    rmax, scale, budget, weights, _ = _frame(max_weight)
     tasks = [
         (max_weight, flt, r, k)
         for r in range(2, rmax + 1)
-        for k in range(budget_scaled // weights[r], 0, -1)
+        for k in range(budget // weights[r], 0, -1)
     ]
 
     if jobs > 1 and len(tasks) > 1:
@@ -307,35 +382,53 @@ def _enumerate_raw(max_weight: Fraction, flt: RecordFilter, jobs: int) -> tuple[
     return raw, scale
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector; on exit re-enable it only if it was on.
+
+    Building the census leaves no reference cycle, so a collection while it
+    runs finds nothing, yet each full one re-traverses every live record.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def enumerate_index_multisets(
     query: EnumerationQuery, jobs: int = 1
 ) -> list[ChernRecord]:
     """All index multisets with weight <= 24*chi0 passing the query filter.
 
     Records come in canonical order (weight ascending, then lexicographic
-    on the expanded index sequence) regardless of `jobs`.
+    on the expanded index sequence) regardless of `jobs`.  The walk and the
+    record build run with the cyclic garbage collector paused.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     flt = query.filter
-    raw, scale = _enumerate_raw(Fraction(24 * query.chi0), flt, jobs)
-    if query.include_empty:
-        # the walk's root: weight 0, Cartier index 1, and l(2) = 0 reachable
-        root: list = []
-        _finish_node(root, (), 24 * query.chi0 * scale, 1, True, scale, flt)
-        raw[:0] = root
+    with collector_paused():
+        raw, scale = _enumerate_raw(Fraction(24 * query.chi0), flt, jobs)
+        if query.include_empty:
+            # the walk's root: weight 0, Cartier index 1, and l(2) = 0 reachable
+            root: list = []
+            _finish_node(root, (), 24 * query.chi0 * scale, 1, True, scale, flt)
+            raw[:0] = root
 
-    # each raw item is replaced by its record in place, so the raw items are
-    # freed while the records are built
-    for i, (groups, rem, lcm, witness) in enumerate(raw):
-        raw[i] = ChernRecord(
-            indices=IndexMultiset(groups),
-            chi0=query.chi0,
-            c1c2=Fraction(rem, scale),
-            cartier_index=lcm,
-            has_integral_basket=witness is not None,
-            witness=witness,
-        )
+        # each raw item is replaced by its record in place, so the raw items
+        # are freed while the records are built
+        for i, (groups, rem, lcm, witness) in enumerate(raw):
+            raw[i] = ChernRecord(
+                indices=IndexMultiset(groups),
+                chi0=query.chi0,
+                c1c2=Fraction(rem, scale),
+                cartier_index=lcm,
+                has_integral_basket=witness is not None,
+                witness=witness,
+            )
     return raw
 
 
@@ -360,33 +453,42 @@ def exists_integral_basket(indices: IndexMultiset) -> tuple[bool, Optional[Baske
     so a basket with integral l(2) has integral l(m) for every m, and l(2)
     alone decides every m.  On success the lexicographically smallest
     witness is returned, ordering baskets by their canonical (r, b) point
-    sequence.  Decided by dynamic programming over the reachable l(2)
-    numerators modulo 2 * Cartier index, with suffix sets guiding a greedy
-    lexicographic reconstruction.
+    sequence.  Decided by the walk's dynamic program: one mask of reachable
+    numerators per prime p <= the largest index (`_l2_parts`), since l(2)
+    is integral exactly when every p-component is.  Suffix masks guide a
+    greedy reconstruction that tries each run's b-combinations in
+    lexicographic order.
     """
-    mod = 2 * cartier_index(indices)
+    groups = indices.groups
+    rmax = groups[-1][0] if groups else 1
 
-    # suffix[i] = l(2) numerators over mod reachable using groups i..end
-    suffix = [{0}]
-    for r, mult in reversed(indices.groups):
+    # suffix[i] = per-prime masks reachable using groups i..end
+    suffix = [(1,) * len(_prime_moduli(rmax))]
+    for r, mult in reversed(groups):
+        rotations = _l2_rotations(r, rmax)
         reach = suffix[-1]
         for _ in range(mult):
-            reach = _add_point(reach, mod, r)
+            reach = _add_l2(reach, rotations)
         suffix.append(reach)
     suffix.reverse()
 
-    if 0 not in suffix[0]:
+    if not _reaches_zero(suffix[0]):
         return False, None
 
     chosen: list[BasketPoint] = []
-    prefix = 0
-    for (r, mult), rest in zip(indices.groups, suffix[1:]):
-        scale = mod // (2 * r)
-        correction = dict(_l2_corrections(r))
-        for combo in combinations_with_replacement(correction, mult):
-            total = prefix + scale * sum(correction[b] for b in combo)
-            if -total % mod in rest:
-                prefix = total
+    prefix = [0] * len(suffix[0])  # per-prime numerators of the points chosen so far
+    for (r, mult), rest in zip(groups, suffix[1:]):
+        slots, parts = _l2_parts(r, rmax)
+        part = dict(parts)
+        for combo in combinations_with_replacement(part, mult):
+            totals = [
+                prefix[slot] + sum(part[b][i] for b in combo)
+                for i, (slot, _) in enumerate(slots)
+            ]
+            # slots this run leaves alone keep -prefix reachable in rest
+            if all(rest[slot] >> (-t % n) & 1 for t, (slot, n) in zip(totals, slots)):
+                for t, (slot, n) in zip(totals, slots):
+                    prefix[slot] = t % n
                 chosen.extend(BasketPoint(b, r) for b in combo)
                 break
         else:

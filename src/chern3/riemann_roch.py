@@ -30,7 +30,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from itertools import chain, count
+from typing import Iterable, Iterator, Optional
 
 EMPTY_SYMBOL = "∅"
 
@@ -195,34 +196,68 @@ def l_value(basket: Basket, m: int) -> Fraction:
     )
 
 
+def _scaled_l(basket: Basket) -> tuple[int, Iterator[int]]:
+    """2 r_X and the numerators of l(2), l(3), ... over it, one per j.
+
+    r_X is the lcm of the basket's indices, so 2 r_X is a common denominator
+    of every summand t(r - t)/(2r); the numerators are the running integer
+    sums over j = 1, 2, ..., endless.
+    """
+    r_x = math.lcm(*(point.r for point, _ in basket.groups))
+    terms = [(point.b, point.r, mult * (r_x // point.r)) for point, mult in basket.groups]
+
+    def sums() -> Iterator[int]:
+        total = 0
+        for j in count(1):
+            for b, r, scale in terms:
+                t = j * b % r
+                total += t * (r - t) * scale
+            yield total
+
+    return 2 * r_x, sums()
+
+
 def first_fractional_l(basket: Basket) -> Optional[int]:
     """The smallest m >= 2 with l(m) not an integer; None when every l(m) is.
 
     Every summand of l is periodic in j with a period dividing r_X, the lcm
     of the basket's indices, so l(m + r_X) = l(m) + l(r_X + 1) and the values
-    m = 2..r_X + 1 settle every m.  They are scanned as partial sums of
-    2 r_X * l(m) modulo 2 r_X, in integers.
+    m = 2..r_X + 1 settle every m.  They are scanned as the integer partial
+    sums 2 r_X * l(m) of `_scaled_l`, each tested modulo 2 r_X.
     """
-    r_x = math.lcm(*(point.r for point, _ in basket.groups))
-    mod = 2 * r_x
-    terms = [(point.b, point.r, mult * (r_x // point.r)) for point, mult in basket.groups]
-    total = 0
-    for j in range(1, r_x + 1):
-        for b, r, scale in terms:
-            t = j * b % r
-            total += t * (r - t) * scale
-        total %= mod
-        if total:
-            return j + 1
+    mod, sums = _scaled_l(basket)
+    for m, total in zip(range(2, mod // 2 + 2), sums):
+        if total % mod:
+            return m
     return None
+
+
+def _riemann_roch(ctx: ChernContext, n: int, l: Fraction) -> Fraction:
+    """chi(-nK) from l(n + 1): the one place the formula is written."""
+    polynomial = Fraction(n * (n + 1) * (2 * n + 1), 12) * ctx.anticanonical_cube
+    return polynomial + (2 * n + 1) * ctx.chi0 - l
 
 
 def chi_minus_nk(basket: Basket, ctx: ChernContext, n: int) -> Fraction:
     """chi(-nK) by orbifold Riemann-Roch; n = 0 returns chi(O) exactly."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    polynomial = Fraction(n * (n + 1) * (2 * n + 1), 12) * ctx.anticanonical_cube
-    return polynomial + (2 * n + 1) * ctx.chi0 - l_value(basket, n + 1)
+    return _riemann_roch(ctx, n, l_value(basket, n + 1))
+
+
+def chi_series(
+    basket: Basket, ctx: ChernContext, n_max: int
+) -> Iterator[tuple[Fraction, Fraction]]:
+    """(l(n + 1), chi(-nK)) for n = 0..n_max, as `l_value` and `chi_minus_nk` give them.
+
+    One pass over j carries l as a running sum, so the series costs
+    O(n_max) per basket point where n_max separate calls would cost
+    O(n_max^2).
+    """
+    mod, sums = _scaled_l(basket)
+    for n, total in zip(range(n_max + 1), chain((0,), sums)):
+        l = Fraction(total, mod)
+        yield l, _riemann_roch(ctx, n, l)
 
 
 def c1c2_from_indices(indices: IndexMultiset, chi0: int) -> Fraction:

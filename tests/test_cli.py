@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, formats, determinism, fault injection."""
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -12,9 +13,13 @@ import pytest
 
 from chern3 import cli, enumeration, tables
 from chern3 import (
+    ChernContext,
     ChernRecord,
     EnumerationQuery,
+    cartier_index,
+    chi_minus_nk,
     enumerate_index_multisets,
+    l_value,
     parse_basket,
     parse_index_multiset,
     parse_rational,
@@ -239,6 +244,22 @@ class TestChiSeriesCommand:
         # chi(-K) = 1/4 + 3 - 1/4 = 3 and chi(-2K) = 5/4 + 5 - 1/4 = 6
         assert out.splitlines() == ["0,0,1", "1,1/4,3", "2,1/4,6"]
 
+    @pytest.mark.parametrize("basket", ["(1,2)^3,(2,7),(3,11)", "(1,2)^16", "(2,5),(1,3)"])
+    def test_rows_match_l_value_and_chi_minus_nk(self, basket):
+        parsed = parse_basket(basket)
+        ctx = ChernContext(chi0=1, anticanonical_cube=Fraction(1, 2))
+        n_max = 2 * cartier_index(parsed.index_multiset()) + 2
+        code, out, _ = run_cli(
+            "chi-series", "--basket", basket, "--chi", "1", "--kcube", "1/2",
+            "--n-max", str(n_max),
+        )
+        assert code == 0
+        expected = [
+            f"{n},{l_value(parsed, n + 1)},{chi_minus_nk(parsed, ctx, n)}"
+            for n in range(n_max + 1)
+        ]
+        assert out.splitlines() == expected
+
     def test_negative_n_max_is_a_usage_error(self):
         code, out, err = run_cli(
             "chi-series", "--basket", "(1,2)", "--chi", "1", "--n-max", "-3"
@@ -246,6 +267,47 @@ class TestChiSeriesCommand:
         assert code == 2
         assert out == ""
         assert err == "error: --n-max must be >= 0, got -3\n"
+
+
+class TestOutputOpenOrder:
+    """--output is opened after every usage check and before the walk."""
+
+    def test_unopenable_output_fails_before_the_walk(self, tmp_path, monkeypatch):
+        def walk(*args, **kwargs):
+            raise AssertionError("the walk ran before --output was opened")
+
+        monkeypatch.setattr(enumeration, "enumerate_index_multisets", walk)
+        path = str(tmp_path / "missing" / "x.csv")
+        code, out, err = run_cli("enumerate", "--chi", "2", "--output", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write ") and path in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--chi", "7"],
+            ["--chi", "1", "--filter", "c1c2-range", "--lo", "1"],
+            ["--chi", "1", "--lo", "1", "--hi", "2"],
+            ["--chi", "1", "--depth", "1"],
+            ["--chi", "1", "--jobs", "0"],
+        ],
+        ids=["chi", "range-bounds", "bounds-without-range", "depth", "jobs"],
+    )
+    def test_usage_error_keeps_an_existing_output(self, tmp_path, argv):
+        path = tmp_path / "kept.csv"
+        path.write_text("earlier output\n", encoding="utf-8")
+        code, out, err = run_cli("enumerate", *argv, "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert path.read_text(encoding="utf-8") == "earlier output\n"
+
+    def test_collector_is_restored(self, tmp_path):
+        assert gc.isenabled()
+        code, _, _ = run_cli("enumerate", "--chi", "1", "--output", str(tmp_path / "x.csv"))
+        assert code == 0
+        assert gc.isenabled()
 
 
 class TestUnopenablePaths:

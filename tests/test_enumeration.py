@@ -1,11 +1,14 @@
 """Enumeration tests: oracle equivalence, table reproduction, integral baskets."""
 
+import gc
 import multiprocessing
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chern3 import (
     ALL,
@@ -32,7 +35,7 @@ from chern3 import (
     reproduce_table,
 )
 from chern3 import enumeration, tables
-from chern3.enumeration import _enumerate_raw
+from chern3.enumeration import _enumerate_raw, max_index
 
 
 def weight(indices_tuple):
@@ -98,6 +101,66 @@ def brute_force_witness(indices, depth=2):
 
 def brute_force_integral(indices, depth=2):
     return brute_force_witness(indices, depth) is not None
+
+
+# Reference l(2) DP over one wide modulus: the reachable numerators of l(2),
+# as a set over a common multiple of every 2r, with a greedy witness rebuild.
+
+
+@lru_cache(maxsize=None)
+def wide_steps(r, mod):
+    """The distinct l(2) terms b(r - b)/(2r) of index r, as numerators over mod."""
+    return tuple({b * (r - b) % (2 * r) * (mod // (2 * r)) for b in admissible_b(r)})
+
+
+def wide_add_point(reach, mod, r):
+    return {(a + c) % mod for a in reach for c in wide_steps(r, mod)}
+
+
+def wide_witness(indices):
+    """(ok, lexicographically smallest witness) by the set DP modulo 2 r_X."""
+    mod = 2 * cartier_index(indices)
+    suffix = [{0}]
+    for r, mult in reversed(indices.groups):
+        reach = suffix[-1]
+        for _ in range(mult):
+            reach = wide_add_point(reach, mod, r)
+        suffix.append(reach)
+    suffix.reverse()
+    if 0 not in suffix[0]:
+        return False, None
+    chosen, prefix = [], 0
+    for (r, mult), rest in zip(indices.groups, suffix[1:]):
+        for combo in combinations_with_replacement(admissible_b(r), mult):
+            total = prefix + sum(b * (r - b) % (2 * r) * (mod // (2 * r)) for b in combo)
+            if -total % mod in rest:
+                prefix = total
+                chosen.extend(BasketPoint(b, r) for b in combo)
+                break
+    return True, Basket.from_points(chosen)
+
+
+def wide_reachability(max_weight):
+    """{index tuple: is l(2) = 0 reachable} for every multiset of weight <= max_weight.
+
+    A walk of its own over non-decreasing index tuples, with the set DP modulo
+    2 * lcm(1..rmax) carried down each branch.
+    """
+    rmax = max_index(max_weight)
+    mod = 2 * lcm(*range(1, rmax + 1))
+    # weights r - 1/r in units of 2 / (mod * denominator), as integers
+    weights = {r: (r * r - 1) * (mod // (2 * r)) * max_weight.denominator for r in range(2, rmax + 1)}
+    found = {}
+    stack = [((), 2, max_weight.numerator * mod // 2, {0})]
+    while stack:
+        prefix, rmin, budget, reach = stack.pop()
+        for r in range(rmin, rmax + 1):
+            if weights[r] > budget:
+                break
+            node, node_reach = prefix + (r,), wide_add_point(reach, mod, r)
+            found[node] = 0 in node_reach
+            stack.append((node, r, budget - weights[r], node_reach))
+    return found
 
 
 class TestPrunedVsOracle:
@@ -183,6 +246,89 @@ class TestExistsIntegralBasket:
             for depth in range(2, 7):
                 assert brute_force_witness(indices, depth) == witness, (indices, depth)
         assert len(small) == 1925 and integral == 28
+
+
+class TestAgainstWideModulusDP:
+    @pytest.mark.parametrize("chi0, integral", [(1, 40), (2, 1399)])
+    def test_walk_reachability_and_witnesses(self, chi0, integral):
+        # every chi <= 2 node: the per-prime walk decides l(2) as the wide set
+        # DP does, and every integral node's witness is the wide DP's witness
+        raw, _ = _enumerate_raw(Fraction(24 * chi0), ALL, jobs=1)
+        walked = {IndexMultiset(groups).indices(): witness for groups, _, _, witness in raw}
+        reference = wide_reachability(Fraction(24 * chi0))
+        assert {node: w is not None for node, w in walked.items()} == reference
+        hits = [(node, w) for node, w in walked.items() if w is not None]
+        assert len(hits) == integral
+        for node, witness in hits:
+            assert wide_witness(IndexMultiset.from_indices(node)) == (True, witness), node
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_exists_integral_basket_matches_wide_dp(self, data):
+        # indices up to 72, the chi = 3 ceiling, under the chi = 3 budget
+        # (which keeps the wide DP's sets small): the 2-component then runs
+        # modulo 128 and r_X can pass 10^6
+        indices, budget = [], Fraction(72)
+        for _ in range(data.draw(st.integers(0, 8))):
+            if max_index(budget) < 2:
+                break
+            r = data.draw(st.integers(2, max_index(budget)))
+            indices.append(r)
+            budget -= Fraction(r * r - 1, r)
+        multiset = IndexMultiset.from_indices(indices)
+        assert exists_integral_basket(multiset) == wide_witness(multiset)
+
+    @pytest.mark.parametrize("text", ["64^3", "2^3,4,8^2", "5^5", "9^2,27", "7^3,49", "8,16,32,64"])
+    def test_prime_power_runs_match_wide_dp(self, text):
+        multiset = parse_index_multiset(text)
+        assert exists_integral_basket(multiset) == wide_witness(multiset)
+
+
+@pytest.fixture
+def restore_gc():
+    collecting = gc.isenabled()
+    yield
+    if collecting:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPause:
+    def test_paused_during_the_build_and_restored(self, monkeypatch, restore_gc):
+        seen = []
+        real = enumeration.exists_integral_basket
+
+        def recording(indices):
+            seen.append(gc.isenabled())
+            return real(indices)
+
+        monkeypatch.setattr(enumeration, "exists_integral_basket", recording)
+        gc.enable()
+        enumerate_index_multisets(EnumerationQuery(chi0=1, filter=INTEGRAL_L2))
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    def test_restored_after_an_error(self, monkeypatch, restore_gc):
+        monkeypatch.setattr(enumeration, "exists_integral_basket", lambda indices: (False, None))
+        gc.enable()
+        with pytest.raises(RuntimeError):
+            enumerate_index_multisets(EnumerationQuery(chi0=1, filter=INTEGRAL_L2))
+        assert gc.isenabled()
+
+    def test_left_off_when_the_caller_had_paused_it(self, restore_gc):
+        gc.disable()
+        enumerate_index_multisets(EnumerationQuery(chi0=1))
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_build_leaves_no_reference_cycle(self, jobs, restore_gc):
+        # nothing the build allocates waits for the collector
+        gc.disable()
+        gc.collect()
+        records = enumerate_index_multisets(EnumerationQuery(chi0=1), jobs=jobs)
+        assert gc.collect() == 0
+        assert len(records) == 2151
 
 
 class TestEnumerate:

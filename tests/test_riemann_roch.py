@@ -14,6 +14,7 @@ from chern3 import (
     c1c2_from_indices,
     cartier_index,
     chi_minus_nk,
+    chi_series,
     format_basket,
     format_index_multiset,
     l_value,
@@ -166,6 +167,20 @@ class TestChiMinusNk:
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             chi_minus_nk(Basket(), ChernContext(1), -1)
+
+
+class TestChiSeries:
+    @settings(max_examples=100, deadline=None)
+    @given(baskets(max_r=6), st.integers(-2, 2), st.fractions(max_denominator=7))
+    def test_rows_match_l_value_and_chi_minus_nk(self, basket, chi0, kcube):
+        # two periods of l and one more row, so the running sum crosses r_X
+        ctx = ChernContext(chi0=chi0, anticanonical_cube=kcube)
+        n_max = 2 * cartier_index(basket.index_multiset()) + 2
+        rows = list(chi_series(basket, ctx, n_max))
+        assert len(rows) == n_max + 1
+        for n, (l, chi) in enumerate(rows):
+            assert l == l_value(basket, n + 1), n
+            assert chi == chi_minus_nk(basket, ctx, n), n
 
 
 class TestEulerIdentity:
