@@ -15,6 +15,7 @@ import json
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from . import enumeration, quotient, tables
@@ -153,9 +154,8 @@ def _cmd_enumerate(args) -> int:
         include_empty=args.include_empty,
         allow_any_chi=args.unsafe_chi,
     )
-    # every usage check is done before --output is opened, and the records
-    # are freed before the collector resumes, so it never traverses them
-    with _open_output(args.output) as stream, enumeration.collector_paused():
+    # every usage check is done before --output is opened
+    with _open_output(args.output) as stream:
         _emit_records(
             enumeration.enumerate_index_multisets(query, jobs=args.jobs), args.format, stream
         )
@@ -245,14 +245,12 @@ def _scenario_lines(result) -> list[str]:
     return lines
 
 
-def _quotient_key_diff(derived, expected) -> tuple[list, list]:
-    """Keys derived but not expected, and expected but not derived, by group order."""
-    derived_keys = {row.key() for row in derived}
-    expected_keys = {row.key() for row in expected}
-    return (
-        sorted(derived_keys - expected_keys, key=lambda k: k[0]),
-        sorted(expected_keys - derived_keys, key=lambda k: k[0]),
+def _derive_diff(derived, expected) -> tuple[bool, tuple, tuple]:
+    """Whether derived matches expected, then the keys only derived and only expected."""
+    extra, missing = tables.set_diff(
+        (row.key() for row in derived), (row.key() for row in expected), key=itemgetter(0)
     )
+    return not extra and not missing and len(derived) == len(expected), extra, missing
 
 
 def _cmd_verify_tables(args) -> int:
@@ -287,14 +285,11 @@ def _cmd_verify_tables(args) -> int:
         )
 
     derived = derive_enriques(k3_rows)
-    extra, missing = _quotient_key_diff(derived, enriques_rows)
+    ok, extra, missing = _derive_diff(derived, enriques_rows)
     detail = [f"  derived but not in fixture: order {k[0]}, {format_profile(k[1])}" for k in extra]
     detail += [f"  in fixture but not derived: order {k[0]}, {format_profile(k[1])}" for k in missing]
-    report(
-        f"derive-enriques: {len(derived)} derived rows vs {len(enriques_rows)} fixture rows",
-        not extra and not missing and len(derived) == len(enriques_rows),
-        detail,
-    )
+    title = f"derive-enriques: {len(derived)} derived rows vs {len(enriques_rows)} fixture rows"
+    report(title, ok, detail)
 
     minimum, _ = enumeration.min_positive_c1c2(1)
     bound = enumeration.effective_bound(minimum)
@@ -341,8 +336,8 @@ def _cmd_quotient_derive(args) -> int:
             f"{row.group_label} {row.group_order} {format_profile(row.profile)} "
             f"{format_index_multiset(row.expected_indices)} {row.expected_c1c2}"
         )
-    extra, missing = _quotient_key_diff(derived, expected)
-    if not extra and not missing and len(derived) == len(expected):
+    ok, extra, missing = _derive_diff(derived, expected)
+    if ok:
         return EXIT_OK
     for key in extra:
         print(f"derived but not expected: order {key[0]}, {format_profile(key[1])}", file=sys.stderr)
@@ -422,11 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # a command frees what it built before the collector resumes, so the
+    # collector never traverses the records
+    with enumeration.collector_paused():
+        try:
+            return args.func(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

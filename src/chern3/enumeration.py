@@ -30,7 +30,8 @@ that lcm, and checks that its witness has integral l(m) at every m with one
 integer scan over a period (`first_fractional_l`), without using the
 congruence above; `Fraction` appears only at the record boundary.  The walk
 and the record build leave no reference cycle and run with the cyclic
-garbage collector paused (`collector_paused`).
+garbage collector paused (`collector_paused`); `cli.main` pauses it around
+a whole command, whose records are freed before collection resumes.
 """
 
 from __future__ import annotations
@@ -137,17 +138,22 @@ class ChernRecord:
     and re-checks the witness, so a record that exists is consistent.
     c1.c2 is checked in integers scaled by the Cartier index, the lcm of
     the indices, which every weight term r - 1/r has as a common
-    denominator.  The witness must have integral l(m) for every m >= 2,
-    which `first_fractional_l` checks over one period of l, at a cost
-    that grows with the Cartier index only.
+    denominator.  `has_integral_basket` is read from the witness, which
+    must have integral l(m) for every m >= 2: `first_fractional_l` checks
+    that over one period of l, at a cost set by the Cartier index alone.
+    Records are built with the cyclic collector paused by the enumerator,
+    and `cli.main` keeps it paused until its command has freed them.
     """
 
     indices: IndexMultiset
     chi0: int
     c1c2: Fraction
     cartier_index: int
-    has_integral_basket: bool
     witness: Optional[Basket] = None
+
+    @property
+    def has_integral_basket(self) -> bool:
+        return self.witness is not None
 
     def __post_init__(self) -> None:
         lcm = cartier_index(self.indices)
@@ -166,9 +172,7 @@ class ChernRecord:
             raise ValueError(
                 f"Cartier index mismatch for {format_index_multiset(self.indices)}"
             )
-        if self.has_integral_basket:
-            if self.witness is None:
-                raise ValueError("integral record lacks a witness basket")
+        if self.witness is not None:
             if self.witness.index_multiset() != self.indices:
                 raise ValueError("witness does not project onto the index multiset")
             m = first_fractional_l(self.witness)
@@ -176,8 +180,6 @@ class ChernRecord:
                 raise ValueError(
                     f"witness has non-integral l({m}) = {l_value(self.witness, m)}"
                 )
-        elif self.witness is not None:
-            raise ValueError("witness present although has_integral_basket is false")
 
 
 @lru_cache(maxsize=None)
@@ -426,7 +428,6 @@ def enumerate_index_multisets(
                 chi0=query.chi0,
                 c1c2=Fraction(rem, scale),
                 cartier_index=lcm,
-                has_integral_basket=witness is not None,
                 witness=witness,
             )
     return raw
@@ -528,12 +529,8 @@ def reproduce_table(
         fixture = tables.table_rows(table)
 
     records = enumerate_index_multisets(EnumerationQuery(chi0=1, filter=flt))
-    produced = {
-        tables.TableRow(rec.indices, rec.cartier_index, rec.c1c2) for rec in records
-    }
-    expected = set(fixture)
-    missing = tuple(sorted(expected - produced, key=_row_key))
-    extra = tuple(sorted(produced - expected, key=_row_key))
+    produced = (tables.TableRow(rec.indices, rec.cartier_index, rec.c1c2) for rec in records)
+    extra, missing = tables.set_diff(produced, fixture, key=_row_key)
     return TableCheck(table=table, records=tuple(records), missing=missing, extra=extra)
 
 

@@ -252,12 +252,13 @@ def chi_series(
 
     One pass over j carries l as a running sum, so the series costs
     O(n_max) per basket point where n_max separate calls would cost
-    O(n_max^2).
+    O(n_max^2).  n_max < 0 raises at the call, as n < 0 does for `chi_minus_nk`.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     mod, sums = _scaled_l(basket)
-    for n, total in zip(range(n_max + 1), chain((0,), sums)):
-        l = Fraction(total, mod)
-        yield l, _riemann_roch(ctx, n, l)
+    ls = (Fraction(total, mod) for total in chain((0,), sums))
+    return ((l, _riemann_roch(ctx, n, l)) for n, l in zip(range(n_max + 1), ls))
 
 
 def c1c2_from_indices(indices: IndexMultiset, chi0: int) -> Fraction:

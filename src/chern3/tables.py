@@ -19,7 +19,7 @@ checks; `verify-tables` reproduces every line from first principles.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .quotient import CoverType, QuotientScenario, parse_profile
 from .riemann_roch import IndexMultiset, parse_index_multiset, parse_rational
@@ -118,39 +118,40 @@ A_4 24 3A_2,2A_1 2^4,3^6 2
 """
 
 
-def parse_enumeration_fixture(text: str) -> tuple[TableRow, ...]:
-    rows = []
+def _fixture_fields(text: str, columns: int) -> Iterator[list[str]]:
+    """The whitespace-separated fields of each line, which must number columns."""
     for line in text.strip().splitlines():
         fields = line.split()
-        if len(fields) != 3:
-            raise ValueError(f"expected 3 columns, got {line!r}")
-        rows.append(
-            TableRow(
-                indices=parse_index_multiset(fields[0]),
-                cartier_index=int(fields[1]),
-                c1c2=parse_rational(fields[2]),
-            )
-        )
-    return tuple(rows)
+        if len(fields) != columns:
+            raise ValueError(f"expected {columns} columns, got {line!r}")
+        yield fields
+
+
+def parse_enumeration_fixture(text: str) -> tuple[TableRow, ...]:
+    return tuple(
+        TableRow(parse_index_multiset(indices), int(r_x), parse_rational(c1c2))
+        for indices, r_x, c1c2 in _fixture_fields(text, 3)
+    )
 
 
 def parse_quotient_fixture(text: str, cover: CoverType) -> tuple[QuotientScenario, ...]:
-    rows = []
-    for line in text.strip().splitlines():
-        fields = line.split()
-        if len(fields) != 5:
-            raise ValueError(f"expected 5 columns, got {line!r}")
-        rows.append(
-            QuotientScenario(
-                group_label=fields[0],
-                group_order=int(fields[1]),
-                profile=parse_profile(fields[2]),
-                cover=cover,
-                expected_indices=parse_index_multiset(fields[3]),
-                expected_c1c2=parse_rational(fields[4]),
-            )
+    return tuple(
+        QuotientScenario(
+            group_label=label,
+            group_order=int(order),
+            profile=parse_profile(profile),
+            cover=cover,
+            expected_indices=parse_index_multiset(indices),
+            expected_c1c2=parse_rational(c1c2),
         )
-    return tuple(rows)
+        for label, order, profile, indices, c1c2 in _fixture_fields(text, 5)
+    )
+
+
+def set_diff(produced: Iterable, expected: Iterable, key: Callable) -> tuple[tuple, tuple]:
+    """Items produced but not expected, and expected but not produced, each sorted by key."""
+    produced, expected = set(produced), set(expected)
+    return tuple(sorted(produced - expected, key=key)), tuple(sorted(expected - produced, key=key))
 
 
 def table_rows(table: int) -> tuple[TableRow, ...]:

@@ -15,6 +15,7 @@ from chern3 import cli, enumeration, tables
 from chern3 import (
     ChernContext,
     ChernRecord,
+    CoverType,
     EnumerationQuery,
     cartier_index,
     chi_minus_nk,
@@ -96,11 +97,25 @@ class TestEnumerateCommand:
                     chi0=1,
                     c1c2=parse_rational(row[2]),
                     cartier_index=int(row[1]),
-                    has_integral_basket=row[3] == "true",
                     witness=witness,
                 )
             )
         assert parsed == records
+
+    def test_integral_column_is_witness_presence(self):
+        code, out, _ = run_cli("enumerate", "--chi", "1")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 2151
+        assert all(row[3] == ("true" if row[4] else "false") for row in rows)
+        assert sum(row[3] == "true" for row in rows) == 40
+        code, out, _ = run_cli("enumerate", "--chi", "1", "--format", "jsonl")
+        assert code == 0
+        payloads = [json.loads(line) for line in out.splitlines()]
+        assert len(payloads) == 2151
+        assert all(
+            p["has_integral_basket"] is (p["witness"] is not None) for p in payloads
+        )
 
     def test_jsonl_format(self):
         code, out, _ = run_cli(
@@ -308,6 +323,69 @@ class TestOutputOpenOrder:
         code, _, _ = run_cli("enumerate", "--chi", "1", "--output", str(tmp_path / "x.csv"))
         assert code == 0
         assert gc.isenabled()
+
+
+class TestCollectorPause:
+    """cli.main holds the collector paused while a command runs, and restores it."""
+
+    def test_min_holds_its_records_with_the_collector_off(self, monkeypatch):
+        real = enumeration.min_positive_c1c2
+        seen = []
+
+        def recording(*args, **kwargs):
+            result = real(*args, **kwargs)
+            seen.append(gc.isenabled())
+            return result
+
+        monkeypatch.setattr(enumeration, "min_positive_c1c2", recording)
+        assert gc.isenabled()
+        code, out, _ = run_cli("min", "--chi", "1")
+        assert code == 0 and out.strip() == "1/252\t2^3,4,7,9"
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["min", "--chi", "1"], 0),
+            (["min", "--chi", "0"], 1),
+            (["chi-series", "--basket", "(1,2)", "--chi", "1", "--n-max", "-1"], 2),
+        ],
+        ids=["ok", "mismatch", "usage"],
+    )
+    def test_collector_is_on_after_main(self, argv, expected):
+        assert gc.isenabled()
+        code, _, _ = run_cli(*argv)
+        assert code == expected
+        assert gc.isenabled()
+
+    def test_collector_is_on_after_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["min"])
+        assert exc.value.code == 2
+        assert gc.isenabled()
+
+
+class TestFixtureColumns:
+    """A fixture line with the wrong number of fields is an input error."""
+
+    @pytest.mark.parametrize(
+        "option,line,columns",
+        [("--table1", "2^16 2", 3), ("--table4", "C_2 2 8A_1 2^16", 5)],
+        ids=["table1", "table4"],
+    )
+    def test_wrong_column_count_exits_two(self, tmp_path, option, line, columns):
+        path = tmp_path / "fixture.txt"
+        path.write_text(line + "\n", encoding="utf-8")
+        code, _, err = run_cli("verify-tables", option, str(path))
+        assert code == 2
+        assert err == f"error: expected {columns} columns, got {line!r}\n"
+
+    def test_parsers_name_the_expected_count(self):
+        with pytest.raises(ValueError, match="^expected 3 columns, got '2\\^16 2'$"):
+            tables.parse_enumeration_fixture("2^16 2\n")
+        with pytest.raises(ValueError, match="^expected 5 columns, got "):
+            tables.parse_quotient_fixture("C_2 2 8A_1 2^16\n", CoverType.K3)
 
 
 class TestUnopenablePaths:

@@ -353,7 +353,7 @@ class TestEnumerate:
         records = enumerate_index_multisets(
             EnumerationQuery(chi0=chi0, filter=flt, include_empty=True)
         )
-        empty = ChernRecord(IndexMultiset(), chi0, Fraction(24 * chi0), 1, True, Basket())
+        empty = ChernRecord(IndexMultiset(), chi0, Fraction(24 * chi0), 1, Basket())
         if empty_multiset_passes(flt, chi0):
             assert records == [empty] + without
         else:
@@ -544,7 +544,6 @@ class TestChernRecordValidation:
                 chi0=1,
                 c1c2=Fraction(1),
                 cartier_index=2,
-                has_integral_basket=False,
             )
 
     def test_rejects_negative_c1c2(self):
@@ -555,7 +554,6 @@ class TestChernRecordValidation:
                 chi0=1,
                 c1c2=c1c2_from_indices(indices, 1),
                 cartier_index=6,
-                has_integral_basket=False,
             )
 
     def test_rejects_wrong_cartier_index(self):
@@ -566,7 +564,6 @@ class TestChernRecordValidation:
                 chi0=1,
                 c1c2=Fraction(1, 252),
                 cartier_index=126,
-                has_integral_basket=False,
             )
 
     @pytest.mark.parametrize("chi0", [0, 1, 2])
@@ -576,7 +573,6 @@ class TestChernRecordValidation:
             chi0=chi0,
             c1c2=Fraction(24 * chi0),
             cartier_index=1,
-            has_integral_basket=True,
             witness=Basket(),
         )
         assert rec.cartier_index == 1
@@ -586,20 +582,22 @@ class TestChernRecordValidation:
                 chi0=chi0,
                 c1c2=Fraction(24 * chi0 + 1),
                 cartier_index=1,
-                has_integral_basket=True,
                 witness=Basket(),
             )
 
-    def test_rejects_missing_witness(self):
+    def test_integrality_is_read_from_the_witness(self):
         indices = parse_index_multiset("2^16")
-        with pytest.raises(ValueError):
-            ChernRecord(
-                indices=indices,
-                chi0=1,
-                c1c2=Fraction(0),
-                cartier_index=2,
-                has_integral_basket=True,
-            )
+        without = ChernRecord(indices=indices, chi0=1, c1c2=Fraction(0), cartier_index=2)
+        assert without.witness is None and not without.has_integral_basket
+        empty = ChernRecord(IndexMultiset(), 1, Fraction(24), 1, witness=Basket())
+        assert empty.has_integral_basket
+        with pytest.raises(TypeError):
+            ChernRecord(indices, 1, Fraction(0), 2, has_integral_basket=False)
+
+    def test_rejects_witness_of_another_multiset(self):
+        indices = parse_index_multiset("2^16")
+        with pytest.raises(ValueError, match="does not project"):
+            ChernRecord(indices, 1, Fraction(0), 2, witness=parse_basket("(1,2)^8"))
 
     def test_rejects_witness_with_fractional_l2(self):
         indices = parse_index_multiset("2")
@@ -609,7 +607,6 @@ class TestChernRecordValidation:
                 chi0=1,
                 c1c2=c1c2_from_indices(indices, 1),
                 cartier_index=2,
-                has_integral_basket=True,
                 witness=parse_basket("(1,2)"),
             )
 

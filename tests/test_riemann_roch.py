@@ -182,6 +182,12 @@ class TestChiSeries:
             assert l == l_value(basket, n + 1), n
             assert chi == chi_minus_nk(basket, ctx, n), n
 
+    @pytest.mark.parametrize("n_max", [-1, -3])
+    def test_rejects_negative_n_max(self, n_max):
+        # raised at the call, before any row is asked for
+        with pytest.raises(ValueError, match=f"n_max must be >= 0, got {n_max}"):
+            chi_series(parse_basket("(1,2)"), ChernContext(1), n_max)
+
 
 class TestEulerIdentity:
     @pytest.mark.parametrize(
