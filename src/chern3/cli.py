@@ -4,7 +4,9 @@ Exit codes follow one contract everywhere: 0 success, 1 verification
 mismatch or empty result, 2 usage or input error.  Machine formats (csv,
 jsonl) are byte-deterministic for a given query and never decimalize
 fractions; the markdown format adds a decimal column that is explicitly
-approximate.
+approximate.  `enumerate` streams the checked rows of
+`enumeration.checked_rows` to its output without building records; they
+are byte-identical to the library's records written by `_emit_records`.
 """
 
 from __future__ import annotations
@@ -83,16 +85,6 @@ def _read_fixture(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _record_fields(rec: ChernRecord) -> list[str]:
-    return [
-        format_index_multiset(rec.indices),
-        str(rec.cartier_index),
-        str(rec.c1c2),
-        "true" if rec.has_integral_basket else "false",
-        format_basket(rec.witness) if rec.witness is not None else "",
-    ]
-
-
 def _write_csv(rows: Iterable[Sequence[str]], stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerows(rows)
@@ -111,27 +103,41 @@ def _write_markdown(header: Sequence[str], rows: Sequence[Sequence[str]], stream
         stream.write(line(row))
 
 
-def _emit_records(records: Sequence[ChernRecord], fmt: str, stream) -> None:
+def _emit_rows(rows: Iterable[tuple[Sequence[str], int, int]], fmt: str, stream) -> None:
+    """Write `enumerate` rows, (fields, num, den) as `enumeration.checked_rows` yields them."""
     if fmt == "csv":
-        _write_csv((_record_fields(rec) for rec in records), stream)
+        _write_csv(map(itemgetter(0), rows), stream)
     elif fmt == "jsonl":
-        for rec in records:
+        for (indices, r_x, c1c2, integral, witness), _, _ in rows:
             payload = {
-                "indices": format_index_multiset(rec.indices),
-                "cartier_index": rec.cartier_index,
-                "c1c2": str(rec.c1c2),
-                "has_integral_basket": rec.has_integral_basket,
-                "witness": format_basket(rec.witness) if rec.witness is not None else None,
+                "indices": indices,
+                "cartier_index": int(r_x),
+                "c1c2": c1c2,
+                "has_integral_basket": integral == "true",
+                "witness": witness or None,
             }
             stream.write(json.dumps(payload, separators=(",", ":")) + "\n")
     else:
         header = ["indices", "r_X", "c1c2", "~c1c2 (approx.)", "integral", "witness"]
-        rows = []
-        for rec in records:
-            fields = _record_fields(rec)
-            fields.insert(3, f"{float(rec.c1c2):.6g}")
-            rows.append(fields)
-        _write_markdown(header, rows, stream)
+        # int / int rounds correctly, as float(Fraction(num, den)) does
+        table = [[*fields[:3], f"{num / den:.6g}", *fields[3:]] for fields, num, den in rows]
+        _write_markdown(header, table, stream)
+
+
+def _record_row(rec: ChernRecord) -> tuple[tuple[str, ...], int, int]:
+    fields = (
+        format_index_multiset(rec.indices),
+        str(rec.cartier_index),
+        str(rec.c1c2),
+        "true" if rec.has_integral_basket else "false",
+        format_basket(rec.witness) if rec.witness is not None else "",
+    )
+    return fields, rec.c1c2.numerator, rec.c1c2.denominator
+
+
+def _emit_records(records: Iterable[ChernRecord], fmt: str, stream) -> None:
+    """Write library records as `enumerate` writes its rows: the rows' reference."""
+    _emit_rows(map(_record_row, records), fmt, stream)
 
 
 def _build_filter(args) -> RecordFilter:
@@ -156,9 +162,7 @@ def _cmd_enumerate(args) -> int:
     )
     # every usage check is done before --output is opened
     with _open_output(args.output) as stream:
-        _emit_records(
-            enumeration.enumerate_index_multisets(query, jobs=args.jobs), args.format, stream
-        )
+        _emit_rows(enumeration.checked_rows(query, jobs=args.jobs), args.format, stream)
     return EXIT_OK
 
 
@@ -248,7 +252,10 @@ def _scenario_lines(result) -> list[str]:
 def _derive_diff(derived, expected) -> tuple[bool, tuple, tuple]:
     """Whether derived matches expected, then the keys only derived and only expected."""
     extra, missing = tables.set_diff(
-        (row.key() for row in derived), (row.key() for row in expected), key=itemgetter(0)
+        (row.key() for row in derived),
+        (row.key() for row in expected),
+        # a total order, so the lines never follow the hash-seeded set order
+        key=lambda key: (key[0], key[1].groups, key[2].value),
     )
     return not extra and not missing and len(derived) == len(expected), extra, missing
 

@@ -24,14 +24,19 @@ The walk also carries each node's Cartier index (the running lcm of its
 indices), passes every node, the empty multiset at its root included,
 through one filter test in `_finish_node`, and visits nodes in
 lexicographic order of the expanded index sequence, so a stable sort on
-the scaled c1.c2 alone gives the canonical order.  Every emitted
-`ChernRecord` re-checks its c1.c2 and Cartier index in integers scaled by
-that lcm, and checks that its witness has integral l(m) at every m with one
-integer scan over a period (`first_fractional_l`), without using the
-congruence above; `Fraction` appears only at the record boundary.  The walk
-and the record build leave no reference cycle and run with the cyclic
-garbage collector paused (`collector_paused`); `cli.main` pauses it around
-a whole command, whose records are freed before collection resumes.
+the scaled c1.c2 alone gives the canonical order.
+
+`check_record` owns the record rules.  It re-checks c1.c2 and the Cartier
+index in integers scaled by the lcm re-derived from the runs, and checks
+that a witness has integral l(m) at every m with one integer scan over a
+period (`first_fractional_l`), without using the congruence above.  The
+library returns `ChernRecord`s, each checked on construction;
+`chern3 enumerate` writes `checked_rows` instead, which puts every walked
+item through the same check and formats it without building a record, so
+`Fraction` appears there only to print c1.c2.  The walk and the record
+build leave no reference cycle and run with the cyclic garbage collector
+paused (`collector_paused`); `cli.main` pauses it around a whole command,
+whose records or rows are freed before collection resumes.
 """
 
 from __future__ import annotations
@@ -53,8 +58,9 @@ from .riemann_roch import (
     BasketPoint,
     IndexMultiset,
     c1c2_from_indices,  # noqa: F401  (perfbench/trace_cli.py times it here)
-    cartier_index,
+    cartier_index,  # noqa: F401  (perfbench/trace_cli.py times it here)
     first_fractional_l,
+    format_basket,
     format_index_multiset,
     l_value,
 )
@@ -134,15 +140,13 @@ class EnumerationQuery:
 class ChernRecord:
     """One admissible index multiset together with its exact Chern data.
 
-    Construction re-derives c1.c2 and the Cartier index from the multiset
-    and re-checks the witness, so a record that exists is consistent.
-    c1.c2 is checked in integers scaled by the Cartier index, the lcm of
-    the indices, which every weight term r - 1/r has as a common
-    denominator.  `has_integral_basket` is read from the witness, which
-    must have integral l(m) for every m >= 2: `first_fractional_l` checks
-    that over one period of l, at a cost set by the Cartier index alone.
-    Records are built with the cyclic collector paused by the enumerator,
-    and `cli.main` keeps it paused until its command has freed them.
+    Construction passes the fields through `check_record`, which re-derives
+    c1.c2 and the Cartier index from the multiset and re-checks the
+    witness, so a record that exists is consistent.  `has_integral_basket`
+    is read from the witness, which must have integral l(m) for every
+    m >= 2.  Records are built with the cyclic collector paused by the
+    enumerator, and `cli.main` keeps it paused until its command has freed
+    them.
     """
 
     indices: IndexMultiset
@@ -156,30 +160,50 @@ class ChernRecord:
         return self.witness is not None
 
     def __post_init__(self) -> None:
-        lcm = cartier_index(self.indices)
-        # c1c2 * lcm, by 24*chi0 = c1c2 + weight
-        scaled = 24 * self.chi0 * lcm - self.indices.scaled_weight(lcm)
-        if self.c1c2.numerator * lcm != scaled * self.c1c2.denominator:
-            raise ValueError(
-                f"c1c2 mismatch for {format_index_multiset(self.indices)}: "
-                f"stated {self.c1c2}, derived {Fraction(scaled, lcm)}"
-            )
-        if scaled < 0:
-            raise ValueError(
-                f"{format_index_multiset(self.indices)} has negative c1c2 {self.c1c2}"
-            )
-        if self.cartier_index != lcm:
-            raise ValueError(
-                f"Cartier index mismatch for {format_index_multiset(self.indices)}"
-            )
-        if self.witness is not None:
-            if self.witness.index_multiset() != self.indices:
-                raise ValueError("witness does not project onto the index multiset")
-            m = first_fractional_l(self.witness)
-            if m is not None:
-                raise ValueError(
-                    f"witness has non-integral l({m}) = {l_value(self.witness, m)}"
-                )
+        check_record(
+            self.indices.groups, self.chi0, self.c1c2.numerator, self.c1c2.denominator,
+            self.cartier_index, self.witness,
+        )
+
+
+def check_record(
+    groups: _Groups, chi0: int, num: int, den: int, lcm: int, witness: Optional[Basket]
+) -> None:
+    """Raise ValueError unless these are the fields of a consistent record.
+
+    The one owner of the record rules, which `ChernRecord` and
+    `checked_rows` both apply: the runs are canonical index runs, c1.c2 =
+    num/den (den > 0) is 24*chi0 minus their weight and not negative, lcm
+    is their Cartier index, and a witness projects onto the runs and has
+    integral l(m) at every m.  c1.c2 is checked in integers scaled by the
+    re-derived lcm, which every weight term r - 1/r has as a denominator.
+    """
+    if IndexMultiset.canonical_runs(groups) is not groups:
+        raise ValueError(f"index runs {groups} are not ascending tuples")
+    derived = math.lcm(*[r for r, _ in groups])
+    weight = 0  # the weight sum(r - 1/r) times derived
+    for r, k in groups:
+        weight += k * (r * r - 1) * (derived // r)
+    scaled = 24 * chi0 * derived - weight  # c1c2 * derived, by 24*chi0 = c1c2 + weight
+    if num * derived != scaled * den:
+        raise ValueError(
+            f"c1c2 mismatch for {_runs_text(groups)}: "
+            f"stated {Fraction(num, den)}, derived {Fraction(scaled, derived)}"
+        )
+    if scaled < 0:
+        raise ValueError(f"{_runs_text(groups)} has negative c1c2 {Fraction(num, den)}")
+    if lcm != derived:
+        raise ValueError(f"Cartier index mismatch for {_runs_text(groups)}")
+    if witness is not None:
+        if witness.index_multiset().groups != groups:
+            raise ValueError("witness does not project onto the index multiset")
+        m = first_fractional_l(witness)
+        if m is not None:
+            raise ValueError(f"witness has non-integral l({m}) = {l_value(witness, m)}")
+
+
+def _runs_text(groups: _Groups) -> str:
+    return format_index_multiset(IndexMultiset(groups))
 
 
 @lru_cache(maxsize=None)
@@ -400,14 +424,11 @@ def collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def enumerate_index_multisets(
-    query: EnumerationQuery, jobs: int = 1
-) -> list[ChernRecord]:
-    """All index multisets with weight <= 24*chi0 passing the query filter.
+def _walk(query: EnumerationQuery, jobs: int) -> tuple[list, int]:
+    """The query's raw items (groups, rem, lcm, witness) in canonical order, and the scale.
 
-    Records come in canonical order (weight ascending, then lexicographic
-    on the expanded index sequence) regardless of `jobs`.  The walk and the
-    record build run with the cyclic garbage collector paused.
+    rem is c1c2 in units of 1/scale.  The walk runs with the cyclic garbage
+    collector paused.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -419,7 +440,20 @@ def enumerate_index_multisets(
             root: list = []
             _finish_node(root, (), 24 * query.chi0 * scale, 1, True, scale, flt)
             raw[:0] = root
+    return raw, scale
 
+
+def enumerate_index_multisets(
+    query: EnumerationQuery, jobs: int = 1
+) -> list[ChernRecord]:
+    """All index multisets with weight <= 24*chi0 passing the query filter.
+
+    Records come in canonical order (weight ascending, then lexicographic
+    on the expanded index sequence) regardless of `jobs`.  The walk and the
+    record build run with the cyclic garbage collector paused.
+    """
+    with collector_paused():
+        raw, scale = _walk(query, jobs)
         # each raw item is replaced by its record in place, so the raw items
         # are freed while the records are built
         for i, (groups, rem, lcm, witness) in enumerate(raw):
@@ -431,6 +465,51 @@ def enumerate_index_multisets(
                 witness=witness,
             )
     return raw
+
+
+class _Texts(dict):
+    """Text of each key, formatted on first use."""
+
+    __slots__ = ("_format",)
+
+    def __init__(self, format_key) -> None:
+        super().__init__()
+        self._format = format_key
+
+    def __missing__(self, key) -> str:
+        text = self[key] = self._format(key)
+        return text
+
+
+def checked_rows(
+    query: EnumerationQuery, jobs: int = 1
+) -> Iterator[tuple[tuple[str, str, str, str, str], int, int]]:
+    """The records of `enumerate_index_multisets` as text rows, without the records.
+
+    Yields (fields, num, den) in the same order: fields are the multiset,
+    Cartier index, c1.c2, "true"/"false" for an integral basket and the
+    witness ("" when there is none), as `chern3 enumerate` prints them, and
+    c1.c2 = num/den unreduced.  Each row passes `check_record` first, so a
+    row is checked exactly as its record would be; the arithmetic stays in
+    integers, and the text of each run and each c1.c2 value is made once.
+    """
+    raw, scale = _walk(query, jobs)
+    chi0 = query.chi0
+    empty = format_index_multiset(IndexMultiset())
+    run_text = _Texts(lambda run: format_index_multiset(IndexMultiset((run,)))).__getitem__
+    last_rem = c1c2 = None
+    for groups, rem, lcm, witness in raw:
+        check_record(groups, chi0, rem, scale, lcm, witness)
+        if rem != last_rem:  # the rows are sorted by c1.c2, so equal values are adjacent
+            last_rem, c1c2 = rem, str(Fraction(rem, scale))
+        fields = (
+            ",".join(map(run_text, groups)) if groups else empty,
+            str(lcm),
+            c1c2,
+            "false" if witness is None else "true",
+            "" if witness is None else format_basket(witness),
+        )
+        yield fields, rem, scale
 
 
 def feasible_index_multisets(max_weight: Fraction) -> list[IndexMultiset]:

@@ -86,24 +86,36 @@ class RunMultiset:
     groups: tuple = ()
 
     def __post_init__(self) -> None:
-        keep = type(self.groups) is tuple
-        runs = self.groups if keep else tuple(self.groups)
+        runs = self.canonical_runs(self.groups)
+        if runs is not self.groups:
+            object.__setattr__(self, "groups", runs)
+
+    @classmethod
+    def canonical_runs(cls, groups) -> tuple:
+        """Validate the runs in one pass and return their canonical form.
+
+        An already canonical tuple of tuples comes back as the same object,
+        so `canonical_runs(groups) is groups` says the runs needed no merge.
+        """
+        keep = type(groups) is tuple
+        runs = groups if keep else tuple(groups)
         last = None
         for run in runs:
             item, mult = run
             if mult < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {mult}")
-            keep = keep and type(run) is tuple and (last is None or last < item)
+            if keep and (type(run) is not tuple or (last is not None and not last < item)):
+                keep = False
             last = item
         if not keep:
             merged: dict = {}
             for item, mult in runs:
                 merged[item] = merged.get(item, 0) + mult
             runs = tuple(sorted(merged.items()))
-            object.__setattr__(self, "groups", runs)
         # the runs ascend, so the first item is the smallest
-        if self._floor is not None and runs and runs[0][0] < self._floor:
-            raise ValueError(f"{self._item} must be >= {self._floor}, got {runs[0][0]}")
+        if cls._floor is not None and runs and runs[0][0] < cls._floor:
+            raise ValueError(f"{cls._item} must be >= {cls._floor}, got {runs[0][0]}")
+        return runs
 
     @property
     def size(self) -> int:

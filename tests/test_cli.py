@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,10 +14,14 @@ import pytest
 
 from chern3 import cli, enumeration, tables
 from chern3 import (
+    C1C2_ZERO,
+    INTEGRAL_L2,
     ChernContext,
     ChernRecord,
     CoverType,
     EnumerationQuery,
+    RecordFilter,
+    c1c2_in_range,
     cartier_index,
     chi_minus_nk,
     enumerate_index_multisets,
@@ -219,6 +224,32 @@ class TestEnumerateCommand:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+class TestRowPath:
+    """`enumerate` writes checked rows; their bytes equal the records' through `_emit_records`."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "md"])
+    @pytest.mark.parametrize(
+        "argv, query",
+        [
+            (["--chi", "1"], EnumerationQuery(chi0=1)),
+            (["--chi", "1", "--filter", "c1c2-zero"], EnumerationQuery(chi0=1, filter=C1C2_ZERO)),
+            (["--chi", "1", "--filter", "l2-integral"],
+             EnumerationQuery(chi0=1, filter=INTEGRAL_L2)),
+            (["--chi", "1", "--filter", "c1c2-range", "--lo", "1/3", "--hi", "5/2"],
+             EnumerationQuery(chi0=1, filter=c1c2_in_range(Fraction(1, 3), Fraction(5, 2)))),
+            (["--chi", "0", "--include-empty"], EnumerationQuery(chi0=0, include_empty=True)),
+        ],
+        ids=[*RecordFilter.KINDS, "chi0-empty"],
+    )
+    def test_rows_equal_records(self, argv, query, fmt):
+        code, out, err = run_cli("enumerate", *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        expected = io.StringIO()
+        cli._emit_records(enumerate_index_multisets(query), fmt, expected)
+        assert out.splitlines()
+        assert out == expected.getvalue()
+
+
 class TestChiSeriesCommand:
     def test_seven_cubed_series(self):
         code, out, _ = run_cli(
@@ -291,7 +322,7 @@ class TestOutputOpenOrder:
         def walk(*args, **kwargs):
             raise AssertionError("the walk ran before --output was opened")
 
-        monkeypatch.setattr(enumeration, "enumerate_index_multisets", walk)
+        monkeypatch.setattr(enumeration, "_enumerate_raw", walk)
         path = str(tmp_path / "missing" / "x.csv")
         code, out, err = run_cli("enumerate", "--chi", "2", "--output", path)
         assert code == 2
@@ -527,6 +558,31 @@ class TestQuotientCommands:
         code, _, err = run_cli("quotient", "derive-enriques", "--expected", str(path))
         assert code == 1
         assert "derived but not expected" in err
+
+    def test_diff_lines_do_not_follow_the_hash_seed(self, tmp_path):
+        # both order-8 rows go missing; a sort on the order alone kept set order
+        kept = [
+            line for line in tables.ENRIQUES_QUOTIENTS.strip().splitlines()
+            if line.split()[1] != "8"
+        ]
+        path = tmp_path / "table5.txt"
+        path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        errs = []
+        for seed in ("0", "8"):
+            result = subprocess.run(
+                [sys.executable, "-m", "chern3", "quotient", "derive-enriques",
+                 "--expected", str(path)],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert result.returncode == 1
+            errs.append(result.stderr)
+        assert errs[0] == errs[1] == (
+            "derived but not expected: order 8, A_1,2A_3\n"
+            "derived but not expected: order 8, 6A_1\n"
+        )
 
 
 class TestEntryPoint:

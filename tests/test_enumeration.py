@@ -35,7 +35,7 @@ from chern3 import (
     reproduce_table,
 )
 from chern3 import enumeration, tables
-from chern3.enumeration import _enumerate_raw, max_index
+from chern3.enumeration import _enumerate_raw, checked_rows, max_index
 
 
 def weight(indices_tuple):
@@ -331,6 +331,15 @@ class TestCollectorPause:
         assert len(records) == 2151
 
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_leave_no_reference_cycle(self, jobs, restore_gc):
+        gc.disable()
+        gc.collect()
+        rows = list(checked_rows(EnumerationQuery(chi0=1), jobs=jobs))
+        assert gc.collect() == 0
+        assert len(rows) == 2151
+
+
 class TestEnumerate:
     def test_chi_zero_include_empty(self):
         records = enumerate_index_multisets(
@@ -609,6 +618,60 @@ class TestChernRecordValidation:
                 cartier_index=2,
                 witness=parse_basket("(1,2)"),
             )
+
+
+class TestCheckedRowMutants:
+    """`checked_rows` applies every record check: one bad raw item per check raises."""
+
+    @staticmethod
+    def walked(text):
+        """The χ = 1 walk's raw item for a multiset, and the walk's scale."""
+        raw, scale = _enumerate_raw(Fraction(24), ALL, jobs=1)
+        groups = parse_index_multiset(text).groups
+        return next(item for item in raw if item[0] == groups), scale
+
+    @staticmethod
+    def rows(monkeypatch, item, scale):
+        monkeypatch.setattr(enumeration, "_enumerate_raw", lambda *args: ([item], scale))
+        return list(checked_rows(EnumerationQuery(chi0=1)))
+
+    def test_walked_items_pass(self, monkeypatch):
+        (groups, rem, lcm, witness), scale = self.walked("2^16")
+        assert witness == parse_basket("(1,2)^16")
+        [(fields, num, den)] = self.rows(monkeypatch, (groups, rem, lcm, witness), scale)
+        assert fields == ("2^16", "2", "0", "true", "(1,2)^16")
+        assert (num, den) == (rem, scale)
+
+    @pytest.mark.parametrize(
+        "text, mutate, message",
+        [
+            ("2^3,4,7,9", lambda g, rem, lcm, w: (g, rem + 1, lcm, w), "c1c2 mismatch"),
+            ("2^3,4,7,9", lambda g, rem, lcm, w: (g, rem, 2 * lcm, w), "Cartier index mismatch"),
+            ("2^3,4,7,9", lambda g, rem, lcm, w: (g[1:2] + g[:1] + g[2:], rem, lcm, w),
+             "not ascending"),
+            ("2^16", lambda g, rem, lcm, w: (g + ((3, 0),), rem, lcm, w), "multiplicity"),
+            ("2^16", lambda g, rem, lcm, w: (((1, 1),) + g, rem, lcm, w), "local index"),
+            ("2^16", lambda g, rem, lcm, w: (g, rem, lcm, parse_basket("(1,2)^8")),
+             "does not project"),
+            ("2", lambda g, rem, lcm, w: (g, rem, lcm, parse_basket("(1,2)")),
+             "non-integral l"),
+        ],
+        ids=["rem", "lcm", "run-order", "multiplicity-0", "index-1", "other-witness",
+             "fractional-l"],
+    )
+    def test_bad_item_raises(self, monkeypatch, text, mutate, message):
+        item, scale = self.walked(text)
+        with pytest.raises(ValueError, match=message):
+            self.rows(monkeypatch, mutate(*item), scale)
+
+    def test_negative_c1c2_raises(self, monkeypatch):
+        # 2^16,3 weighs more than 24: consistent, but c1c2 < 0
+        (groups, _, _, _), scale = self.walked("2^16")
+        groups += ((3, 1),)
+        rem = c1c2_from_indices(IndexMultiset(groups), 1) * scale
+        assert rem < 0 and rem.denominator == 1
+        with pytest.raises(ValueError, match="negative c1c2"):
+            self.rows(monkeypatch, (groups, int(rem), 6, None), scale)
 
 
 class TestReproduceTable:
