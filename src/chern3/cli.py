@@ -4,15 +4,19 @@ Exit codes follow one contract everywhere: 0 success, 1 verification
 mismatch or empty result, 2 usage or input error.  Machine formats (csv,
 jsonl) are byte-deterministic for a given query and never decimalize
 fractions; the markdown format adds a decimal column that is explicitly
-approximate.  `enumerate` streams the checked rows of
-`enumeration.checked_rows` to its output without building records; they
-are byte-identical to the library's records written by `_emit_records`.
+approximate.  `enumerate` writes the lines of `enumeration.checked_lines`
+without building records: with `--jobs N` the walk's tasks run in N
+worker processes, each checking its rows and rendering them with the
+format's renderer (`RENDERERS`), and this process only orders the lines
+and writes them.  `_emit_records` puts the library's records through the
+same renderers and writer, and gives the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from contextlib import nullcontext
@@ -103,25 +107,52 @@ def _write_markdown(header: Sequence[str], rows: Sequence[Sequence[str]], stream
         stream.write(line(row))
 
 
-def _emit_rows(rows: Iterable[tuple[Sequence[str], int, int]], fmt: str, stream) -> None:
-    """Write `enumerate` rows, (fields, num, den) as `enumeration.checked_rows` yields them."""
-    if fmt == "csv":
-        _write_csv(map(itemgetter(0), rows), stream)
-    elif fmt == "jsonl":
-        for (indices, r_x, c1c2, integral, witness), _, _ in rows:
-            payload = {
+# `enumerate` renderers: `enumeration.checked_lines` calls one in the task
+# that walked the rows, so each is a module-level function, pickled by name.
+# A row is (fields, num, den) with c1.c2 = num/den; each row becomes one line.
+
+def _render_csv(rows) -> str:
+    text = io.StringIO()
+    _write_csv(map(itemgetter(0), rows), text)
+    return text.getvalue()
+
+
+def _render_jsonl(rows) -> str:
+    return "".join(
+        json.dumps(
+            {
                 "indices": indices,
                 "cartier_index": int(r_x),
                 "c1c2": c1c2,
                 "has_integral_basket": integral == "true",
                 "witness": witness or None,
-            }
-            stream.write(json.dumps(payload, separators=(",", ":")) + "\n")
-    else:
-        header = ["indices", "r_X", "c1c2", "~c1c2 (approx.)", "integral", "witness"]
-        # int / int rounds correctly, as float(Fraction(num, den)) does
-        table = [[*fields[:3], f"{num / den:.6g}", *fields[3:]] for fields, num, den in rows]
-        _write_markdown(header, table, stream)
+            },
+            separators=(",", ":"),
+        ) + "\n"
+        for (indices, r_x, c1c2, integral, witness), _, _ in rows
+    )
+
+
+def _render_md(rows) -> str:
+    """Tab-separated cells, which `_write_lines` pads into a table."""
+    # int / int rounds correctly, as float(Fraction(num, den)) does
+    return "".join(
+        "\t".join((*fields[:3], f"{num / den:.6g}", *fields[3:])) + "\n"
+        for fields, num, den in rows
+    )
+
+
+RENDERERS = {"csv": _render_csv, "jsonl": _render_jsonl, "md": _render_md}
+
+
+def _write_lines(lines: list[str], fmt: str, stream) -> None:
+    """Write the lines of `fmt`'s renderer, without their newlines, in order."""
+    if fmt == "md":
+        header = ("indices", "r_X", "c1c2", "~c1c2 (approx.)", "integral", "witness")
+        _write_markdown(header, [line.split("\t") for line in lines], stream)
+    elif lines:
+        stream.write("\n".join(lines))
+        stream.write("\n")
 
 
 def _record_row(rec: ChernRecord) -> tuple[tuple[str, ...], int, int]:
@@ -137,7 +168,8 @@ def _record_row(rec: ChernRecord) -> tuple[tuple[str, ...], int, int]:
 
 def _emit_records(records: Iterable[ChernRecord], fmt: str, stream) -> None:
     """Write library records as `enumerate` writes its rows: the rows' reference."""
-    _emit_rows(map(_record_row, records), fmt, stream)
+    text = RENDERERS[fmt](map(_record_row, records))
+    _write_lines(text.split("\n")[:-1], fmt, stream)
 
 
 def _build_filter(args) -> RecordFilter:
@@ -162,7 +194,8 @@ def _cmd_enumerate(args) -> int:
     )
     # every usage check is done before --output is opened
     with _open_output(args.output) as stream:
-        _emit_rows(enumeration.checked_rows(query, jobs=args.jobs), args.format, stream)
+        lines = enumeration.checked_lines(query, RENDERERS[args.format], jobs=args.jobs)
+        _write_lines(lines, args.format, stream)
     return EXIT_OK
 
 

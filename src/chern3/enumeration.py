@@ -24,19 +24,24 @@ The walk also carries each node's Cartier index (the running lcm of its
 indices), passes every node, the empty multiset at its root included,
 through one filter test in `_finish_node`, and visits nodes in
 lexicographic order of the expanded index sequence, so a stable sort on
-the scaled c1.c2 alone gives the canonical order.
+the scaled c1.c2 alone gives the canonical order.  The walk splits into
+tasks, one per smallest run (`_tasks`), whose chunks joined in task order
+are in that lexicographic order; `_map_tasks` runs them in order or in a
+pool, and `_canonical_order` is the one stable sort.
 
 `check_record` owns the record rules.  It re-checks c1.c2 and the Cartier
 index in integers scaled by the lcm re-derived from the runs, and checks
 that a witness has integral l(m) at every m with one integer scan over a
 period (`first_fractional_l`), without using the congruence above.  The
-library returns `ChernRecord`s, each checked on construction;
-`chern3 enumerate` writes `checked_rows` instead, which puts every walked
-item through the same check and formats it without building a record, so
-`Fraction` appears there only to print c1.c2.  The walk and the record
-build leave no reference cycle and run with the cyclic garbage collector
-paused (`collector_paused`); `cli.main` pauses it around a whole command,
-whose records or rows are freed before collection resumes.
+library returns `ChernRecord`s, each checked on construction, from the
+tasks' raw items.  `chern3 enumerate` uses `checked_lines` instead: each
+task puts its items through the same check and renders them as text, with
+no record, no `Fraction` and no float (md's approximate column aside), so
+a pool's workers do all the per-row work and send back text.  The walk
+and the record build leave no reference cycle and run with the cyclic
+garbage collector paused (`collector_paused`); `cli.main` pauses it
+around a whole command, whose records or rows are freed before
+collection resumes.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from operator import itemgetter
 from typing import ClassVar, Iterator, Optional, Sequence
 
 from . import tables
@@ -172,7 +176,7 @@ def check_record(
     """Raise ValueError unless these are the fields of a consistent record.
 
     The one owner of the record rules, which `ChernRecord` and
-    `checked_rows` both apply: the runs are canonical index runs, c1.c2 =
+    `checked_lines` both apply: the runs are canonical index runs, c1.c2 =
     num/den (den > 0) is 24*chi0 minus their weight and not negative, lcm
     is their Cartier index, and a witness projects onto the runs and has
     integral l(m) at every m.  c1.c2 is checked in integers scaled by the
@@ -385,27 +389,60 @@ def _run_task(args) -> list:
     return out
 
 
-def _enumerate_raw(max_weight: Fraction, flt: RecordFilter, jobs: int) -> tuple[list, int]:
-    """Filtered raw nodes in canonical order plus the budget scale."""
-    rmax, scale, budget, weights, _ = _frame(max_weight)
-    tasks = [
+def _tasks(max_weight: Fraction, flt: RecordFilter) -> list:
+    """The walk's tasks (max_weight, flt, r0, k0), in output order (see `_run_task`)."""
+    rmax, _, budget, weights, _ = _frame(max_weight)
+    return [
         (max_weight, flt, r, k)
         for r in range(2, rmax + 1)
         for k in range(budget // weights[r], 0, -1)
     ]
 
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-            chunks = pool.map(_run_task, tasks)
-    else:
-        chunks = [_run_task(task) for task in tasks]
 
+def _map_tasks(fn, tasks: list, jobs: int) -> list:
+    """fn over the tasks, results in task order, with `jobs` processes.
+
+    A pool hands the tasks out one at a time: the (2, k0) tasks hold 78 %
+    of the chi = 2 census's rows, and the default chunking (21 tasks each)
+    gave most of them to one worker.  Every worker has exited before this
+    returns.  fn and the tasks are pickled, fn by name.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1 or len(tasks) < 2:
+        return [fn(task) for task in tasks]
+    with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
+        results = pool.map(fn, tasks, chunksize=1)
+        pool.close()
+        pool.join()
+    return results
+
+
+def _canonical_order(rems: list[int]) -> list[int]:
+    """Positions of the rows, joined in task order, in canonical order.
+
+    Canonical is weight ascending (rem descending), then lexicographic on
+    the expanded index sequence, which the stable sort keeps from the task
+    order among equal weights; so it never depends on task scheduling.
+    """
+    return sorted(range(len(rems)), key=rems.__getitem__, reverse=True)
+
+
+def _enumerate_raw(max_weight: Fraction, flt: RecordFilter, jobs: int) -> tuple[list, int]:
+    """Filtered raw items (groups, rem, lcm, witness) in canonical order, and the scale."""
+    chunks = _map_tasks(_run_task, _tasks(max_weight, flt), jobs)
     raw = [item for chunk in chunks for item in chunk]
-    # canonical total order: weight ascending, then lexicographic on the
-    # expanded index sequence, which the stable sort keeps among equal
-    # weights; independent of task scheduling
-    raw.sort(key=itemgetter(1), reverse=True)
-    return raw, scale
+    order = _canonical_order([item[1] for item in raw])
+    return [raw[i] for i in order], _frame(max_weight)[1]
+
+
+def _root_items(query: EnumerationQuery, scale: int) -> list:
+    """The walk's root, the empty multiset, as a raw item if the query emits it."""
+    root: list = []
+    if query.include_empty:
+        # weight 0, Cartier index 1, and l(2) = 0 reachable
+        _finish_node(root, (), 24 * query.chi0 * scale, 1, True, scale, query.filter)
+    return root
 
 
 @contextmanager
@@ -424,25 +461,6 @@ def collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _walk(query: EnumerationQuery, jobs: int) -> tuple[list, int]:
-    """The query's raw items (groups, rem, lcm, witness) in canonical order, and the scale.
-
-    rem is c1c2 in units of 1/scale.  The walk runs with the cyclic garbage
-    collector paused.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    flt = query.filter
-    with collector_paused():
-        raw, scale = _enumerate_raw(Fraction(24 * query.chi0), flt, jobs)
-        if query.include_empty:
-            # the walk's root: weight 0, Cartier index 1, and l(2) = 0 reachable
-            root: list = []
-            _finish_node(root, (), 24 * query.chi0 * scale, 1, True, scale, flt)
-            raw[:0] = root
-    return raw, scale
-
-
 def enumerate_index_multisets(
     query: EnumerationQuery, jobs: int = 1
 ) -> list[ChernRecord]:
@@ -453,7 +471,8 @@ def enumerate_index_multisets(
     record build run with the cyclic garbage collector paused.
     """
     with collector_paused():
-        raw, scale = _walk(query, jobs)
+        raw, scale = _enumerate_raw(Fraction(24 * query.chi0), query.filter, jobs)
+        raw[:0] = _root_items(query, scale)
         # each raw item is replaced by its record in place, so the raw items
         # are freed while the records are built
         for i, (groups, rem, lcm, witness) in enumerate(raw):
@@ -465,6 +484,12 @@ def enumerate_index_multisets(
                 witness=witness,
             )
     return raw
+
+
+def fraction_text(num: int, den: int) -> str:
+    """`str(Fraction(num, den))` for den > 0, from integers alone."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 class _Texts(dict):
@@ -481,35 +506,71 @@ class _Texts(dict):
         return text
 
 
-def checked_rows(
-    query: EnumerationQuery, jobs: int = 1
-) -> Iterator[tuple[tuple[str, str, str, str, str], int, int]]:
-    """The records of `enumerate_index_multisets` as text rows, without the records.
+# the text of each index run (r, k), kept for the life of the process
+_run_text = _Texts(lambda run: format_index_multiset(IndexMultiset((run,)))).__getitem__
 
-    Yields (fields, num, den) in the same order: fields are the multiset,
-    Cartier index, c1.c2, "true"/"false" for an integral basket and the
-    witness ("" when there is none), as `chern3 enumerate` prints them, and
-    c1.c2 = num/den unreduced.  Each row passes `check_record` first, so a
-    row is checked exactly as its record would be; the arithmetic stays in
-    integers, and the text of each run and each c1.c2 value is made once.
+
+def _checked_rows(items: list, chi0: int, scale: int) -> Iterator[tuple]:
+    """Each raw item as the row (fields, num, den) of its record, after `check_record`.
+
+    fields are the multiset, Cartier index, c1.c2, "true"/"false" for an
+    integral basket and the witness ("" when there is none), as `chern3
+    enumerate` prints them, and c1.c2 = num/den unreduced.  The arithmetic
+    stays in integers; the text of each run is made once per process.
     """
-    raw, scale = _walk(query, jobs)
-    chi0 = query.chi0
     empty = format_index_multiset(IndexMultiset())
-    run_text = _Texts(lambda run: format_index_multiset(IndexMultiset((run,)))).__getitem__
-    last_rem = c1c2 = None
-    for groups, rem, lcm, witness in raw:
+    for groups, rem, lcm, witness in items:
         check_record(groups, chi0, rem, scale, lcm, witness)
-        if rem != last_rem:  # the rows are sorted by c1.c2, so equal values are adjacent
-            last_rem, c1c2 = rem, str(Fraction(rem, scale))
         fields = (
-            ",".join(map(run_text, groups)) if groups else empty,
+            ",".join(map(_run_text, groups)) if groups else empty,
             str(lcm),
-            c1c2,
+            fraction_text(rem, scale),
             "false" if witness is None else "true",
             "" if witness is None else format_basket(witness),
         )
         yield fields, rem, scale
+
+
+def _checked_text(items: list, chi0: int, scale: int, render) -> tuple[list[int], str]:
+    """(rems, text): the items' rems and their checked rows as `render` writes them."""
+    return [item[1] for item in items], render(_checked_rows(items, chi0, scale))
+
+
+def _render_task(args) -> tuple[list[int], str]:
+    """`checked_lines`' task: `_run_task`'s items, checked and rendered.
+
+    args is (task, chi0, render).  Returns the rem of each item in walk
+    order and one text with one line per item, in the same order.
+    """
+    task, chi0, render = args
+    return _checked_text(_run_task(task), chi0, _frame(task[0])[1], render)
+
+
+def checked_lines(query: EnumerationQuery, render, jobs: int = 1) -> list[str]:
+    """The records of `enumerate_index_multisets` as lines of text, without the records.
+
+    render turns an iterable of rows (fields, num, den), as `_checked_rows`
+    makes them, into text with one newline-terminated line per row and no
+    other newline.  Each walk task checks its rows with `check_record`, so
+    a row is checked exactly as its record would be, and renders them; with
+    `jobs` > 1 the tasks run in worker processes, so render must be a
+    module-level function, pickled by name.  The parent only splits the
+    texts at newlines and orders the lines.  Returns the lines, without
+    their newlines, in the records' order.
+    """
+    chi0, max_weight = query.chi0, Fraction(24 * query.chi0)
+    scale = _frame(max_weight)[1]
+    with collector_paused():
+        tasks = [(task, chi0, render) for task in _tasks(max_weight, query.filter)]
+        # the root has the largest rem, so it sorts first
+        chunks = [_checked_text(_root_items(query, scale), chi0, scale, render)]
+        chunks += _map_tasks(_render_task, tasks, jobs)
+        rems = [rem for chunk_rems, _ in chunks for rem in chunk_rems]
+        lines = [line for _, text in chunks for line in text.split("\n")[:-1]]
+        del chunks  # free the texts before the ordered copy of the lines is built
+        if len(lines) != len(rems):
+            raise RuntimeError("a rendered row is not one line; this is a bug")
+        return [lines[i] for i in _canonical_order(rems)]
 
 
 def feasible_index_multisets(max_weight: Fraction) -> list[IndexMultiset]:

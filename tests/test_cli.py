@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -224,30 +225,87 @@ class TestEnumerateCommand:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+ROW_QUERIES = pytest.mark.parametrize(
+    "argv, query",
+    [
+        (["--chi", "1"], EnumerationQuery(chi0=1)),
+        (["--chi", "1", "--filter", "c1c2-zero"], EnumerationQuery(chi0=1, filter=C1C2_ZERO)),
+        (["--chi", "1", "--filter", "l2-integral"],
+         EnumerationQuery(chi0=1, filter=INTEGRAL_L2)),
+        (["--chi", "1", "--filter", "c1c2-range", "--lo", "1/3", "--hi", "5/2"],
+         EnumerationQuery(chi0=1, filter=c1c2_in_range(Fraction(1, 3), Fraction(5, 2)))),
+        (["--chi", "0", "--include-empty"], EnumerationQuery(chi0=0, include_empty=True)),
+    ],
+    ids=[*RecordFilter.KINDS, "chi0-empty"],
+)
+
+
 class TestRowPath:
     """`enumerate` writes checked rows; their bytes equal the records' through `_emit_records`."""
 
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "md"])
-    @pytest.mark.parametrize(
-        "argv, query",
-        [
-            (["--chi", "1"], EnumerationQuery(chi0=1)),
-            (["--chi", "1", "--filter", "c1c2-zero"], EnumerationQuery(chi0=1, filter=C1C2_ZERO)),
-            (["--chi", "1", "--filter", "l2-integral"],
-             EnumerationQuery(chi0=1, filter=INTEGRAL_L2)),
-            (["--chi", "1", "--filter", "c1c2-range", "--lo", "1/3", "--hi", "5/2"],
-             EnumerationQuery(chi0=1, filter=c1c2_in_range(Fraction(1, 3), Fraction(5, 2)))),
-            (["--chi", "0", "--include-empty"], EnumerationQuery(chi0=0, include_empty=True)),
-        ],
-        ids=[*RecordFilter.KINDS, "chi0-empty"],
-    )
-    def test_rows_equal_records(self, argv, query, fmt):
+    @staticmethod
+    def assert_rows_equal_records(argv, query, fmt):
         code, out, err = run_cli("enumerate", *argv, "--format", fmt)
         assert (code, err) == (0, "")
         expected = io.StringIO()
         cli._emit_records(enumerate_index_multisets(query), fmt, expected)
         assert out.splitlines()
         assert out == expected.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "md"])
+    @ROW_QUERIES
+    def test_rows_equal_records(self, argv, query, fmt):
+        self.assert_rows_equal_records(argv, query, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "md"])
+    @ROW_QUERIES
+    def test_pool_rows_equal_records(self, argv, query, fmt):
+        # the rows are checked and rendered in the pool's workers
+        self.assert_rows_equal_records([*argv, "--jobs", "2"], query, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "md"])
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_renderers_reach_fresh_workers(self, monkeypatch, method, fmt):
+        # workers that import the package afresh receive the renderer by name
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        serial = run_cli("enumerate", "--chi", "1", "--format", fmt)
+        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
+        assert run_cli("enumerate", "--chi", "1", "--format", fmt, "--jobs", "2") == serial
+
+
+class TestWorkerMutants:
+    """A bad raw item made inside a pool worker fails the command with exit 2."""
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda g, rem, lcm, w: (g, rem + 1, lcm, w), "c1c2 mismatch"),
+            (lambda g, rem, lcm, w: (g, rem, 2 * lcm, w), "Cartier index mismatch"),
+            (lambda g, rem, lcm, w: (g, rem, lcm, parse_basket("(1,2)^8")), "does not project"),
+        ],
+        ids=["rem", "lcm", "other-witness"],
+    )
+    def test_bad_item_in_a_worker_exits_2(self, tmp_path, monkeypatch, mutate, message):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the patched walk reaches the workers only by fork")
+        parent, real = os.getpid(), enumeration._run_task
+
+        def corrupted(task):
+            items = real(task)
+            # the task (2, 16) emits the roots 2, ..., 2^16; only a worker corrupts one
+            if os.getpid() != parent and task[2:] == (2, 16):
+                i = next(i for i, item in enumerate(items) if item[0] == ((2, 16),))
+                items[i] = mutate(*items[i])
+            return items
+
+        monkeypatch.setattr(enumeration, "_run_task", corrupted)
+        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
+        path = tmp_path / "census.csv"
+        code, out, err = run_cli("enumerate", "--chi", "1", "--jobs", "2", "--output", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+        assert path.read_bytes() == b""
 
 
 class TestChiSeriesCommand:
@@ -322,7 +380,7 @@ class TestOutputOpenOrder:
         def walk(*args, **kwargs):
             raise AssertionError("the walk ran before --output was opened")
 
-        monkeypatch.setattr(enumeration, "_enumerate_raw", walk)
+        monkeypatch.setattr(enumeration, "_map_tasks", walk)
         path = str(tmp_path / "missing" / "x.csv")
         code, out, err = run_cli("enumerate", "--chi", "2", "--output", path)
         assert code == 2

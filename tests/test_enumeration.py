@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chern3 import (
     ALL,
@@ -34,8 +34,8 @@ from chern3 import (
     parse_index_multiset,
     reproduce_table,
 )
-from chern3 import enumeration, tables
-from chern3.enumeration import _enumerate_raw, checked_rows, max_index
+from chern3 import cli, enumeration, tables
+from chern3.enumeration import _enumerate_raw, checked_lines, fraction_text, max_index
 
 
 def weight(indices_tuple):
@@ -335,9 +335,9 @@ class TestCollectorPause:
     def test_rows_leave_no_reference_cycle(self, jobs, restore_gc):
         gc.disable()
         gc.collect()
-        rows = list(checked_rows(EnumerationQuery(chi0=1), jobs=jobs))
+        lines = checked_lines(EnumerationQuery(chi0=1), cli.RENDERERS["csv"], jobs=jobs)
         assert gc.collect() == 0
-        assert len(rows) == 2151
+        assert len(lines) == 2151
 
 
 class TestEnumerate:
@@ -621,7 +621,7 @@ class TestChernRecordValidation:
 
 
 class TestCheckedRowMutants:
-    """`checked_rows` applies every record check: one bad raw item per check raises."""
+    """`checked_lines` applies every record check: one bad raw item per check raises."""
 
     @staticmethod
     def walked(text):
@@ -631,14 +631,24 @@ class TestCheckedRowMutants:
         return next(item for item in raw if item[0] == groups), scale
 
     @staticmethod
-    def rows(monkeypatch, item, scale):
-        monkeypatch.setattr(enumeration, "_enumerate_raw", lambda *args: ([item], scale))
-        return list(checked_rows(EnumerationQuery(chi0=1)))
+    def rows(monkeypatch, item):
+        """The rows that reach the renderer when the χ = 1 walk's one task yields item."""
+        monkeypatch.setattr(enumeration, "_tasks", lambda *args: [(Fraction(24), ALL, 2, 1)])
+        monkeypatch.setattr(enumeration, "_run_task", lambda task: [item])
+        rendered = []
+
+        def render(rows):
+            rows = list(rows)
+            rendered.extend(rows)
+            return "row\n" * len(rows)
+
+        assert checked_lines(EnumerationQuery(chi0=1), render) == ["row"]
+        return rendered
 
     def test_walked_items_pass(self, monkeypatch):
         (groups, rem, lcm, witness), scale = self.walked("2^16")
         assert witness == parse_basket("(1,2)^16")
-        [(fields, num, den)] = self.rows(monkeypatch, (groups, rem, lcm, witness), scale)
+        [(fields, num, den)] = self.rows(monkeypatch, (groups, rem, lcm, witness))
         assert fields == ("2^16", "2", "0", "true", "(1,2)^16")
         assert (num, den) == (rem, scale)
 
@@ -660,9 +670,9 @@ class TestCheckedRowMutants:
              "fractional-l"],
     )
     def test_bad_item_raises(self, monkeypatch, text, mutate, message):
-        item, scale = self.walked(text)
+        item, _ = self.walked(text)
         with pytest.raises(ValueError, match=message):
-            self.rows(monkeypatch, mutate(*item), scale)
+            self.rows(monkeypatch, mutate(*item))
 
     def test_negative_c1c2_raises(self, monkeypatch):
         # 2^16,3 weighs more than 24: consistent, but c1c2 < 0
@@ -671,7 +681,19 @@ class TestCheckedRowMutants:
         rem = c1c2_from_indices(IndexMultiset(groups), 1) * scale
         assert rem < 0 and rem.denominator == 1
         with pytest.raises(ValueError, match="negative c1c2"):
-            self.rows(monkeypatch, (groups, int(rem), 6, None), scale)
+            self.rows(monkeypatch, (groups, int(rem), 6, None))
+
+
+@settings(max_examples=500, deadline=None)
+@given(rem=st.integers(min_value=0, max_value=10**30), scale=st.integers(1, 10**25))
+@example(rem=0, scale=1)
+@example(rem=0, scale=lcm(*range(1, 49)))
+@example(rem=7 * lcm(*range(1, 49)), scale=lcm(*range(1, 49)))
+@example(rem=3 * 5040, scale=32 * 5040)
+def test_fraction_text_matches_fraction(rem, scale):
+    assert fraction_text(rem, scale) == str(Fraction(rem, scale))
+    # rem * scale is divisible by scale
+    assert fraction_text(rem * scale, scale) == str(Fraction(rem * scale, scale))
 
 
 class TestReproduceTable:

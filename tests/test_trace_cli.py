@@ -6,6 +6,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import runpy
 import subprocess
@@ -17,24 +18,40 @@ import chern3
 TRACE_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "trace_cli.py"
 
 
-def test_traced_chi_one_census(tmp_path):
+CHI1_SHA256 = "ea4dc6aaf9d3f05fa48ab1c16cd6a06442408269f0cb69aae9f07bc03f25945a"
+
+
+def traced_chi_one(tmp_path, jobs):
+    """Spans of one traced `enumerate --chi 1 --jobs jobs`, after checking its exit and bytes."""
     trace, out = tmp_path / "trace.json", tmp_path / "chi1.csv"
     env = dict(os.environ, PYTHONPATH=str(Path(chern3.__file__).resolve().parents[1]))
     result = subprocess.run(
         [sys.executable, str(TRACE_CLI), str(trace),
-         "enumerate", "--chi", "1", "--jobs", "1", "--output", str(out)],
+         "enumerate", "--chi", "1", "--jobs", str(jobs), "--output", str(out)],
         capture_output=True,
         text=True,
         timeout=120,
         env=env,
     )
     assert result.returncode == 0, result.stderr
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "ea4dc6aaf9d3f05fa48ab1c16cd6a06442408269f0cb69aae9f07bc03f25945a"
-    )
-    spans = json.loads(trace.read_text(encoding="utf-8"))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CHI1_SHA256
+    return json.loads(trace.read_text(encoding="utf-8"))
+
+
+def test_traced_chi_one_census(tmp_path):
+    spans = traced_chi_one(tmp_path, 1)
     layers = runpy.run_path(str(TRACE_CLI))["LAYERS"]
     assert {name for _, _, name, _ in layers} <= set(spans)
     # enumerate checks and writes rows without building records
     assert spans["enumeration.record"]["calls"] == 0
     assert spans["enumeration.integrality"]["calls"] == 40
+
+
+def test_traced_pool_run(tmp_path):
+    spans = traced_chi_one(tmp_path, 2)
+    # every worker has exited and its spans were added into the trace
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["chi1.csv", "trace.json"]
+    assert spans["enumeration.record"]["calls"] == 0
+    # the wrappers reach the workers only when the pool forks them
+    forked = multiprocessing.get_start_method() == "fork"
+    assert spans["enumeration.integrality"]["calls"] == (40 if forked else 0)
