@@ -18,6 +18,8 @@ import argparse
 import csv
 import io
 import json
+import os
+import stat
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -72,11 +74,11 @@ def _factorization(n: int) -> str:
     return " * ".join(parts)
 
 
-def _open_output(path: Optional[str]):
+def _open_output(path: Optional[str], mode: str = "w"):
     if path is None:
         return nullcontext(sys.stdout)
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        return open(path, mode, encoding="utf-8", newline="")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
@@ -192,9 +194,14 @@ def _cmd_enumerate(args) -> int:
         include_empty=args.include_empty,
         allow_any_chi=args.unsafe_chi,
     )
-    # every usage check is done before --output is opened
-    with _open_output(args.output) as stream:
+    # every usage check is done before --output is opened, for appending: an
+    # unwritable path fails before the walk, and a walk that fails leaves an
+    # earlier file as it was.  After the walk a regular file is emptied, as
+    # mode "w" would have done; a device or pipe has no bytes to drop.
+    with _open_output(args.output, "a") as stream:
         lines = enumeration.checked_lines(query, RENDERERS[args.format], jobs=args.jobs)
+        if args.output is not None and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+            stream.truncate(0)
         _write_lines(lines, args.format, stream)
     return EXIT_OK
 

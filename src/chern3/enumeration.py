@@ -14,11 +14,19 @@ takes modulo 1 over all admissible b-assignments.  By CRT a point's l(2)
 term splits into one part per prime p dividing 2r, and the b choose those
 parts independently, so the state is one bitmask per prime p <= r_max over
 Z/p^e, p^e <= 2*r_max (`_prime_moduli`), and a point rotates the masks of
-the primes it touches.  A multiset admits a basket with integral l(2)
+the primes dividing 2r.  A multiset admits a basket with integral l(2)
 exactly when 0 is reachable in every mask.  That settles every m at once:
 for any basket l(m) = (1^2 + ... + (m-1)^2) * l(2) (mod 1), so integral
 l(2) makes every l(m) integral.  `exists_integral_basket` runs the same DP
 for a single multiset and rebuilds its witness.
+
+Each walk task keeps one list of masks and a count `bad` of the masks that
+lack 0, so l(2) is reachable at a node iff bad == 0.  A node looks up only
+the masks its index moves, and writes them into the list only while its
+subtree is walked, restoring them after.  Each rotation of a mask is
+computed once per process and memoised (`_l2_rotations`); the chi = 2
+census needs a few hundred.  `_scan` tests a leaf before building it, so
+a leaf that the filter drops costs no runs tuple and no call.
 
 The walk also carries each node's Cartier index (the running lcm of its
 indices), passes every node, the empty multiset at its root included,
@@ -52,7 +60,7 @@ import multiprocessing
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 from typing import ClassVar, Iterator, Optional, Sequence
 
@@ -107,8 +115,12 @@ class RecordFilter:
         """
         if self.kind == "c1c2-zero":
             return num == 0
-        if self.kind == "c1c2-range":
-            return self.lo <= Fraction(num, den) <= self.hi
+        if self.kind == "c1c2-range":  # lo <= num/den <= hi, cross-multiplied
+            lo, hi = self.lo, self.hi
+            return (
+                lo.numerator * den <= num * lo.denominator
+                and num * hi.denominator <= hi.numerator * den
+            )
         if self.kind == "l2-integral":
             return has_int
         return True
@@ -260,37 +272,48 @@ def _l2_parts(r: int, rmax: int):
     return tuple(slots), parts
 
 
-@lru_cache(maxsize=None)
-def _l2_rotations(r: int, rmax: int) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
-    """The walk's l(2) step for index r: (slot, n, 2^n - 1, downs) per moved slot.
+class _Memo(dict):
+    """The value of each key, computed on first use and kept."""
 
-    A slot's reachable numerators are an n-bit mask.  A point with part s
-    rotates it left by s, which is (d >> (n - s)) & (2^n - 1) for the mask
-    d doubled to 2n bits; downs lists n - s for each distinct part s.
+    __slots__ = ("_compute",)
+
+    def __init__(self, compute) -> None:
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self._compute(key)
+        return value
+
+
+def _rotate(n: int, shifts: frozenset[int], mask: int) -> int:
+    """The union of the n-bit mask's left rotations by each s in shifts.
+
+    Rotating left by s is (d >> (n - s)) & (2^n - 1) for the mask d doubled
+    to 2n bits.
+    """
+    d = mask | mask << n
+    acc = 0
+    for s in shifts:
+        acc |= d >> (n - s)
+    return acc & ((1 << n) - 1)
+
+
+@lru_cache(maxsize=None)
+def _l2_rotations(r: int, rmax: int) -> tuple[tuple[int, _Memo], ...]:
+    """The l(2) step of index r <= rmax: (slot, rotation) for each slot it moves.
+
+    A slot's reachable numerators are an n-bit mask, and rotation[mask] is
+    the mask after one more point of index r: the union of its rotations
+    by the point's parts.  Each rotation is computed once per process and
+    shared by every walk task and `exists_integral_basket`; over the chi = 2
+    census there are a few hundred distinct (mask, result) pairs.
     """
     slots, parts = _l2_parts(r, rmax)
     return tuple(
-        (slot, n, (1 << n) - 1, tuple(sorted({n - part[i] for _, part in parts})))
+        (slot, _Memo(partial(_rotate, n, frozenset(part[i] for _, part in parts))))
         for i, (slot, n) in enumerate(slots)
     )
-
-
-def _add_l2(reach: tuple[int, ...], rotations) -> tuple[int, ...]:
-    """Reachable l(2) masks, one per prime, after one more point with these rotations."""
-    masks = list(reach)
-    for slot, n, full, downs in rotations:
-        d = masks[slot]
-        d |= d << n
-        acc = 0
-        for t in downs:
-            acc |= d >> t
-        masks[slot] = acc & full
-    return tuple(masks)
-
-
-def _reaches_zero(reach: tuple[int, ...]) -> bool:
-    """Is l(2) = 0 mod 1 reachable, i.e. 0 reachable in every prime's component?"""
-    return all(mask & 1 for mask in reach)
 
 
 def max_index(budget: Fraction) -> int:
@@ -343,25 +366,42 @@ def _finish_node(
     out.append((groups, rem, lcm, witness))
 
 
-def _scan(ctx, rmin: int, rem: int, prefix: _Groups, lcm: int, reach: tuple[int, ...]):
+def _scan(ctx, rmin: int, rem: int, prefix: _Groups, lcm: int, bad: int) -> None:
     """Visit the extensions of prefix by indices >= rmin, in pre-order.
 
     Each node is followed by its extensions repeating its last index, then
-    by larger indices.  ctx is (out, rmax, weights, rotations, scale, flt).
+    by larger indices.  ctx is (out, masks, rmax, weights, rotations, scale,
+    flt).  masks holds prefix's per-prime l(2) masks and bad counts those
+    that lack 0.  A node looks up only the slots its index moves, and writes
+    them into masks only while its subtree is scanned, so masks is as on
+    entry when this returns.
     """
-    out, rmax, weights, rotations, scale, flt = ctx
+    out, masks, rmax, weights, rotations, scale, flt = ctx
     for r in range(rmin, rmax + 1):
         w = weights[r]
         if w > rem:
             break
+        node_rem = rem - w
+        moved = rotations[r]
+        node_bad = bad
+        for slot, rotation in moved:
+            mask = masks[slot]
+            node_bad += (mask & 1) - (rotation[mask] & 1)
+        leaf = node_rem < w  # its extensions start at r
+        if leaf and not flt.accepts(node_rem, scale, node_bad == 0):
+            continue  # dropped before its runs are built
         if prefix[-1][0] == r:
             node, node_lcm = prefix[:-1] + ((r, prefix[-1][1] + 1),), lcm
         else:
             node, node_lcm = prefix + ((r, 1),), math.lcm(lcm, r)
-        node_rem = rem - w
-        node_reach = _add_l2(reach, rotations[r])
-        _finish_node(out, node, node_rem, node_lcm, _reaches_zero(node_reach), scale, flt)
-        _scan(ctx, r, node_rem, node, node_lcm, node_reach)
+        _finish_node(out, node, node_rem, node_lcm, node_bad == 0, scale, flt)
+        if not leaf:
+            saved = [masks[slot] for slot, _ in moved]
+            for slot, rotation in moved:
+                masks[slot] = rotation[masks[slot]]
+            _scan(ctx, r, node_rem, node, node_lcm, node_bad)
+            for (slot, _), mask in zip(moved, saved):
+                masks[slot] = mask
 
 
 def _run_task(args) -> list:
@@ -372,20 +412,24 @@ def _run_task(args) -> list:
     descending: every root r0^k sorts before every longer sequence starting
     with r0, and the subtree of r0^(k+1) before that of r0^k.  So the task
     with the largest k0 that fits first emits the roots r0, ..., r0^k0, and
-    every task emits the subtree of r0^k0 extended by larger indices.
+    every task emits the subtree of r0^k0 extended by larger indices.  The
+    task's l(2) masks are its own; only the rotation memos are shared.
     """
     max_weight, flt, r0, k0 = args
     rmax, scale, budget, weights, rotations = _frame(max_weight)
     out: list = []
     rem = budget - k0 * weights[r0]
-    reach = (1,) * len(_prime_moduli(rmax))
+    masks, bad = [1] * len(_prime_moduli(rmax)), 0  # the empty multiset reaches 0 only
     for k in range(1, k0 + 1):
-        reach = _add_l2(reach, rotations[r0])
+        for slot, rotation in rotations[r0]:
+            mask = masks[slot]
+            masks[slot] = rotation[mask]
+            bad += (mask & 1) - (masks[slot] & 1)
         if rem < weights[r0]:  # k0 is the largest that fits
             root_rem = budget - k * weights[r0]
-            _finish_node(out, ((r0, k),), root_rem, r0, _reaches_zero(reach), scale, flt)
-    ctx = (out, rmax, weights, rotations, scale, flt)
-    _scan(ctx, r0 + 1, rem, ((r0, k0),), r0, reach)
+            _finish_node(out, ((r0, k),), root_rem, r0, bad == 0, scale, flt)
+    ctx = (out, masks, rmax, weights, rotations, scale, flt)
+    _scan(ctx, r0 + 1, rem, ((r0, k0),), r0, bad)
     return out
 
 
@@ -492,22 +536,8 @@ def fraction_text(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-class _Texts(dict):
-    """Text of each key, formatted on first use."""
-
-    __slots__ = ("_format",)
-
-    def __init__(self, format_key) -> None:
-        super().__init__()
-        self._format = format_key
-
-    def __missing__(self, key) -> str:
-        text = self[key] = self._format(key)
-        return text
-
-
 # the text of each index run (r, k), kept for the life of the process
-_run_text = _Texts(lambda run: format_index_multiset(IndexMultiset((run,)))).__getitem__
+_run_text = _Memo(lambda run: format_index_multiset(IndexMultiset((run,)))).__getitem__
 
 
 def _checked_rows(items: list, chi0: int, scale: int) -> Iterator[tuple]:
@@ -604,16 +634,16 @@ def exists_integral_basket(indices: IndexMultiset) -> tuple[bool, Optional[Baske
     rmax = groups[-1][0] if groups else 1
 
     # suffix[i] = per-prime masks reachable using groups i..end
-    suffix = [(1,) * len(_prime_moduli(rmax))]
+    suffix = [[1] * len(_prime_moduli(rmax))]
     for r, mult in reversed(groups):
-        rotations = _l2_rotations(r, rmax)
-        reach = suffix[-1]
-        for _ in range(mult):
-            reach = _add_l2(reach, rotations)
-        suffix.append(reach)
+        masks = suffix[-1][:]
+        for slot, rotation in _l2_rotations(r, rmax):
+            for _ in range(mult):
+                masks[slot] = rotation[masks[slot]]
+        suffix.append(masks)
     suffix.reverse()
 
-    if not _reaches_zero(suffix[0]):
+    if not all(mask & 1 for mask in suffix[0]):
         return False, None
 
     chosen: list[BasketPoint] = []

@@ -275,7 +275,7 @@ class TestRowPath:
 
 
 class TestWorkerMutants:
-    """A bad raw item made inside a pool worker fails the command with exit 2."""
+    """A bad raw item made inside a pool worker exits 2 and keeps an earlier --output."""
 
     @pytest.mark.parametrize(
         "mutate, message",
@@ -302,10 +302,11 @@ class TestWorkerMutants:
         monkeypatch.setattr(enumeration, "_run_task", corrupted)
         monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
         path = tmp_path / "census.csv"
+        path.write_bytes(b"earlier output\n")
         code, out, err = run_cli("enumerate", "--chi", "1", "--jobs", "2", "--output", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
-        assert path.read_bytes() == b""
+        assert path.read_bytes() == b"earlier output\n"
 
 
 class TestChiSeriesCommand:
@@ -374,7 +375,7 @@ class TestChiSeriesCommand:
 
 
 class TestOutputOpenOrder:
-    """--output is opened after every usage check and before the walk."""
+    """--output is opened after the usage checks, before the walk; it is emptied after it."""
 
     def test_unopenable_output_fails_before_the_walk(self, tmp_path, monkeypatch):
         def walk(*args, **kwargs):
@@ -406,6 +407,18 @@ class TestOutputOpenOrder:
         assert out == ""
         assert err.startswith("error: ")
         assert path.read_text(encoding="utf-8") == "earlier output\n"
+
+    def test_output_replaces_a_longer_earlier_file(self, tmp_path):
+        # --output is opened for appending and truncated after the walk
+        path = tmp_path / "x.csv"
+        path.write_text("earlier output\n" * 1000, encoding="utf-8")
+        code, out, _ = run_cli("enumerate", "--chi", "1", "--filter", "c1c2-zero")
+        assert code == 0
+        assert run_cli("enumerate", "--chi", "1", "--filter", "c1c2-zero",
+                       "--output", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode("utf-8")
+        # a device cannot be truncated, and need not be
+        assert run_cli("enumerate", "--chi", "1", "--output", os.devnull) == (0, "", "")
 
     def test_collector_is_restored(self, tmp_path):
         assert gc.isenabled()

@@ -4,7 +4,7 @@ import gc
 import multiprocessing
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, zip_longest
 from math import gcd, lcm
 
 import pytest
@@ -282,6 +282,46 @@ class TestAgainstWideModulusDP:
     def test_prime_power_runs_match_wide_dp(self, text):
         multiset = parse_index_multiset(text)
         assert exists_integral_basket(multiset) == wide_witness(multiset)
+
+
+class TestRotationMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rotation_matches_the_shift_formula(self, data):
+        # rotation[mask] is the union of mask's left rotations by the parts of
+        # index r, on the first lookup (which computes it) and on a repeat
+        rmax = data.draw(st.integers(2, 72))
+        r = data.draw(st.integers(2, rmax))
+        slots, parts = enumeration._l2_parts(r, rmax)
+        rotations = enumeration._l2_rotations(r, rmax)
+        assert [slot for slot, _ in rotations] == [slot for slot, _ in slots]
+        for i, ((_, n), (_, rotation)) in enumerate(zip(slots, rotations)):
+            mask = data.draw(st.integers(0, (1 << n) - 1))
+            expected = 0
+            for _, part in parts:
+                expected |= (mask << part[i] | mask >> (n - part[i])) & ((1 << n) - 1)
+            rotation.pop(mask, None)
+            assert rotation[mask] == expected
+            assert mask in rotation and rotation[mask] == expected
+
+
+def test_tasks_share_no_walk_state():
+    # each task's l(2) masks are its own and restored as its walk returns, and
+    # the shared rotation memos hold no walk state, so a task's chunk does not
+    # depend on which tasks ran before it.  At chi = 2, l2-integral keeps
+    # exactly the nodes whose masks all reach 0.
+    chi2 = enumeration._tasks(Fraction(48), INTEGRAL_L2)
+    chi1 = enumeration._tasks(Fraction(24), ALL)
+    low = enumeration._tasks(Fraction(37, 3), ALL)
+    enumeration._frame.cache_clear()
+    enumeration._l2_rotations.cache_clear()
+    fresh = {task: enumeration._run_task(task) for task in chi2 + chi1 + low}
+    assert sum(len(fresh[task]) for task in chi2) == 1399
+    for task in reversed(chi2):
+        assert enumeration._run_task(task) == fresh[task], task
+    for pair in zip_longest(chi1, low):
+        for task in filter(None, pair):
+            assert enumeration._run_task(task) == fresh[task], task
 
 
 @pytest.fixture
@@ -694,6 +734,26 @@ def test_fraction_text_matches_fraction(rem, scale):
     assert fraction_text(rem, scale) == str(Fraction(rem, scale))
     # rem * scale is divisible by scale
     assert fraction_text(rem * scale, scale) == str(Fraction(rem * scale, scale))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.fractions(min_value=-48, max_value=48, max_denominator=10**4),
+    width=st.fractions(min_value=0, max_value=48, max_denominator=10**4),
+    end=st.sampled_from(["lo", "hi", None]),
+    scale=st.integers(1, 10**25),
+    num=st.integers(-(10**27), 10**27),
+    nudge=st.integers(-1, 1),
+)
+def test_range_filter_matches_fraction(lo, width, end, scale, num, nudge):
+    # the integer cross-multiplied range test against Fraction, with num/den
+    # unreduced at either end of the range or one unit of 1/den beside it
+    flt = c1c2_in_range(lo, lo + width)
+    den = scale
+    if end is not None:
+        bound = flt.lo if end == "lo" else flt.hi
+        num, den = bound.numerator * scale + nudge, bound.denominator * scale
+    assert flt.accepts(num, den, False) == (flt.lo <= Fraction(num, den) <= flt.hi)
 
 
 class TestReproduceTable:
