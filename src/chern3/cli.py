@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import stat
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from . import enumeration, quotient, tables
@@ -113,10 +111,17 @@ def _write_markdown(header: Sequence[str], rows: Sequence[Sequence[str]], stream
 # that walked the rows, so each is a module-level function, pickled by name.
 # A row is (fields, num, den) with c1.c2 = num/den; each row becomes one line.
 
+def _csv_cell(text: str) -> str:
+    """A cell as `csv.writer` writes it when no cell holds a quote, CR or LF."""
+    return f'"{text}"' if "," in text else text
+
+
 def _render_csv(rows) -> str:
-    text = io.StringIO()
-    _write_csv(map(itemgetter(0), rows), text)
-    return text.getvalue()
+    # of the row's fields only the multiset and the witness can hold a comma
+    return "".join(
+        f"{_csv_cell(indices)},{r_x},{c1c2},{integral},{_csv_cell(witness)}\n"
+        for (indices, r_x, c1c2, integral, witness), _, _ in rows
+    )
 
 
 def _render_jsonl(rows) -> str:
@@ -196,13 +201,21 @@ def _cmd_enumerate(args) -> int:
     )
     # every usage check is done before --output is opened, for appending: an
     # unwritable path fails before the walk, and a walk that fails leaves an
-    # earlier file as it was.  After the walk a regular file is emptied, as
-    # mode "w" would have done; a device or pipe has no bytes to drop.
-    with _open_output(args.output, "a") as stream:
-        lines = enumeration.checked_lines(query, RENDERERS[args.format], jobs=args.jobs)
-        if args.output is not None and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
-            stream.truncate(0)
-        _write_lines(lines, args.format, stream)
+    # earlier file as it was and removes one it created.  After the walk a
+    # regular file is emptied, as mode "w" would have done; a device or pipe
+    # has no bytes to drop.
+    created = args.output is not None and not os.path.lexists(args.output)
+    try:
+        with _open_output(args.output, "a") as stream:
+            lines = enumeration.checked_lines(query, RENDERERS[args.format], jobs=args.jobs)
+            if args.output is not None and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+                stream.truncate(0)
+            _write_lines(lines, args.format, stream)
+    except BaseException:
+        if created:
+            with suppress(OSError):
+                os.remove(args.output)
+        raise
     return EXIT_OK
 
 

@@ -25,17 +25,18 @@ lack 0, so l(2) is reachable at a node iff bad == 0.  A node looks up only
 the masks its index moves, and writes them into the list only while its
 subtree is walked, restoring them after.  Each rotation of a mask is
 computed once per process and memoised (`_l2_rotations`); the chi = 2
-census needs a few hundred.  `_scan` tests a leaf before building it, so
-a leaf that the filter drops costs no runs tuple and no call.
+census needs a few hundred, and the witness rebuild reads the same memos.
 
 The walk also carries each node's Cartier index (the running lcm of its
-indices), passes every node, the empty multiset at its root included,
-through one filter test in `_finish_node`, and visits nodes in
-lexicographic order of the expanded index sequence, so a stable sort on
-the scaled c1.c2 alone gives the canonical order.  The walk splits into
-tasks, one per smallest run (`_tasks`), whose chunks joined in task order
-are in that lexicographic order; `_map_tasks` runs them in order or in a
-pool, and `_canonical_order` is the one stable sort.
+indices), tests every node, the empty multiset at its root included,
+against the filter exactly once, before its runs tuple is built and its
+witness rebuilt (`_finish_node`), so a leaf the filter drops costs no
+tuple and no call.  It visits nodes in lexicographic order of the expanded
+index sequence, so a stable sort on the scaled c1.c2 alone gives the
+canonical order.  The walk splits into tasks, one per smallest run
+(`_tasks`), whose chunks joined in task order are in that lexicographic
+order; `_map_tasks` runs them in order or in a pool, and
+`_canonical_order` is the one stable sort.
 
 `check_record` owns the record rules.  It re-checks c1.c2 and the Cartier
 index in integers scaled by the lcm re-derived from the runs, and checks
@@ -46,10 +47,16 @@ tasks' raw items.  `chern3 enumerate` uses `checked_lines` instead: each
 task puts its items through the same check and renders them as text, with
 no record, no `Fraction` and no float (md's approximate column aside), so
 a pool's workers do all the per-row work and send back text.  The walk
-and the record build leave no reference cycle and run with the cyclic
-garbage collector paused (`collector_paused`); `cli.main` pauses it
-around a whole command, whose records or rows are freed before
-collection resumes.
+makes every node by adding one run to its parent or bumping the parent's
+last run, so a row's runs are a head plus one last run, and the chi = 2
+census's 216,683 rows have 28,738 distinct heads, counted per task.
+`check_record` derives a head's state (lcm, scaled weight, last index,
+runs text) from scratch and then takes one step for the last run; a task's
+rows share one memo of head states, which lives for that task's
+`_checked_rows` call, so a row costs one run's work.  The walk and the
+record build leave no reference cycle and run with the cyclic garbage
+collector paused (`collector_paused`); `cli.main` pauses it around a whole
+command, whose records or rows are freed before collection resumes.
 """
 
 from __future__ import annotations
@@ -182,17 +189,12 @@ class ChernRecord:
         )
 
 
-def check_record(
-    groups: _Groups, chi0: int, num: int, den: int, lcm: int, witness: Optional[Basket]
-) -> None:
-    """Raise ValueError unless these are the fields of a consistent record.
+def _runs_state(groups: _Groups) -> tuple[int, int, int, str]:
+    """(lcm, weight * lcm, last index, text) of canonical index runs, from scratch.
 
-    The one owner of the record rules, which `ChernRecord` and
-    `checked_lines` both apply: the runs are canonical index runs, c1.c2 =
-    num/den (den > 0) is 24*chi0 minus their weight and not negative, lcm
-    is their Cartier index, and a witness projects onto the runs and has
-    integral l(m) at every m.  c1.c2 is checked in integers scaled by the
-    re-derived lcm, which every weight term r - 1/r has as a denominator.
+    Raises ValueError, as `IndexMultiset` does, for runs that are not
+    canonical index runs.  The empty multiset's last index is 1, below
+    every index; its text is the empty-set sign.
     """
     if IndexMultiset.canonical_runs(groups) is not groups:
         raise ValueError(f"index runs {groups} are not ascending tuples")
@@ -200,26 +202,68 @@ def check_record(
     weight = 0  # the weight sum(r - 1/r) times derived
     for r, k in groups:
         weight += k * (r * r - 1) * (derived // r)
+    if not groups:
+        return derived, weight, 1, format_index_multiset(IndexMultiset())
+    return derived, weight, groups[-1][0], ",".join(map(_run_text, groups))
+
+
+def check_record(
+    groups: _Groups, chi0: int, num: int, den: int, lcm: int, witness: Optional[Basket],
+    heads: Optional[dict] = None,
+) -> str:
+    """Raise ValueError unless these are the fields of a consistent record; else the runs' text.
+
+    The one owner of the record rules, which `ChernRecord` and
+    `checked_lines` both apply: the runs are canonical index runs, c1.c2 =
+    num/den (den > 0) is 24*chi0 minus their weight and not negative, lcm
+    is their Cartier index, and a witness projects onto the runs and has
+    integral l(m) at every m.  c1.c2 is checked in integers scaled by the
+    re-derived lcm, which every weight term r - 1/r has as a denominator.
+    The text is the runs as `format_index_multiset` prints them.
+
+    The runs are split into a head, all runs but the last, and the last run
+    (r, k).  The head's state (`_runs_state`) is derived from scratch, or
+    read from heads, a `_Memo` of `_runs_state` that `_checked_rows` keeps
+    for one task's rows; then one step adds the last run: the runs are
+    canonical iff the head is and r is above its last index with k >= 1,
+    lcm = lcm(head lcm, r), and the weight is the head's rescaled plus
+    k(r^2 - 1)/r.  Every rule still re-derives from the runs alone.  The
+    empty multiset, and runs the step cannot take, are derived whole from
+    scratch, which raises `IndexMultiset`'s error for bad runs.
+    """
+    try:
+        head, (r, k) = groups[:-1], groups[-1]
+        head_lcm, head_weight, head_last, head_text = (
+            _runs_state(head) if heads is None else heads[head]
+        )
+        stepped = (
+            type(groups) is tuple and type(groups[-1]) is tuple and head_last < r and not k < 1
+        )
+    except (IndexError, TypeError, ValueError):  # empty, an unhashable head, or bad runs
+        stepped = False
+    if stepped:
+        derived = math.lcm(head_lcm, r)
+        weight = head_weight * (derived // head_lcm) + k * (r * r - 1) * (derived // r)
+        text = f"{head_text},{_run_text(groups[-1])}" if head else _run_text(groups[-1])
+    else:
+        derived, weight, _, text = _runs_state(groups)
     scaled = 24 * chi0 * derived - weight  # c1c2 * derived, by 24*chi0 = c1c2 + weight
     if num * derived != scaled * den:
         raise ValueError(
-            f"c1c2 mismatch for {_runs_text(groups)}: "
+            f"c1c2 mismatch for {text}: "
             f"stated {Fraction(num, den)}, derived {Fraction(scaled, derived)}"
         )
     if scaled < 0:
-        raise ValueError(f"{_runs_text(groups)} has negative c1c2 {Fraction(num, den)}")
+        raise ValueError(f"{text} has negative c1c2 {Fraction(num, den)}")
     if lcm != derived:
-        raise ValueError(f"Cartier index mismatch for {_runs_text(groups)}")
+        raise ValueError(f"Cartier index mismatch for {text}")
     if witness is not None:
         if witness.index_multiset().groups != groups:
             raise ValueError("witness does not project onto the index multiset")
         m = first_fractional_l(witness)
         if m is not None:
             raise ValueError(f"witness has non-integral l({m}) = {l_value(witness, m)}")
-
-
-def _runs_text(groups: _Groups) -> str:
-    return format_index_multiset(IndexMultiset(groups))
+    return text
 
 
 @lru_cache(maxsize=None)
@@ -347,20 +391,19 @@ def _frame(max_weight: Fraction) -> tuple[int, int, int, tuple[int, ...], tuple]
 
 
 def _finish_node(
-    out: list, groups: _Groups, rem: int, lcm: int, l2_reachable: bool, scale: int,
-    flt: RecordFilter,
+    out: list, groups: _Groups, rem: int, lcm: int, l2_reachable: bool, rmax: int
 ) -> None:
     """Append the item (groups, rem, lcm, witness) for one walked node to out.
 
-    rem is c1c2 in units of 1/scale, lcm the Cartier index and witness the
-    integral basket or None.  The filter is tested first, so nodes it
-    rejects are dropped before the witness rebuild.
+    rem is c1c2 in units of the walk's scale, lcm the Cartier index and
+    witness the integral basket or None.  The caller has tested the node
+    against the filter, once, so a node it rejects never gets here.  The
+    witness is rebuilt over the walk's rmax, so it reads the walk's
+    rotation memos.
     """
-    if not flt.accepts(rem, scale, l2_reachable):
-        return
     witness = None
     if l2_reachable:
-        _, witness = exists_integral_basket(IndexMultiset(groups))
+        _, witness = exists_integral_basket(IndexMultiset(groups), rmax=rmax)
         if witness is None:
             raise RuntimeError("walk and exists_integral_basket disagree; this is a bug")
     out.append((groups, rem, lcm, witness))
@@ -388,13 +431,15 @@ def _scan(ctx, rmin: int, rem: int, prefix: _Groups, lcm: int, bad: int) -> None
             mask = masks[slot]
             node_bad += (mask & 1) - (rotation[mask] & 1)
         leaf = node_rem < w  # its extensions start at r
-        if leaf and not flt.accepts(node_rem, scale, node_bad == 0):
+        keep = flt.accepts(node_rem, scale, node_bad == 0)
+        if leaf and not keep:
             continue  # dropped before its runs are built
         if prefix[-1][0] == r:
             node, node_lcm = prefix[:-1] + ((r, prefix[-1][1] + 1),), lcm
         else:
             node, node_lcm = prefix + ((r, 1),), math.lcm(lcm, r)
-        _finish_node(out, node, node_rem, node_lcm, node_bad == 0, scale, flt)
+        if keep:
+            _finish_node(out, node, node_rem, node_lcm, node_bad == 0, rmax)
         if not leaf:
             saved = [masks[slot] for slot, _ in moved]
             for slot, rotation in moved:
@@ -425,9 +470,10 @@ def _run_task(args) -> list:
             mask = masks[slot]
             masks[slot] = rotation[mask]
             bad += (mask & 1) - (masks[slot] & 1)
-        if rem < weights[r0]:  # k0 is the largest that fits
-            root_rem = budget - k * weights[r0]
-            _finish_node(out, ((r0, k),), root_rem, r0, bad == 0, scale, flt)
+        root_rem = budget - k * weights[r0]
+        # only the task whose k0 is the largest that fits emits the roots
+        if rem < weights[r0] and flt.accepts(root_rem, scale, bad == 0):
+            _finish_node(out, ((r0, k),), root_rem, r0, bad == 0, rmax)
     ctx = (out, masks, rmax, weights, rotations, scale, flt)
     _scan(ctx, r0 + 1, rem, ((r0, k0),), r0, bad)
     return out
@@ -480,12 +526,13 @@ def _enumerate_raw(max_weight: Fraction, flt: RecordFilter, jobs: int) -> tuple[
     return [raw[i] for i in order], _frame(max_weight)[1]
 
 
-def _root_items(query: EnumerationQuery, scale: int) -> list:
+def _root_items(query: EnumerationQuery) -> list:
     """The walk's root, the empty multiset, as a raw item if the query emits it."""
+    rmax, scale, *_ = _frame(Fraction(24 * query.chi0))
+    rem = 24 * query.chi0 * scale  # weight 0, Cartier index 1, and l(2) = 0 reachable
     root: list = []
-    if query.include_empty:
-        # weight 0, Cartier index 1, and l(2) = 0 reachable
-        _finish_node(root, (), 24 * query.chi0 * scale, 1, True, scale, query.filter)
+    if query.include_empty and query.filter.accepts(rem, scale, True):
+        _finish_node(root, (), rem, 1, True, rmax)
     return root
 
 
@@ -516,7 +563,7 @@ def enumerate_index_multisets(
     """
     with collector_paused():
         raw, scale = _enumerate_raw(Fraction(24 * query.chi0), query.filter, jobs)
-        raw[:0] = _root_items(query, scale)
+        raw[:0] = _root_items(query)
         # each raw item is replaced by its record in place, so the raw items
         # are freed while the records are built
         for i, (groups, rem, lcm, witness) in enumerate(raw):
@@ -546,13 +593,14 @@ def _checked_rows(items: list, chi0: int, scale: int) -> Iterator[tuple]:
     fields are the multiset, Cartier index, c1.c2, "true"/"false" for an
     integral basket and the witness ("" when there is none), as `chern3
     enumerate` prints them, and c1.c2 = num/den unreduced.  The arithmetic
-    stays in integers; the text of each run is made once per process.
+    stays in integers; the text of each run is made once per process, and
+    the state of each head once per call: the memo lives and dies here, so
+    no task shares or pickles it.
     """
-    empty = format_index_multiset(IndexMultiset())
+    heads = _Memo(_runs_state)
     for groups, rem, lcm, witness in items:
-        check_record(groups, chi0, rem, scale, lcm, witness)
         fields = (
-            ",".join(map(_run_text, groups)) if groups else empty,
+            check_record(groups, chi0, rem, scale, lcm, witness, heads),
             str(lcm),
             fraction_text(rem, scale),
             "false" if witness is None else "true",
@@ -593,7 +641,7 @@ def checked_lines(query: EnumerationQuery, render, jobs: int = 1) -> list[str]:
     with collector_paused():
         tasks = [(task, chi0, render) for task in _tasks(max_weight, query.filter)]
         # the root has the largest rem, so it sorts first
-        chunks = [_checked_text(_root_items(query, scale), chi0, scale, render)]
+        chunks = [_checked_text(_root_items(query), chi0, scale, render)]
         chunks += _map_tasks(_render_task, tasks, jobs)
         rems = [rem for chunk_rems, _ in chunks for rem in chunk_rems]
         lines = [line for _, text in chunks for line in text.split("\n")[:-1]]
@@ -613,7 +661,9 @@ def feasible_index_multisets(max_weight: Fraction) -> list[IndexMultiset]:
     return [IndexMultiset(groups) for groups, *_ in raw]
 
 
-def exists_integral_basket(indices: IndexMultiset) -> tuple[bool, Optional[Basket]]:
+def exists_integral_basket(
+    indices: IndexMultiset, rmax: Optional[int] = None
+) -> tuple[bool, Optional[Basket]]:
     """Does some b-assignment over the multiset make every l(m) integral?
 
     For a point (b, r) and t = jb mod r, t(r - t) = jbr - j^2 b^2 (mod 2r).
@@ -629,9 +679,19 @@ def exists_integral_basket(indices: IndexMultiset) -> tuple[bool, Optional[Baske
     is integral exactly when every p-component is.  Suffix masks guide a
     greedy reconstruction that tries each run's b-combinations in
     lexicographic order.
+
+    rmax, by default the largest index, bounds the primes the masks cover.
+    Any rmax at least the largest index gives the same answer and witness:
+    no index moves a prime above it, and a higher power of a prime only
+    rescales that prime's mask.  The walk passes its own rmax, so the
+    witness rebuild reads the walk's rotation memos.
     """
     groups = indices.groups
-    rmax = groups[-1][0] if groups else 1
+    largest = groups[-1][0] if groups else 1
+    if rmax is None:
+        rmax = largest
+    elif rmax < largest:
+        raise ValueError(f"rmax {rmax} is below the largest index {largest}")
 
     # suffix[i] = per-prime masks reachable using groups i..end
     suffix = [[1] * len(_prime_moduli(rmax))]

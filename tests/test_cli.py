@@ -274,6 +274,39 @@ class TestRowPath:
         assert run_cli("enumerate", "--chi", "1", "--format", fmt, "--jobs", "2") == serial
 
 
+CSV_QUERIES = [
+    EnumerationQuery(chi0=chi0, filter=flt, include_empty=True)
+    for chi0 in (0, 1)
+    for flt in (
+        RecordFilter("all"),
+        C1C2_ZERO,
+        INTEGRAL_L2,
+        c1c2_in_range(Fraction(0), Fraction(1, 2)),
+        c1c2_in_range(Fraction(23), Fraction(24)),
+        c1c2_in_range(Fraction(24), Fraction(48)),
+    )
+] + [EnumerationQuery(chi0=2, filter=INTEGRAL_L2)]
+
+
+@pytest.mark.parametrize(
+    "query",
+    CSV_QUERIES,
+    ids=lambda q: f"chi{q.chi0}-{q.filter.kind}"
+    + ("" if q.filter.lo is None else f"-{q.filter.lo}-{q.filter.hi}"),
+)
+def test_csv_lines_match_csv_writer(query):
+    # every row the walk checks, the empty multiset included; the χ = 2
+    # l2-integral rows have witnesses with commas
+    raw, scale = enumeration._enumerate_raw(Fraction(24 * query.chi0), query.filter, jobs=1)
+    items = enumeration._root_items(query) + raw
+    rows = list(enumeration._checked_rows(items, query.chi0, scale))
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(fields for fields, _, _ in rows)
+    assert cli._render_csv(iter(rows)) == expected.getvalue()
+    if query.chi0 == 2:
+        assert ',"(' in expected.getvalue()  # a quoted witness
+
+
 class TestWorkerMutants:
     """A bad raw item made inside a pool worker exits 2 and keeps an earlier --output."""
 
@@ -407,6 +440,20 @@ class TestOutputOpenOrder:
         assert out == ""
         assert err.startswith("error: ")
         assert path.read_text(encoding="utf-8") == "earlier output\n"
+
+    def test_failed_walk_leaves_no_new_output(self, tmp_path, monkeypatch):
+        def walk(*args, **kwargs):
+            raise ValueError("the walk failed")
+
+        monkeypatch.setattr(enumeration, "_map_tasks", walk)
+        path = tmp_path / "new.csv"
+        code, out, err = run_cli("enumerate", "--chi", "1", "--output", str(path))
+        assert (code, out, err) == (2, "", "error: the walk failed\n")
+        assert not path.exists()
+        # a file that was there before keeps its bytes
+        path.write_bytes(b"earlier output\n")
+        assert run_cli("enumerate", "--chi", "1", "--output", str(path))[0] == 2
+        assert path.read_bytes() == b"earlier output\n"
 
     def test_output_replaces_a_longer_earlier_file(self, tmp_path):
         # --output is opened for appending and truncated after the walk

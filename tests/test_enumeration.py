@@ -2,6 +2,7 @@
 
 import gc
 import multiprocessing
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product, zip_longest
@@ -20,6 +21,7 @@ from chern3 import (
     EnumerationQuery,
     IndexMultiset,
     NoPositiveValueError,
+    RecordFilter,
     c1c2_from_indices,
     c1c2_in_range,
     cartier_index,
@@ -28,6 +30,7 @@ from chern3 import (
     enumerate_index_multisets,
     exists_integral_basket,
     feasible_index_multisets,
+    format_index_multiset,
     l_value,
     min_positive_c1c2,
     parse_basket,
@@ -36,6 +39,7 @@ from chern3 import (
 )
 from chern3 import cli, enumeration, tables
 from chern3.enumeration import _enumerate_raw, checked_lines, fraction_text, max_index
+from chern3.riemann_roch import first_fractional_l
 
 
 def weight(indices_tuple):
@@ -339,9 +343,9 @@ class TestCollectorPause:
         seen = []
         real = enumeration.exists_integral_basket
 
-        def recording(indices):
+        def recording(indices, rmax=None):
             seen.append(gc.isenabled())
-            return real(indices)
+            return real(indices, rmax)
 
         monkeypatch.setattr(enumeration, "exists_integral_basket", recording)
         gc.enable()
@@ -350,7 +354,9 @@ class TestCollectorPause:
         assert gc.isenabled()
 
     def test_restored_after_an_error(self, monkeypatch, restore_gc):
-        monkeypatch.setattr(enumeration, "exists_integral_basket", lambda indices: (False, None))
+        monkeypatch.setattr(
+            enumeration, "exists_integral_basket", lambda indices, rmax=None: (False, None)
+        )
         gc.enable()
         with pytest.raises(RuntimeError):
             enumerate_index_multisets(EnumerationQuery(chi0=1, filter=INTEGRAL_L2))
@@ -409,7 +415,9 @@ class TestEnumerate:
             assert records == without
 
     def test_walk_and_witness_rebuild_must_agree(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "exists_integral_basket", lambda indices: (False, None))
+        monkeypatch.setattr(
+            enumeration, "exists_integral_basket", lambda indices, rmax=None: (False, None)
+        )
         with pytest.raises(RuntimeError):
             enumerate_index_multisets(EnumerationQuery(chi0=1, filter=INTEGRAL_L2))
 
@@ -517,9 +525,9 @@ class TestEnumerate:
         decided = []
         real = enumeration.exists_integral_basket
 
-        def recording(indices):
+        def recording(indices, rmax=None):
             decided.append(indices)
-            return real(indices)
+            return real(indices, rmax)
 
         monkeypatch.setattr(enumeration, "exists_integral_basket", recording)
         records = enumerate_index_multisets(EnumerationQuery(chi0=1, filter=C1C2_ZERO))
@@ -532,8 +540,8 @@ class TestEnumerate:
         outcomes = []
         real = enumeration.exists_integral_basket
 
-        def recording(indices):
-            ok, witness = real(indices)
+        def recording(indices, rmax=None):
+            ok, witness = real(indices, rmax)
             outcomes.append(ok)
             return ok, witness
 
@@ -560,6 +568,61 @@ class TestEnumerate:
         raw, _ = _enumerate_raw(Fraction(24 * chi0), ALL, jobs=1)
         for groups, *_ in raw:
             assert IndexMultiset(groups).groups is groups
+
+
+class TestFilterOncePerNode:
+    @pytest.mark.parametrize("include_empty", [False, True], ids=["", "include-empty"])
+    @pytest.mark.parametrize(
+        "flt",
+        EVERY_FILTER_KIND,
+        ids=lambda f: f.kind if f.lo is None else f"{f.kind}-{f.lo}-{f.hi}",
+    )
+    def test_every_node_meets_the_filter_once(self, monkeypatch, flt, include_empty):
+        # the χ = 1 walk has 2,151 nodes below its root, the empty multiset
+        calls = []
+        real = RecordFilter.accepts
+
+        def counting(self, num, den, has_int):
+            calls.append(num)
+            return real(self, num, den, has_int)
+
+        monkeypatch.setattr(RecordFilter, "accepts", counting)
+        query = EnumerationQuery(chi0=1, filter=flt, include_empty=include_empty)
+        enumerate_index_multisets(query)
+        assert len(calls) == 2151 + include_empty
+
+
+class TestWitnessOverTheWalksRmax:
+    @pytest.mark.parametrize(
+        "chi0, flt, count",
+        [(1, ALL, 2151), (2, INTEGRAL_L2, 1399)],
+        ids=["chi1-all", "chi2-l2-integral"],
+    )
+    def test_same_witness_at_either_rmax(self, chi0, flt, count):
+        # every χ = 1 node and every l2-reachable χ = 2 node, whose witnesses
+        # the walk rebuilt over its own rmax
+        rmax = max_index(Fraction(24 * chi0))
+        raw, _ = _enumerate_raw(Fraction(24 * chi0), flt, jobs=1)
+        assert len(raw) == count
+        for groups, _, _, witness in raw:
+            indices = IndexMultiset(groups)
+            found = (witness is not None, witness)
+            assert exists_integral_basket(indices) == found, groups
+            assert exists_integral_basket(indices, rmax=rmax) == found, groups
+        assert exists_integral_basket(IndexMultiset(), rmax=rmax) == (True, Basket())
+
+    def test_witness_rebuild_reads_the_walks_rotation_memos(self):
+        enumeration._frame.cache_clear()
+        enumeration._l2_rotations.cache_clear()
+        chunks = [enumeration._run_task(task)
+                  for task in enumeration._tasks(Fraction(48), INTEGRAL_L2)]
+        assert sum(map(len, chunks)) == 1399
+        # the walk's own step for each index 2..48 at rmax 48, and no other
+        assert enumeration._l2_rotations.cache_info().currsize == 47
+
+    def test_rmax_below_the_largest_index_is_rejected(self):
+        with pytest.raises(ValueError, match="rmax 6 is below the largest index 7"):
+            exists_integral_basket(parse_index_multiset("2,7"), rmax=6)
 
 
 class TestQueryValidation:
@@ -671,10 +734,14 @@ class TestCheckedRowMutants:
         return next(item for item in raw if item[0] == groups), scale
 
     @staticmethod
-    def rows(monkeypatch, item):
-        """The rows that reach the renderer when the χ = 1 walk's one task yields item."""
+    def rows(monkeypatch, item, warm=()):
+        """The rows that reach the renderer when the χ = 1 walk's one task yields item.
+
+        The task yields the items warm first, so item is checked with their
+        heads in the task's memo.
+        """
         monkeypatch.setattr(enumeration, "_tasks", lambda *args: [(Fraction(24), ALL, 2, 1)])
-        monkeypatch.setattr(enumeration, "_run_task", lambda task: [item])
+        monkeypatch.setattr(enumeration, "_run_task", lambda task: [*warm, item])
         rendered = []
 
         def render(rows):
@@ -682,7 +749,7 @@ class TestCheckedRowMutants:
             rendered.extend(rows)
             return "row\n" * len(rows)
 
-        assert checked_lines(EnumerationQuery(chi0=1), render) == ["row"]
+        assert checked_lines(EnumerationQuery(chi0=1), render) == ["row"] * (len(warm) + 1)
         return rendered
 
     def test_walked_items_pass(self, monkeypatch):
@@ -705,14 +772,31 @@ class TestCheckedRowMutants:
              "does not project"),
             ("2", lambda g, rem, lcm, w: (g, rem, lcm, parse_basket("(1,2)")),
              "non-integral l"),
+            # each mutation of a run, in the last run as well as in the head
+            ("2^3,4,7,9", lambda g, rem, lcm, w: (g[:-2] + g[-1:] + g[-2:-1], rem, lcm, w),
+             "not ascending"),
+            ("2^3,4,7,9", lambda g, rem, lcm, w: (((2, 0),) + g[1:], rem, lcm, w),
+             "multiplicity must be >= 1, got 0"),
+            ("2^16", lambda g, rem, lcm, w: (g + ((1, 1),), rem, lcm, w),
+             "local index must be >= 2, got 1"),
+            ("2^3,4,7,9", lambda g, rem, lcm, w: ((list(g[0]),) + g[1:], rem, lcm, w),
+             "not ascending"),
+            ("2^3,4,7,9", lambda g, rem, lcm, w: (g[:-1] + (list(g[-1]),), rem, lcm, w),
+             "not ascending"),
+            ("2^16", lambda g, rem, lcm, w: (((1, 1),), rem, lcm, w),
+             "local index must be >= 2, got 1"),
         ],
         ids=["rem", "lcm", "run-order", "multiplicity-0", "index-1", "other-witness",
-             "fractional-l"],
+             "fractional-l", "run-order-last", "multiplicity-0-head", "index-1-last",
+             "list-run-head", "list-run-last", "sole-index-1"],
     )
     def test_bad_item_raises(self, monkeypatch, text, mutate, message):
+        # with an empty memo, and after every χ = 1 row, the item's own included
         item, _ = self.walked(text)
-        with pytest.raises(ValueError, match=message):
-            self.rows(monkeypatch, mutate(*item))
+        raw, _ = _enumerate_raw(Fraction(24), ALL, jobs=1)
+        for warm in ((), raw):
+            with pytest.raises(ValueError, match=message):
+                self.rows(monkeypatch, mutate(*item), warm)
 
     def test_negative_c1c2_raises(self, monkeypatch):
         # 2^16,3 weighs more than 24: consistent, but c1c2 < 0
@@ -722,6 +806,118 @@ class TestCheckedRowMutants:
         assert rem < 0 and rem.denominator == 1
         with pytest.raises(ValueError, match="negative c1c2"):
             self.rows(monkeypatch, (groups, int(rem), 6, None))
+
+
+def reference_check(groups, chi0, num, den, r_x, witness):
+    """The record rules in one from-scratch pass over every run; returns the runs' text."""
+    if IndexMultiset.canonical_runs(groups) is not groups:
+        raise ValueError(f"index runs {groups} are not ascending tuples")
+    derived = lcm(*[r for r, _ in groups])
+    scaled = 24 * chi0 * derived - sum(k * (r * r - 1) * (derived // r) for r, k in groups)
+    text = format_index_multiset(IndexMultiset(groups))
+    if num * derived != scaled * den:
+        raise ValueError(
+            f"c1c2 mismatch for {text}: "
+            f"stated {Fraction(num, den)}, derived {Fraction(scaled, derived)}"
+        )
+    if scaled < 0:
+        raise ValueError(f"{text} has negative c1c2 {Fraction(num, den)}")
+    if r_x != derived:
+        raise ValueError(f"Cartier index mismatch for {text}")
+    if witness is not None:
+        if witness.index_multiset().groups != groups:
+            raise ValueError("witness does not project onto the index multiset")
+        m = first_fractional_l(witness)
+        if m is not None:
+            raise ValueError(f"witness has non-integral l({m}) = {l_value(witness, m)}")
+    return text
+
+
+def outcome(check, *args):
+    """What check(*args) returns, or the type and message of what it raises."""
+    try:
+        return "ok", check(*args)
+    except Exception as exc:  # noqa: BLE001  (the exception is the outcome)
+        return type(exc), str(exc)
+
+
+CENSUS_SCALE = lcm(*range(1, 49))  # the χ = 2 walk's scale
+# canonical index runs: up to 8 distinct indices in 2..48, multiplicities 1..6
+runs_strategy = st.lists(st.integers(2, 48), max_size=8, unique=True).flatmap(
+    lambda indices: st.tuples(*(st.tuples(st.just(r), st.integers(1, 6)) for r in sorted(indices)))
+)
+
+
+def consistent_item(groups, chi0):
+    """The raw item (groups, rem, lcm, None) a walk at the census's scale would make."""
+    indices = IndexMultiset(groups)
+    rem = (24 * chi0 - indices.weight) * CENSUS_SCALE
+    return groups, int(rem), cartier_index(indices), None
+
+
+MUTATIONS = [
+    "none", "rem+1", "rem-1", "lcm*2", "swap", "repeat", "k=0", "index-1", "list", "sole-1"
+]
+
+
+class TestPrefixMemoOracle:
+    """`check_record` through a warm head memo agrees with it memo-less and with one full pass."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        chi0=st.sampled_from([0, 1, 2]),
+        groups=runs_strategy,
+        warm=st.lists(runs_strategy, max_size=6),
+        mutation=st.sampled_from(MUTATIONS),
+        position=st.integers(0, 7),
+        with_witness=st.booleans(),
+    )
+    def test_memo_matches_memo_less_and_full_pass(
+        self, chi0, groups, warm, mutation, position, with_witness
+    ):
+        original = groups
+        groups, rem, r_x, witness = consistent_item(groups, chi0)
+        if with_witness and groups and r_x <= 5000:  # a witness scans one period of l
+            ok, witness = exists_integral_basket(IndexMultiset(groups))
+            if not ok:  # b = 1 for every point: some l(m) is fractional
+                witness = Basket.from_points(
+                    BasketPoint(1, r) for r in IndexMultiset(groups).indices()
+                )
+        j = position % len(groups) if groups else 0
+        r, k = groups[j] if groups else (2, 1)
+        if mutation == "rem+1":
+            rem += 1
+        elif mutation == "rem-1":
+            rem -= 1
+        elif mutation == "lcm*2":
+            r_x *= 2
+        elif mutation == "swap" and len(groups) > 1:
+            j = min(j, len(groups) - 2)
+            groups = groups[:j] + (groups[j + 1], groups[j]) + groups[j + 2:]
+        elif mutation == "repeat" and len(groups) > 1:  # run j takes the index before it
+            j = max(j, 1)
+            groups = groups[:j] + ((groups[j - 1][0], groups[j][1]),) + groups[j + 1:]
+        elif mutation == "k=0" and groups:
+            groups = groups[:j] + ((r, 0),) + groups[j + 1:]
+        elif mutation == "index-1" and groups:
+            groups = groups[:j] + ((1, k),) + groups[j + 1:]
+        elif mutation == "list" and groups:
+            groups = groups[:j] + ([r, k],) + groups[j + 1:]
+        elif mutation == "sole-1":
+            groups = ((1, k),)
+
+        # the memo holds the heads of other rows and of the item before it was mutated
+        heads = enumeration._Memo(enumeration._runs_state)
+        for other in [*warm, original]:
+            other, other_rem, other_lcm, _ = consistent_item(other, chi0)
+            with suppress(ValueError):  # a heavy multiset has c1c2 < 0
+                enumeration.check_record(
+                    other, chi0, other_rem, CENSUS_SCALE, other_lcm, None, heads
+                )
+        args = (groups, chi0, rem, CENSUS_SCALE, r_x, witness)
+        expected = outcome(reference_check, *args)
+        assert outcome(enumeration.check_record, *args) == expected
+        assert outcome(enumeration.check_record, *args, heads) == expected
 
 
 @settings(max_examples=500, deadline=None)
