@@ -125,17 +125,16 @@ def _render_csv(rows) -> str:
 
 
 def _render_jsonl(rows) -> str:
+    """Each row as `json.dumps` writes its dict with separators (",", ":").
+
+    Only the multiset and the witness go through `json.dumps`, which writes
+    the empty-set sign as an ASCII escape; the other fields are digits, "/",
+    "true" or "false", which need no escape.
+    """
     return "".join(
-        json.dumps(
-            {
-                "indices": indices,
-                "cartier_index": int(r_x),
-                "c1c2": c1c2,
-                "has_integral_basket": integral == "true",
-                "witness": witness or None,
-            },
-            separators=(",", ":"),
-        ) + "\n"
+        f'{{"indices":{json.dumps(indices)},"cartier_index":{r_x},"c1c2":"{c1c2}",'
+        f'"has_integral_basket":{integral},'
+        f'"witness":{json.dumps(witness) if witness else "null"}}}\n'
         for (indices, r_x, c1c2, integral, witness), _, _ in rows
     )
 

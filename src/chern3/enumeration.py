@@ -27,8 +27,25 @@ subtree is walked, restoring them after.  Each rotation of a mask is
 computed once per process and memoised (`_l2_rotations`); the chi = 2
 census needs a few hundred, and the witness rebuild reads the same memos.
 
+The l2-integral walk skips subtrees that keep no row, with two exact cuts,
+so its rows and their order are those of the full walk.  A node's subtree
+is its extensions by indices >= its own, within its remaining budget.
+Cut 1 (`_needs`) holds, per slot, next index r and mask lacking 0, the
+least weight of indices >= r that brings 0 into that mask; a node with a
+bad slot that needs more than its remaining budget keeps nothing below
+it, since an extension's indices that move the slot weigh no more than the
+extension.  Cut 2 (`_barren`) maps (next index, masks) to the largest
+remaining budget at which such a subtree was walked and kept nothing.
+Whether the filter keeps a node depends on its masks alone, and a smaller
+budget walks a subset of the same extensions, so a later subtree with
+that key and no larger budget is skipped.  Both are built per budget and
+per process, and neither depends on which tasks ran before, so a task's
+chunk does not either.  The c1c2-range walk ends a run of siblings at the
+first whose rem is below lo: weights grow with the index, and a subtree
+only loses budget.  The all and c1c2-zero walks consult no cut.
+
 The walk also carries each node's Cartier index (the running lcm of its
-indices), tests every node, the empty multiset at its root included,
+indices), tests every walked node, the empty multiset at its root included,
 against the filter exactly once, before its runs tuple is built and its
 witness rebuilt (`_finish_node`), so a leaf the filter drops costs no
 tuple and no call.  It visits nodes in lexicographic order of the expanded
@@ -390,6 +407,59 @@ def _frame(max_weight: Fraction) -> tuple[int, int, int, tuple[int, ...], tuple]
     return rmax, scale, budget, tuple(weights), tuple(rotations)
 
 
+@lru_cache(maxsize=None)
+def _needs(max_weight: Fraction) -> tuple[tuple[dict, ...], ...]:
+    """The l2-integral walk's need table for a budget: needs[r][slot][mask].
+
+    For r <= rmax + 1 and a slot's mask lacking 0, it is the least weight of
+    indices >= r that brings 0 into that mask (in `_frame`'s units), or
+    budget + 1 when none within the budget does.  The masks are those the
+    slot reaches from {0} within the budget.  Rotations commute, so a
+    cheapest multiset can take its copies of the slot's smallest mover
+    first; need at that mover's position is the least over t copies of it
+    plus the need, at the next position, of the mask they make.  A path
+    that fits the budget left after its mask only passes masks reached
+    within the budget, so the least weight is exact wherever it fits.
+    The table for r is the one of the first mover >= r, so indices share
+    one dict per slot and mover position.
+    """
+    rmax, _, budget, weights, rotations = _frame(max_weight)
+    never = budget + 1
+    movers: list[list] = [[] for _ in _prime_moduli(rmax)]
+    for r in range(2, rmax + 1):
+        for slot, rotation in rotations[r]:
+            movers[slot].append((r, weights[r], rotation))
+    columns = []
+    for slot_movers in movers:
+        reached = {1: 0}  # mask -> least weight reaching it from {0}
+        for _, w, rotation in slot_movers:
+            for mask, cost in list(reached.items()):
+                while cost + w <= budget:
+                    mask, cost = rotation[mask], cost + w
+                    if reached.get(mask, never) <= cost:
+                        break
+                    reached[mask] = cost
+        need = {mask: never for mask in reached if not mask & 1}
+        column = [need] * (rmax + 2)  # need above the last mover
+        for r, w, rotation in reversed(slot_movers):
+            later, need = need, {}
+            for mask in later:
+                least, moved, spent = later[mask], mask, w
+                while spent < least:
+                    moved = rotation[moved]
+                    if moved & 1:
+                        least = spent
+                    elif moved in later:
+                        least = min(least, spent + later[moved])
+                    else:
+                        break  # beyond the budget from {0}
+                    spent += w
+                need[mask] = least
+            column[: r + 1] = [need] * (r + 1)
+        columns.append(column)
+    return tuple(zip(*columns))
+
+
 def _finish_node(
     out: list, groups: _Groups, rem: int, lcm: int, l2_reachable: bool, rmax: int
 ) -> None:
@@ -409,30 +479,63 @@ def _finish_node(
     out.append((groups, rem, lcm, witness))
 
 
+@lru_cache(maxsize=None)
+def _barren(max_weight: Fraction) -> dict:
+    """The l2-integral walk's memo of barren subtrees for a budget, kept per process.
+
+    It maps (next index, masks) to the largest remaining budget at which
+    the extensions of a node with those masks by indices >= next index were
+    walked and none was kept.
+    """
+    return {}
+
+
+def _cut(masks: list[int], moved: tuple, needs: tuple, barren: dict, r: int, rem: int):
+    """The memo key (r, *masks) of a subtree to walk, or None when a cut skips it.
+
+    The subtree is the extensions by indices >= r, within rem, of the node
+    whose masks are masks after the rotations moved.  Only the l2-integral
+    walk asks.
+    """
+    masks = masks[:]
+    for slot, rotation in moved:
+        masks[slot] = rotation[masks[slot]]
+    for mask, need in zip(masks, needs[r]):
+        if not mask & 1 and need[mask] > rem:
+            return None  # that slot needs more than rem
+    key = (r, *masks)
+    return None if barren.get(key, -1) >= rem else key
+
+
 def _scan(ctx, rmin: int, rem: int, prefix: _Groups, lcm: int, bad: int) -> None:
     """Visit the extensions of prefix by indices >= rmin, in pre-order.
 
     Each node is followed by its extensions repeating its last index, then
     by larger indices.  ctx is (out, masks, rmax, weights, rotations, scale,
-    flt).  masks holds prefix's per-prime l(2) masks and bad counts those
-    that lack 0.  A node looks up only the slots its index moves, and writes
-    them into masks only while its subtree is scanned, so masks is as on
-    entry when this returns.
+    flt, floor, needs, barren).  masks holds prefix's per-prime l(2) masks
+    and bad counts those that lack 0.  A node looks up only the slots its
+    index moves, and writes them into masks only while its subtree is
+    scanned, so masks is as on entry when this returns.  No node with rem
+    below floor is kept.  needs and barren are the l2-integral walk's cuts
+    (`_cut`), and None for every other filter.
     """
-    out, masks, rmax, weights, rotations, scale, flt = ctx
+    out, masks, rmax, weights, rotations, scale, flt, floor, needs, barren = ctx
     for r in range(rmin, rmax + 1):
         w = weights[r]
-        if w > rem:
-            break
         node_rem = rem - w
+        if node_rem < floor:
+            break  # weights grow with r, so no later sibling is kept either
         moved = rotations[r]
         node_bad = bad
         for slot, rotation in moved:
             mask = masks[slot]
             node_bad += (mask & 1) - (rotation[mask] & 1)
-        leaf = node_rem < w  # its extensions start at r
         keep = flt.accepts(node_rem, scale, node_bad == 0)
-        if leaf and not keep:
+        walk = node_rem >= w  # its extensions start at r
+        if walk and needs is not None:
+            key = _cut(masks, moved, needs, barren, r, node_rem)
+            walk = key is not None
+        if not (keep or walk):
             continue  # dropped before its runs are built
         if prefix[-1][0] == r:
             node, node_lcm = prefix[:-1] + ((r, prefix[-1][1] + 1),), lcm
@@ -440,11 +543,14 @@ def _scan(ctx, rmin: int, rem: int, prefix: _Groups, lcm: int, bad: int) -> None
             node, node_lcm = prefix + ((r, 1),), math.lcm(lcm, r)
         if keep:
             _finish_node(out, node, node_rem, node_lcm, node_bad == 0, rmax)
-        if not leaf:
+        if walk:
             saved = [masks[slot] for slot, _ in moved]
             for slot, rotation in moved:
                 masks[slot] = rotation[masks[slot]]
+            kept = len(out)
             _scan(ctx, r, node_rem, node, node_lcm, node_bad)
+            if needs is not None and len(out) == kept:
+                barren[key] = node_rem
             for (slot, _), mask in zip(moved, saved):
                 masks[slot] = mask
 
@@ -458,7 +564,8 @@ def _run_task(args) -> list:
     with r0, and the subtree of r0^(k+1) before that of r0^k.  So the task
     with the largest k0 that fits first emits the roots r0, ..., r0^k0, and
     every task emits the subtree of r0^k0 extended by larger indices.  The
-    task's l(2) masks are its own; only the rotation memos are shared.
+    task's l(2) masks are its own; only the rotation memos, and the
+    l2-integral walk's cuts, are shared.
     """
     max_weight, flt, r0, k0 = args
     rmax, scale, budget, weights, rotations = _frame(max_weight)
@@ -474,8 +581,19 @@ def _run_task(args) -> list:
         # only the task whose k0 is the largest that fits emits the roots
         if rem < weights[r0] and flt.accepts(root_rem, scale, bad == 0):
             _finish_node(out, ((r0, k),), root_rem, r0, bad == 0, rmax)
-    ctx = (out, masks, rmax, weights, rotations, scale, flt)
-    _scan(ctx, r0 + 1, rem, ((r0, k0),), r0, bad)
+    floor = 0
+    if flt.kind == "c1c2-range":  # the least rem at or above lo * scale
+        floor = max(0, -(-flt.lo.numerator * scale // flt.lo.denominator))
+    needs = barren = None
+    if flt.kind == "l2-integral":
+        needs, barren = _needs(max_weight), _barren(max_weight)
+    ctx = (out, masks, rmax, weights, rotations, scale, flt, floor, needs, barren)
+    key = None if needs is None else _cut(masks, (), needs, barren, r0 + 1, rem)
+    if needs is None or key is not None:
+        kept = len(out)
+        _scan(ctx, r0 + 1, rem, ((r0, k0),), r0, bad)
+        if needs is not None and len(out) == kept:
+            barren[key] = rem
     return out
 
 

@@ -273,38 +273,77 @@ class TestRowPath:
         monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
         assert run_cli("enumerate", "--chi", "1", "--format", fmt, "--jobs", "2") == serial
 
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_integral_walk_in_fresh_workers(self, monkeypatch, method):
+        # workers that import the package afresh build their own cuts
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        argv = ("enumerate", "--chi", "2", "--filter", "l2-integral")
+        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
+        code, out, err = run_cli(*argv, "--jobs", "2")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "8f783c45b491a90fff32f7748cb5d39d906a1803d0536b248aec6309cbf68ac3"
+        )
 
-CSV_QUERIES = [
-    EnumerationQuery(chi0=chi0, filter=flt, include_empty=True)
-    for chi0 in (0, 1)
-    for flt in (
-        RecordFilter("all"),
-        C1C2_ZERO,
-        INTEGRAL_L2,
-        c1c2_in_range(Fraction(0), Fraction(1, 2)),
-        c1c2_in_range(Fraction(23), Fraction(24)),
-        c1c2_in_range(Fraction(24), Fraction(48)),
-    )
-] + [EnumerationQuery(chi0=2, filter=INTEGRAL_L2)]
 
-
-@pytest.mark.parametrize(
+RENDERED_QUERIES = pytest.mark.parametrize(
     "query",
-    CSV_QUERIES,
+    [
+        EnumerationQuery(chi0=chi0, filter=flt, include_empty=True)
+        for chi0 in (0, 1)
+        for flt in (
+            RecordFilter("all"),
+            C1C2_ZERO,
+            INTEGRAL_L2,
+            c1c2_in_range(Fraction(0), Fraction(1, 2)),
+            c1c2_in_range(Fraction(23), Fraction(24)),
+            c1c2_in_range(Fraction(24), Fraction(48)),
+        )
+    ] + [EnumerationQuery(chi0=2, filter=INTEGRAL_L2)],
     ids=lambda q: f"chi{q.chi0}-{q.filter.kind}"
     + ("" if q.filter.lo is None else f"-{q.filter.lo}-{q.filter.hi}"),
 )
-def test_csv_lines_match_csv_writer(query):
-    # every row the walk checks, the empty multiset included; the χ = 2
-    # l2-integral rows have witnesses with commas
+
+
+def checked_rows(query):
+    """Every row the walk checks for the query, the empty multiset included."""
     raw, scale = enumeration._enumerate_raw(Fraction(24 * query.chi0), query.filter, jobs=1)
     items = enumeration._root_items(query) + raw
-    rows = list(enumeration._checked_rows(items, query.chi0, scale))
+    return list(enumeration._checked_rows(items, query.chi0, scale))
+
+
+@RENDERED_QUERIES
+def test_csv_lines_match_csv_writer(query):
+    # the χ = 2 l2-integral rows have witnesses with commas
+    rows = checked_rows(query)
     expected = io.StringIO()
     csv.writer(expected, lineterminator="\n").writerows(fields for fields, _, _ in rows)
     assert cli._render_csv(iter(rows)) == expected.getvalue()
     if query.chi0 == 2:
         assert ',"(' in expected.getvalue()  # a quoted witness
+
+
+@RENDERED_QUERIES
+def test_jsonl_lines_match_json_dumps(query):
+    # the empty multiset's sign comes out as json.dumps escapes it
+    rows = checked_rows(query)
+    expected = "".join(
+        json.dumps(
+            {
+                "indices": indices,
+                "cartier_index": int(r_x),
+                "c1c2": c1c2,
+                "has_integral_basket": integral == "true",
+                "witness": witness or None,
+            },
+            separators=(",", ":"),
+        ) + "\n"
+        for (indices, r_x, c1c2, integral, witness), _, _ in rows
+    )
+    assert cli._render_jsonl(iter(rows)) == expected
+    if query.include_empty and query.filter.accepts(24 * query.chi0, 1, True):
+        assert '{"indices":"\\u2205",' in expected
 
 
 class TestWorkerMutants:

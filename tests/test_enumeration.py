@@ -2,6 +2,7 @@
 
 import gc
 import multiprocessing
+import sys
 from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
@@ -311,16 +312,24 @@ class TestRotationMemo:
 
 def test_tasks_share_no_walk_state():
     # each task's l(2) masks are its own and restored as its walk returns, and
-    # the shared rotation memos hold no walk state, so a task's chunk does not
-    # depend on which tasks ran before it.  At chi = 2, l2-integral keeps
-    # exactly the nodes whose masks all reach 0.
+    # the shared rotation memos and the l2-integral cuts hold no walk state,
+    # so a task's chunk does not depend on which tasks ran before it.  At
+    # chi = 2, l2-integral keeps exactly the nodes whose masks all reach 0.
     chi2 = enumeration._tasks(Fraction(48), INTEGRAL_L2)
     chi1 = enumeration._tasks(Fraction(24), ALL)
     low = enumeration._tasks(Fraction(37, 3), ALL)
-    enumeration._frame.cache_clear()
-    enumeration._l2_rotations.cache_clear()
+
+    def clear_memos():
+        for memo in (enumeration._frame, enumeration._l2_rotations,
+                     enumeration._needs, enumeration._barren):
+            memo.cache_clear()
+
+    clear_memos()
     fresh = {task: enumeration._run_task(task) for task in chi2 + chi1 + low}
     assert sum(len(fresh[task]) for task in chi2) == 1399
+    for task in reversed(chi2):
+        assert enumeration._run_task(task) == fresh[task], task
+    clear_memos()
     for task in reversed(chi2):
         assert enumeration._run_task(task) == fresh[task], task
     for pair in zip_longest(chi1, low):
@@ -570,7 +579,23 @@ class TestEnumerate:
             assert IndexMultiset(groups).groups is groups
 
 
+def walked_node(frame):
+    """The expanded index sequence of the node whose filter test is in frame."""
+    names = frame.f_locals
+    if frame.f_code.co_name == "_scan":
+        return IndexMultiset(names["prefix"]).indices() + (names["r"],)
+    if frame.f_code.co_name == "_run_task":
+        return (names["r0"],) * names["k"]
+    assert frame.f_code.co_name == "_root_items"
+    return ()
+
+
 class TestFilterOncePerNode:
+    # the χ = 1 walk has 2,151 nodes below its root, the empty multiset; the
+    # l2-integral and c1c2-range walks skip nodes that keep no row, so their
+    # counts are pinned at --jobs 1 with the barren-subtree memo cleared
+    WALKED = dict(zip(EVERY_FILTER_KIND, [2151, 2151, 1059, 2151, 66, 66]))
+
     @pytest.mark.parametrize("include_empty", [False, True], ids=["", "include-empty"])
     @pytest.mark.parametrize(
         "flt",
@@ -578,18 +603,155 @@ class TestFilterOncePerNode:
         ids=lambda f: f.kind if f.lo is None else f"{f.kind}-{f.lo}-{f.hi}",
     )
     def test_every_node_meets_the_filter_once(self, monkeypatch, flt, include_empty):
-        # the χ = 1 walk has 2,151 nodes below its root, the empty multiset
-        calls = []
+        nodes = []
         real = RecordFilter.accepts
 
-        def counting(self, num, den, has_int):
-            calls.append(num)
+        def recording(self, num, den, has_int):
+            nodes.append(walked_node(sys._getframe(1)))
             return real(self, num, den, has_int)
 
-        monkeypatch.setattr(RecordFilter, "accepts", counting)
+        enumeration._barren.cache_clear()
+        monkeypatch.setattr(RecordFilter, "accepts", recording)
         query = EnumerationQuery(chi0=1, filter=flt, include_empty=include_empty)
-        enumerate_index_multisets(query)
-        assert len(calls) == 2151 + include_empty
+        records = enumerate_index_multisets(query)
+        assert len(set(nodes)) == len(nodes)
+        assert {rec.indices.indices() for rec in records} <= set(nodes)
+        assert len(nodes) == self.WALKED[flt] + include_empty
+
+    def test_chi2_integral_walk(self, monkeypatch):
+        # 70,025 of the 216,683 nodes, against 1,399 kept
+        nodes = []
+        real = RecordFilter.accepts
+
+        def recording(self, num, den, has_int):
+            nodes.append(walked_node(sys._getframe(1)))
+            return real(self, num, den, has_int)
+
+        enumeration._barren.cache_clear()
+        monkeypatch.setattr(RecordFilter, "accepts", recording)
+        raw, _ = _enumerate_raw(Fraction(48), INTEGRAL_L2, jobs=1)
+        assert len(raw) == 1399
+        assert len(nodes) == len(set(nodes)) == 70025
+
+
+def integral_items(max_weight):
+    """The full walk's items that have a witness, in its order."""
+    raw, _ = _enumerate_raw(max_weight, ALL, jobs=1)
+    return [item for item in raw if item[3] is not None]
+
+
+def brute_masks(movers, start, budget, weights, rmax):
+    """{mask: least weight} over the multisets of movers within budget, from start.
+
+    movers lists (r, i): index r moves the slot, whose part i of each b it
+    adds; masks are rotated by the shift formula, not the walk's memos.
+    """
+    least = {}
+
+    def extend(mask, spent, first):
+        if least.get(mask, spent + 1) > spent:
+            least[mask] = spent
+        for j in range(first, len(movers)):
+            r, i = movers[j]
+            if spent + weights[r] > budget:
+                break
+            slots, parts = enumeration._l2_parts(r, rmax)
+            n = slots[i][1]
+            moved = 0
+            for _, part in parts:
+                moved |= (mask << part[i] | mask >> (n - part[i])) & ((1 << n) - 1)
+            extend(moved, spent + weights[r], j)
+
+    extend(start, 0, 0)
+    return least
+
+
+class TestCuts:
+    """The l2-integral walk's cuts skip only subtrees that keep no row."""
+
+    @pytest.mark.parametrize("chi0", [0, 1, 2])
+    def test_integral_walk_keeps_the_full_walks_integral_items(self, chi0):
+        enumeration._barren.cache_clear()
+        raw, _ = _enumerate_raw(Fraction(24 * chi0), INTEGRAL_L2, jobs=1)
+        assert raw == integral_items(Fraction(24 * chi0))
+        assert len(raw) == [0, 40, 1399][chi0]
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda den: st.builds(Fraction, st.integers(0, 48 * den), st.just(den))
+        )
+    )
+    @example(Fraction(47))
+    @example(Fraction(95, 2))
+    @example(Fraction(143, 3))
+    def test_rational_budgets(self, budget):
+        # the memos of the budgets drawn so far stay in the process, so each
+        # budget's walk meets the others' memos
+        raw, _ = _enumerate_raw(budget, INTEGRAL_L2, jobs=1)
+        assert raw == integral_items(budget)
+
+    @pytest.mark.parametrize("budget", [Fraction(9, 2), Fraction(10), Fraction(31, 2), Fraction(16)])
+    def test_need_table_matches_brute_force(self, budget):
+        # a node whose slot holds mask is cut iff need > its rem; rem can be
+        # anything up to the budget left after the least weight reaching mask,
+        # and there the table must agree with the least weight of the indices
+        # >= r that move the slot and bring 0 into the mask
+        rmax, _, full, weights, _ = enumeration._frame(budget)
+        needs = enumeration._needs(budget)
+        assert len(needs) == rmax + 2
+        for slot in range(len(enumeration._prime_moduli(rmax))):
+            movers = []
+            for r in range(2, rmax + 1):
+                slots = [s for s, _ in enumeration._l2_parts(r, rmax)[0]]
+                if slot in slots:
+                    movers.append((r, slots.index(slot)))
+            reached = brute_masks(movers, 1, full, weights, rmax)
+            for r in range(rmax + 2):
+                table = needs[r][slot]
+                assert set(table) == {mask for mask in reached if not mask & 1}
+                later = [mover for mover in movers if mover[0] >= r]
+                for mask, need in table.items():
+                    slack = full - reached[mask]
+                    exact = min(
+                        (w for m, w in brute_masks(later, mask, slack, weights, rmax).items()
+                         if m & 1),
+                        default=None,
+                    )
+                    if exact is None:
+                        assert need > slack, (slot, r, mask)
+                    else:
+                        assert need == exact, (slot, r, mask)
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def chi1_items():
+        return _enumerate_raw(Fraction(24), ALL, jobs=1)
+
+    @staticmethod
+    def in_range(items, scale, lo, hi):
+        return [item for item in items if lo <= Fraction(item[1], scale) <= hi]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lo=st.fractions(min_value=-1, max_value=25, max_denominator=60),
+        width=st.fractions(min_value=0, max_value=25, max_denominator=60),
+    )
+    @example(lo=Fraction(0), width=Fraction(0))
+    @example(lo=Fraction(24), width=Fraction(0))
+    @example(lo=Fraction(1, 252), width=Fraction(0))
+    def test_range_walk_matches_the_full_walk(self, lo, width):
+        # the c1c2-range walk ends each run of siblings at the first rem below lo
+        raw, scale = _enumerate_raw(Fraction(24), c1c2_in_range(lo, lo + width), jobs=1)
+        items, _ = self.chi1_items()
+        assert raw == self.in_range(items, scale, lo, lo + width)
+
+    def test_chi2_range_walk_matches_the_full_walk(self):
+        lo, hi = Fraction(10), Fraction(25, 2)
+        raw, scale = _enumerate_raw(Fraction(48), c1c2_in_range(lo, hi), jobs=1)
+        items, _ = _enumerate_raw(Fraction(48), ALL, jobs=1)
+        assert raw == self.in_range(items, scale, lo, hi)
+        assert len(raw) > 1000
 
 
 class TestWitnessOverTheWalksRmax:
