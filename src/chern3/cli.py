@@ -419,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=parse_rational, default=None, help="upper c1c2 bound (c1c2-range)")
     p.add_argument("--depth", type=int, default=2,
                    help="accepted for compatibility and ignored: every record checks "
-                        "l(m) of its witness at every m; must be >= 2 (default 2)")
+                        "that its witness has integral l(2), which settles l(m) at "
+                        "every m; must be >= 2 (default 2)")
     p.add_argument("--include-empty", action="store_true", help="also emit the empty multiset")
     p.add_argument("--format", choices=["csv", "jsonl", "md"], default="csv")
     p.add_argument("--output", default=None, help="write to a file instead of stdout")

@@ -1,79 +1,30 @@
 """Pruned exact enumeration of index multisets under the bound sum(r - 1/r) <= 24*chi.
 
-Since every local index r >= 2 contributes weight r - 1/r >= 3/2, the bound
-leaves finitely many multisets; for chi <= 2 the search space is small
-enough to exhaust on a desk machine.  The enumerator walks non-decreasing
-index sequences depth-first, cutting a branch as soon as the remaining
-weight budget cannot absorb another index.  All budget arithmetic is done
-in integers scaled by lcm(1..r_max) times the budget denominator, so no
-comparison ever involves a float or an unreduced fraction; `_frame` owns
-that scale, the weight table and each index's l(2) step for a budget.
+Every local index r >= 2 weighs r - 1/r >= 3/2, so the bound leaves finitely
+many multisets.  A run passes through these layers:
 
-Alongside the multisets themselves, the walk tracks which values l(2)
-takes modulo 1 over all admissible b-assignments.  By CRT a point's l(2)
-term splits into one part per prime p dividing 2r, and the b choose those
-parts independently, so the state is one bitmask per prime p <= r_max over
-Z/p^e, p^e <= 2*r_max (`_prime_moduli`), and a point rotates the masks of
-the primes dividing 2r.  A multiset admits a basket with integral l(2)
-exactly when 0 is reachable in every mask.  That settles every m at once:
-for any basket l(m) = (1^2 + ... + (m-1)^2) * l(2) (mod 1), so integral
-l(2) makes every l(m) integral.  `exists_integral_basket` runs the same DP
-for a single multiset and rebuilds its witness.
+- `_frame`: a budget's integers.  The budget, the weights and each node's
+  rem (its c1.c2) are integers over one scale, so the walk meets no float
+  and no `Fraction`.
+- `_run_task` and `_scan`: the walk, depth first over non-decreasing index
+  sequences, one task per smallest run (`_tasks`).  A node carries its rem,
+  its Cartier index and one l(2) bitmask per prime (`_prime_moduli`,
+  `_l2_parts`, `_l2_rotations`); it has a basket with integral l(2) iff
+  every mask holds 0.  Every walked node, the empty multiset at the root
+  (`_root_items`) included, meets the filter once, and the l2-integral walk
+  skips subtrees that keep no row (`_needs`, `_barren`).
+- `_finish_node` and `_witness_runs`: each kept node with integral l(2)
+  gets its witness rebuilt, as integer ((r, b), k) runs.
+- `_map_tasks` and `_canonical_order`: the tasks run in order or in a
+  pool, and one stable sort on rem puts their rows in canonical order.
+- `check_record`: the record rules, the witness's (`_check_witness`)
+  among them, which every record and every row passes.
+- `enumerate_index_multisets` turns the rows into `ChernRecord`s with
+  `Basket` witnesses; `checked_lines` checks and renders each task's rows
+  inside the task (`_checked_rows`), so a pool's workers send back text.
 
-Each walk task keeps one list of masks and a count `bad` of the masks that
-lack 0, so l(2) is reachable at a node iff bad == 0.  A node looks up only
-the masks its index moves, and writes them into the list only while its
-subtree is walked, restoring them after.  Each rotation of a mask is
-computed once per process and memoised (`_l2_rotations`); the chi = 2
-census needs a few hundred, and the witness rebuild reads the same memos.
-
-The l2-integral walk skips subtrees that keep no row, with two exact cuts,
-so its rows and their order are those of the full walk.  A node's subtree
-is its extensions by indices >= its own, within its remaining budget.
-Cut 1 (`_needs`) holds, per slot, next index r and mask lacking 0, the
-least weight of indices >= r that brings 0 into that mask; a node with a
-bad slot that needs more than its remaining budget keeps nothing below
-it, since an extension's indices that move the slot weigh no more than the
-extension.  Cut 2 (`_barren`) maps (next index, masks) to the largest
-remaining budget at which such a subtree was walked and kept nothing.
-Whether the filter keeps a node depends on its masks alone, and a smaller
-budget walks a subset of the same extensions, so a later subtree with
-that key and no larger budget is skipped.  Both are built per budget and
-per process, and neither depends on which tasks ran before, so a task's
-chunk does not either.  The c1c2-range walk ends a run of siblings at the
-first whose rem is below lo: weights grow with the index, and a subtree
-only loses budget.  The all and c1c2-zero walks consult no cut.
-
-The walk also carries each node's Cartier index (the running lcm of its
-indices), tests every walked node, the empty multiset at its root included,
-against the filter exactly once, before its runs tuple is built and its
-witness rebuilt (`_finish_node`), so a leaf the filter drops costs no
-tuple and no call.  It visits nodes in lexicographic order of the expanded
-index sequence, so a stable sort on the scaled c1.c2 alone gives the
-canonical order.  The walk splits into tasks, one per smallest run
-(`_tasks`), whose chunks joined in task order are in that lexicographic
-order; `_map_tasks` runs them in order or in a pool, and
-`_canonical_order` is the one stable sort.
-
-`check_record` owns the record rules.  It re-checks c1.c2 and the Cartier
-index in integers scaled by the lcm re-derived from the runs, and checks
-that a witness has integral l(m) at every m with one integer scan over a
-period (`first_fractional_l`), without using the congruence above.  The
-library returns `ChernRecord`s, each checked on construction, from the
-tasks' raw items.  `chern3 enumerate` uses `checked_lines` instead: each
-task puts its items through the same check and renders them as text, with
-no record, no `Fraction` and no float (md's approximate column aside), so
-a pool's workers do all the per-row work and send back text.  The walk
-makes every node by adding one run to its parent or bumping the parent's
-last run, so a row's runs are a head plus one last run, and the chi = 2
-census's 216,683 rows have 28,738 distinct heads, counted per task.
-`check_record` derives a head's state (lcm, scaled weight, last index,
-runs text) from scratch and then takes one step for the last run; a task's
-rows share one memo of head states, which lives for that task's
-`_checked_rows` call, so a row costs one run's work.  The walk and the
-record build leave no reference cycle and run with the cyclic garbage
-collector paused (`collector_paused`); `cli.main` pauses it around a whole
-command, whose records or rows are freed before collection resumes.
+The walk and the record build leave no reference cycle and run with the
+cyclic garbage collector paused (`collector_paused`).
 """
 
 from __future__ import annotations
@@ -82,10 +33,11 @@ import gc
 import math
 import multiprocessing
 from contextlib import contextmanager
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby, tee
 from typing import ClassVar, Iterator, Optional, Sequence
 
 from . import tables
@@ -95,7 +47,7 @@ from .riemann_roch import (
     IndexMultiset,
     c1c2_from_indices,  # noqa: F401  (perfbench/trace_cli.py times it here)
     cartier_index,  # noqa: F401  (perfbench/trace_cli.py times it here)
-    first_fractional_l,
+    check_point,
     format_basket,
     format_index_multiset,
     l_value,
@@ -105,6 +57,8 @@ DEFAULT_CHI_DOMAIN = (0, 1, 2)
 
 # run-length multiset as used in tree nodes and worker results
 _Groups = tuple[tuple[int, int], ...]
+# a witness as ((r, b), k) runs, strictly ascending by (r, b)
+_Runs = tuple[tuple[tuple[int, int], int], ...]
 
 
 class NoPositiveValueError(ValueError):
@@ -182,11 +136,11 @@ class ChernRecord:
 
     Construction passes the fields through `check_record`, which re-derives
     c1.c2 and the Cartier index from the multiset and re-checks the
-    witness, so a record that exists is consistent.  `has_integral_basket`
-    is read from the witness, which must have integral l(m) for every
-    m >= 2.  Records are built with the cyclic collector paused by the
-    enumerator, and `cli.main` keeps it paused until its command has freed
-    them.
+    witness, as runs, so a record that exists is consistent.
+    `has_integral_basket` is read from the witness, which must have
+    integral l(m) for every m >= 2.  Records are built with the cyclic
+    collector paused by the enumerator, and `cli.main` keeps it paused
+    until its command has freed them.
     """
 
     indices: IndexMultiset
@@ -202,8 +156,18 @@ class ChernRecord:
     def __post_init__(self) -> None:
         check_record(
             self.indices.groups, self.chi0, self.c1c2.numerator, self.c1c2.denominator,
-            self.cartier_index, self.witness,
+            self.cartier_index, None if self.witness is None else _runs(self.witness),
         )
+
+
+def _runs(basket: Basket) -> _Runs:
+    """A basket's witness runs ((r, b), k)."""
+    return tuple(((point.r, point.b), k) for point, k in basket.groups)
+
+
+def _basket(runs: _Runs) -> Basket:
+    """The `Basket` of witness runs; each point passes `BasketPoint`'s checks."""
+    return Basket(tuple((BasketPoint(b, r), k) for (r, b), k in runs))
 
 
 def _runs_state(groups: _Groups) -> tuple[int, int, int, str]:
@@ -225,7 +189,7 @@ def _runs_state(groups: _Groups) -> tuple[int, int, int, str]:
 
 
 def check_record(
-    groups: _Groups, chi0: int, num: int, den: int, lcm: int, witness: Optional[Basket],
+    groups: _Groups, chi0: int, num: int, den: int, lcm: int, witness: Optional[_Runs],
     heads: Optional[dict] = None,
 ) -> str:
     """Raise ValueError unless these are the fields of a consistent record; else the runs' text.
@@ -233,20 +197,23 @@ def check_record(
     The one owner of the record rules, which `ChernRecord` and
     `checked_lines` both apply: the runs are canonical index runs, c1.c2 =
     num/den (den > 0) is 24*chi0 minus their weight and not negative, lcm
-    is their Cartier index, and a witness projects onto the runs and has
-    integral l(m) at every m.  c1.c2 is checked in integers scaled by the
+    is their Cartier index, and a witness, given as runs ((r, b), k), passes
+    `_check_witness`.  c1.c2 is checked in integers scaled by the
     re-derived lcm, which every weight term r - 1/r has as a denominator.
     The text is the runs as `format_index_multiset` prints them.
 
-    The runs are split into a head, all runs but the last, and the last run
-    (r, k).  The head's state (`_runs_state`) is derived from scratch, or
-    read from heads, a `_Memo` of `_runs_state` that `_checked_rows` keeps
-    for one task's rows; then one step adds the last run: the runs are
-    canonical iff the head is and r is above its last index with k >= 1,
-    lcm = lcm(head lcm, r), and the weight is the head's rescaled plus
-    k(r^2 - 1)/r.  Every rule still re-derives from the runs alone.  The
-    empty multiset, and runs the step cannot take, are derived whole from
-    scratch, which raises `IndexMultiset`'s error for bad runs.
+    The walk makes every node by adding one run to its parent or bumping
+    the parent's last run, so a row's runs are a head, all runs but the
+    last, plus the last run (r, k); the chi = 2 census's 216,683 rows have
+    28,738 distinct heads.  The head's state (`_runs_state`) is derived
+    from scratch, or read from heads, a `_Memo` of `_runs_state` that
+    `_checked_rows` keeps for one task's rows; then one step adds the last
+    run: the runs are canonical iff the head is and r is above its last
+    index with k >= 1, lcm = lcm(head lcm, r), and the weight is the head's
+    rescaled plus k(r^2 - 1)/r.  So the memo changes no outcome: every rule
+    still re-derives from the runs alone, and a row costs one run's work.
+    The empty multiset, and runs the step cannot take, are derived whole
+    from scratch, which raises `IndexMultiset`'s error for bad runs.
     """
     try:
         head, (r, k) = groups[:-1], groups[-1]
@@ -275,12 +242,49 @@ def check_record(
     if lcm != derived:
         raise ValueError(f"Cartier index mismatch for {text}")
     if witness is not None:
-        if witness.index_multiset().groups != groups:
-            raise ValueError("witness does not project onto the index multiset")
-        m = first_fractional_l(witness)
-        if m is not None:
-            raise ValueError(f"witness has non-integral l({m}) = {l_value(witness, m)}")
+        _check_witness(witness, groups, derived)
     return text
+
+
+def _check_witness(runs: _Runs, groups: _Groups, r_x: int) -> None:
+    """Raise ValueError unless the runs are a basket over groups with integral l(m) at every m.
+
+    Every run ((r, b), k) is a point that `check_point` accepts with k >= 1,
+    the runs strictly ascend by (r, b), their indices project onto the
+    canonical index runs groups, whose lcm is r_X, and l(2) is integral:
+    sum k * b(r - b) * (r_X / r) = 0 (mod 2 r_X), which is 2 r_X * l(2).
+
+    That settles every m.  For a point (b, r), j >= 1 and t = jb mod r, say
+    jb = t + sr: t(r - t) = jbr - j^2 b^2 + 2jbsr - s(s + 1)r^2, which is
+    jbr - j^2 b^2 (mod 2r) as s(s + 1) is even, and jbr = j^2 br (mod 2r)
+    as j = j^2 (mod 2).  So l's j-th summand t(r - t)/(2r) is j^2 times its
+    first, b(r - b)/(2r), modulo 1, and summed over the basket and over
+    j = 1..m-1,
+
+        l(m) = (1^2 + ... + (m-1)^2) * l(2)  (mod 1),
+
+    so a basket with integral l(2) has integral l(m) for every m (Reid,
+    Young person's guide to canonical singularities, 1987), and a failing
+    witness's first fractional l(m) is l(2), which the error names.
+    """
+    last, projected, total = (), [], 0
+    for point, k in runs:
+        r, b = point
+        check_point(b, r)
+        if k < 1:
+            raise ValueError(f"multiplicity must be >= 1, got {k}")
+        if not last < point:
+            raise ValueError(f"witness runs {runs} are not ascending by (r, b)")
+        last = point
+        if projected and projected[-1][0] == r:
+            projected[-1] = (r, projected[-1][1] + k)
+        else:
+            projected.append((r, k))
+        total += k * b * (r - b) * (r_x // r)
+    if tuple(projected) != groups:
+        raise ValueError("witness does not project onto the index multiset")
+    if total % (2 * r_x):
+        raise ValueError(f"witness has non-integral l(2) = {l_value(_basket(runs), 2)}")
 
 
 @lru_cache(maxsize=None)
@@ -367,8 +371,9 @@ def _l2_rotations(r: int, rmax: int) -> tuple[tuple[int, _Memo], ...]:
     A slot's reachable numerators are an n-bit mask, and rotation[mask] is
     the mask after one more point of index r: the union of its rotations
     by the point's parts.  Each rotation is computed once per process and
-    shared by every walk task and `exists_integral_basket`; over the chi = 2
-    census there are a few hundred distinct (mask, result) pairs.
+    shared by every walk task and the witness rebuild (`_witness_runs`);
+    over the chi = 2 census there are a few hundred distinct (mask, result)
+    pairs.
     """
     slots, parts = _l2_parts(r, rmax)
     return tuple(
@@ -413,15 +418,20 @@ def _needs(max_weight: Fraction) -> tuple[tuple[dict, ...], ...]:
 
     For r <= rmax + 1 and a slot's mask lacking 0, it is the least weight of
     indices >= r that brings 0 into that mask (in `_frame`'s units), or
-    budget + 1 when none within the budget does.  The masks are those the
-    slot reaches from {0} within the budget.  Rotations commute, so a
-    cheapest multiset can take its copies of the slot's smallest mover
-    first; need at that mover's position is the least over t copies of it
-    plus the need, at the next position, of the mask they make.  A path
-    that fits the budget left after its mask only passes masks reached
-    within the budget, so the least weight is exact wherever it fits.
-    The table for r is the one of the first mover >= r, so indices share
-    one dict per slot and mover position.
+    budget + 1 when none within the budget does.  A node's subtree is its
+    extensions by indices >= its own within its remaining budget, and the
+    indices of an extension that move a slot weigh no more than the
+    extension; so a node with a slot lacking 0 whose need exceeds its
+    remaining budget keeps no row below it, and the walk cuts it (`_cut`).
+
+    The masks are those the slot reaches from {0} within the budget.
+    Rotations commute, so a cheapest multiset can take its copies of the
+    slot's smallest mover first; need at that mover's position is the least
+    over t copies of it plus the need, at the next position, of the mask
+    they make.  A path that fits the budget left after its mask only passes
+    masks reached within the budget, so the least weight is exact wherever
+    it fits.  The table for r is the one of the first mover >= r, so
+    indices share one dict per slot and mover position.
     """
     rmax, _, budget, weights, rotations = _frame(max_weight)
     never = budget + 1
@@ -466,16 +476,16 @@ def _finish_node(
     """Append the item (groups, rem, lcm, witness) for one walked node to out.
 
     rem is c1c2 in units of the walk's scale, lcm the Cartier index and
-    witness the integral basket or None.  The caller has tested the node
-    against the filter, once, so a node it rejects never gets here.  The
-    witness is rebuilt over the walk's rmax, so it reads the walk's
-    rotation memos.
+    witness the integral basket's runs ((r, b), k) or None.  The caller has
+    tested the node against the filter, once, so a node it rejects never
+    gets here.  The witness is rebuilt over the walk's rmax, so it reads the
+    walk's rotation memos.
     """
     witness = None
     if l2_reachable:
-        _, witness = exists_integral_basket(IndexMultiset(groups), rmax=rmax)
+        witness = _witness_runs(groups, rmax)
         if witness is None:
-            raise RuntimeError("walk and exists_integral_basket disagree; this is a bug")
+            raise RuntimeError("walk and witness rebuild disagree; this is a bug")
     out.append((groups, rem, lcm, witness))
 
 
@@ -485,7 +495,12 @@ def _barren(max_weight: Fraction) -> dict:
 
     It maps (next index, masks) to the largest remaining budget at which
     the extensions of a node with those masks by indices >= next index were
-    walked and none was kept.
+    walked and none was kept.  Whether the filter keeps a node depends on
+    its masks alone, and a smaller budget walks a subset of the same
+    extensions, so a later subtree with that key and no larger budget keeps
+    nothing either, and the walk skips it (`_cut`).  The memo and the need
+    table are per budget, and what they record does not depend on which
+    tasks ran before, so neither does a task's chunk.
     """
     return {}
 
@@ -516,8 +531,10 @@ def _scan(ctx, rmin: int, rem: int, prefix: _Groups, lcm: int, bad: int) -> None
     and bad counts those that lack 0.  A node looks up only the slots its
     index moves, and writes them into masks only while its subtree is
     scanned, so masks is as on entry when this returns.  No node with rem
-    below floor is kept.  needs and barren are the l2-integral walk's cuts
-    (`_cut`), and None for every other filter.
+    below floor is kept, and since weights grow with the index and a
+    subtree only loses budget, the first sibling below floor ends the loop.
+    needs and barren are the l2-integral walk's cuts (`_cut`), and None for
+    every other filter.
     """
     out, masks, rmax, weights, rotations, scale, flt, floor, needs, barren = ctx
     for r in range(rmin, rmax + 1):
@@ -637,7 +654,7 @@ def _canonical_order(rems: list[int]) -> list[int]:
 
 
 def _enumerate_raw(max_weight: Fraction, flt: RecordFilter, jobs: int) -> tuple[list, int]:
-    """Filtered raw items (groups, rem, lcm, witness) in canonical order, and the scale."""
+    """Filtered raw items (groups, rem, lcm, witness runs) in canonical order, and the scale."""
     chunks = _map_tasks(_run_task, _tasks(max_weight, flt), jobs)
     raw = [item for chunk in chunks for item in chunk]
     order = _canonical_order([item[1] for item in raw])
@@ -690,7 +707,7 @@ def enumerate_index_multisets(
                 chi0=query.chi0,
                 c1c2=Fraction(rem, scale),
                 cartier_index=lcm,
-                witness=witness,
+                witness=None if witness is None else _basket(witness),
             )
     return raw
 
@@ -701,8 +718,15 @@ def fraction_text(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-# the text of each index run (r, k), kept for the life of the process
+# the text of each index run (r, k) and witness run ((r, b), k), kept for the
+# life of the process
 _run_text = _Memo(lambda run: format_index_multiset(IndexMultiset((run,)))).__getitem__
+_witness_run_text = _Memo(lambda run: format_basket(_basket((run,)))).__getitem__
+
+
+def _witness_text(runs: _Runs) -> str:
+    """The witness runs as `format_basket` prints their basket."""
+    return ",".join(map(_witness_run_text, runs)) or format_basket(Basket())
 
 
 def _checked_rows(items: list, chi0: int, scale: int) -> Iterator[tuple]:
@@ -711,9 +735,9 @@ def _checked_rows(items: list, chi0: int, scale: int) -> Iterator[tuple]:
     fields are the multiset, Cartier index, c1.c2, "true"/"false" for an
     integral basket and the witness ("" when there is none), as `chern3
     enumerate` prints them, and c1.c2 = num/den unreduced.  The arithmetic
-    stays in integers; the text of each run is made once per process, and
-    the state of each head once per call: the memo lives and dies here, so
-    no task shares or pickles it.
+    stays in integers; the text of each index and witness run is made once
+    per process, and the state of each head once per call: that memo lives
+    and dies here, so no task shares or pickles it.
     """
     heads = _Memo(_runs_state)
     for groups, rem, lcm, witness in items:
@@ -722,7 +746,7 @@ def _checked_rows(items: list, chi0: int, scale: int) -> Iterator[tuple]:
             str(lcm),
             fraction_text(rem, scale),
             "false" if witness is None else "true",
-            "" if witness is None else format_basket(witness),
+            "" if witness is None else _witness_text(witness),
         )
         yield fields, rem, scale
 
@@ -784,25 +808,14 @@ def exists_integral_basket(
 ) -> tuple[bool, Optional[Basket]]:
     """Does some b-assignment over the multiset make every l(m) integral?
 
-    For a point (b, r) and t = jb mod r, t(r - t) = jbr - j^2 b^2 (mod 2r).
-    Summed over the basket and over j = 1..m-1 this gives
-
-        l(m) = (1^2 + ... + (m-1)^2) * l(2)  (mod 1),
-
-    so a basket with integral l(2) has integral l(m) for every m, and l(2)
-    alone decides every m.  On success the lexicographically smallest
-    witness is returned, ordering baskets by their canonical (r, b) point
-    sequence.  Decided by the walk's dynamic program: one mask of reachable
-    numerators per prime p <= the largest index (`_l2_parts`), since l(2)
-    is integral exactly when every p-component is.  Suffix masks guide a
-    greedy reconstruction that tries each run's b-combinations in
-    lexicographic order.
+    l(2) alone decides every m (`_check_witness`).  On success the
+    lexicographically smallest witness is returned, ordering baskets by
+    their canonical (r, b) point sequence (`_witness_runs`).
 
     rmax, by default the largest index, bounds the primes the masks cover.
     Any rmax at least the largest index gives the same answer and witness:
     no index moves a prime above it, and a higher power of a prime only
-    rescales that prime's mask.  The walk passes its own rmax, so the
-    witness rebuild reads the walk's rotation memos.
+    rescales that prime's mask.
     """
     groups = indices.groups
     largest = groups[-1][0] if groups else 1
@@ -810,7 +823,21 @@ def exists_integral_basket(
         rmax = largest
     elif rmax < largest:
         raise ValueError(f"rmax {rmax} is below the largest index {largest}")
+    runs = _witness_runs(groups, rmax)
+    return (False, None) if runs is None else (True, _basket(runs))
 
+
+def _witness_runs(groups: _Groups, rmax: int) -> Optional[_Runs]:
+    """The smallest witness over canonical index runs as ((r, b), k) runs, or None.
+
+    Decided by the walk's dynamic program: one mask of reachable numerators
+    per prime p <= rmax (`_l2_parts`), since l(2) is integral exactly when
+    every p-component is.  Suffix masks guide a greedy reconstruction that
+    tries each run's b-combinations in lexicographic order, so the witness
+    is the lexicographically smallest by its (r, b) point sequence.  rmax is
+    at least the largest index; the walk passes its own, so the rebuild
+    reads the walk's rotation memos.
+    """
     # suffix[i] = per-prime masks reachable using groups i..end
     suffix = [[1] * len(_prime_moduli(rmax))]
     for r, mult in reversed(groups):
@@ -822,27 +849,48 @@ def exists_integral_basket(
     suffix.reverse()
 
     if not all(mask & 1 for mask in suffix[0]):
-        return False, None
+        return None
 
-    chosen: list[BasketPoint] = []
+    runs: tuple = ()
     prefix = [0] * len(suffix[0])  # per-prime numerators of the points chosen so far
     for (r, mult), rest in zip(groups, suffix[1:]):
-        slots, parts = _l2_parts(r, rmax)
-        part = dict(parts)
-        for combo in combinations_with_replacement(part, mult):
-            totals = [
-                prefix[slot] + sum(part[b][i] for b in combo)
-                for i, (slot, _) in enumerate(slots)
-            ]
+        slots, choices = _run_choices(r, mult, rmax)
+        for chosen, sums in copy(choices):
             # slots this run leaves alone keep -prefix reachable in rest
-            if all(rest[slot] >> (-t % n) & 1 for t, (slot, n) in zip(totals, slots)):
-                for t, (slot, n) in zip(totals, slots):
-                    prefix[slot] = t % n
-                chosen.extend(BasketPoint(b, r) for b in combo)
+            if all(rest[slot] >> (-prefix[slot] - s) % n & 1 for s, (slot, n) in zip(sums, slots)):
+                for s, (slot, n) in zip(sums, slots):
+                    prefix[slot] = (prefix[slot] + s) % n
+                runs += chosen
                 break
         else:
             raise RuntimeError("reachability and reconstruction disagree; this is a bug")
-    return True, Basket.from_points(chosen)
+    return runs
+
+
+@lru_cache(maxsize=None)
+def _run_choices(r: int, mult: int, rmax: int) -> tuple[tuple, Iterator]:
+    """The b-choices for a run of mult points of index r <= rmax: (slots, choices).
+
+    slots is `_l2_parts`' list of (slot, n).  choices yields (runs, sums)
+    for the b-multisets in lexicographic order, skipping any whose sums
+    equal an earlier one's, which the greedy rebuild would reject alike:
+    runs are the multiset as witness runs and sums its numerators, one per
+    slot, each modulo its n.  choices is a `tee`
+    iterator that is never advanced, so a copy of it walks the choices from
+    the start, and each choice is made on first demand, once per process.
+    """
+    slots, parts = _l2_parts(r, rmax)
+    part = dict(parts)
+
+    def choices():
+        seen = set()
+        for combo in combinations_with_replacement(part, mult):
+            sums = tuple(sum(part[b][i] for b in combo) % n for i, (_, n) in enumerate(slots))
+            if sums not in seen:
+                seen.add(sums)
+                yield tuple(((r, b), len(list(same))) for b, same in groupby(combo)), sums
+
+    return slots, tee(choices(), 1)[0]
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,9 +31,24 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 EMPTY_SYMBOL = "∅"
+
+
+def check_point(b: int, r: int) -> None:
+    """Raise ValueError unless (b, r) is a basket point: r >= 2, 0 < 2b <= r, gcd(b, r) = 1."""
+    if r < 2:
+        raise ValueError(f"local index must be >= 2, got r={r}")
+    if b < 1:
+        raise ValueError(f"local invariant must be positive, got b={b}")
+    if 2 * b > r:
+        raise ValueError(
+            f"point ({b},{r}) violates 2b <= r; "
+            "use BasketPoint.normalized to fold b into range"
+        )
+    if math.gcd(b, r) != 1:
+        raise ValueError(f"b and r must be coprime, got ({b},{r})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,17 +59,7 @@ class BasketPoint:
     r: int
 
     def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError(f"local index must be >= 2, got r={self.r}")
-        if self.b < 1:
-            raise ValueError(f"local invariant must be positive, got b={self.b}")
-        if 2 * self.b > self.r:
-            raise ValueError(
-                f"point ({self.b},{self.r}) violates 2b <= r; "
-                "use BasketPoint.normalized to fold b into range"
-            )
-        if math.gcd(self.b, self.r) != 1:
-            raise ValueError(f"b and r must be coprime, got ({self.b},{self.r})")
+        check_point(self.b, self.r)
 
     @classmethod
     def normalized(cls, b: int, r: int) -> "BasketPoint":
@@ -227,21 +232,6 @@ def _scaled_l(basket: Basket) -> tuple[int, Iterator[int]]:
             yield total
 
     return 2 * r_x, sums()
-
-
-def first_fractional_l(basket: Basket) -> Optional[int]:
-    """The smallest m >= 2 with l(m) not an integer; None when every l(m) is.
-
-    Every summand of l is periodic in j with a period dividing r_X, the lcm
-    of the basket's indices, so l(m + r_X) = l(m) + l(r_X + 1) and the values
-    m = 2..r_X + 1 settle every m.  They are scanned as the integer partial
-    sums 2 r_X * l(m) of `_scaled_l`, each tested modulo 2 r_X.
-    """
-    mod, sums = _scaled_l(basket)
-    for m, total in zip(range(2, mod // 2 + 2), sums):
-        if total % mod:
-            return m
-    return None
 
 
 def _riemann_roch(ctx: ChernContext, n: int, l: Fraction) -> Fraction:

@@ -354,7 +354,7 @@ class TestWorkerMutants:
         [
             (lambda g, rem, lcm, w: (g, rem + 1, lcm, w), "c1c2 mismatch"),
             (lambda g, rem, lcm, w: (g, rem, 2 * lcm, w), "Cartier index mismatch"),
-            (lambda g, rem, lcm, w: (g, rem, lcm, parse_basket("(1,2)^8")), "does not project"),
+            (lambda g, rem, lcm, w: (g, rem, lcm, (((2, 1), 8),)), "does not project"),
         ],
         ids=["rem", "lcm", "other-witness"],
     )

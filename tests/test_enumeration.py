@@ -2,7 +2,9 @@
 
 import gc
 import multiprocessing
+import re
 import sys
+from collections import Counter
 from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
@@ -10,7 +12,7 @@ from itertools import combinations_with_replacement, product, zip_longest
 from math import gcd, lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chern3 import (
     ALL,
@@ -40,7 +42,7 @@ from chern3 import (
 )
 from chern3 import cli, enumeration, tables
 from chern3.enumeration import _enumerate_raw, checked_lines, fraction_text, max_index
-from chern3.riemann_roch import first_fractional_l
+from test_riemann_roch import first_fractional_l
 
 
 def weight(indices_tuple):
@@ -264,7 +266,9 @@ class TestAgainstWideModulusDP:
         assert {node: w is not None for node, w in walked.items()} == reference
         hits = [(node, w) for node, w in walked.items() if w is not None]
         assert len(hits) == integral
-        for node, witness in hits:
+        for node, runs in hits:
+            witness = enumeration._basket(runs)
+            assert enumeration._runs(witness) == runs, node  # canonical runs
             assert wide_witness(IndexMultiset.from_indices(node)) == (True, witness), node
 
     @settings(max_examples=300, deadline=None)
@@ -350,22 +354,20 @@ def restore_gc():
 class TestCollectorPause:
     def test_paused_during_the_build_and_restored(self, monkeypatch, restore_gc):
         seen = []
-        real = enumeration.exists_integral_basket
+        real = enumeration._witness_runs
 
-        def recording(indices, rmax=None):
+        def recording(groups, rmax):
             seen.append(gc.isenabled())
-            return real(indices, rmax)
+            return real(groups, rmax)
 
-        monkeypatch.setattr(enumeration, "exists_integral_basket", recording)
+        monkeypatch.setattr(enumeration, "_witness_runs", recording)
         gc.enable()
         enumerate_index_multisets(EnumerationQuery(chi0=1, filter=INTEGRAL_L2))
         assert seen and not any(seen)
         assert gc.isenabled()
 
     def test_restored_after_an_error(self, monkeypatch, restore_gc):
-        monkeypatch.setattr(
-            enumeration, "exists_integral_basket", lambda indices, rmax=None: (False, None)
-        )
+        monkeypatch.setattr(enumeration, "_witness_runs", lambda groups, rmax: None)
         gc.enable()
         with pytest.raises(RuntimeError):
             enumerate_index_multisets(EnumerationQuery(chi0=1, filter=INTEGRAL_L2))
@@ -424,9 +426,7 @@ class TestEnumerate:
             assert records == without
 
     def test_walk_and_witness_rebuild_must_agree(self, monkeypatch):
-        monkeypatch.setattr(
-            enumeration, "exists_integral_basket", lambda indices, rmax=None: (False, None)
-        )
+        monkeypatch.setattr(enumeration, "_witness_runs", lambda groups, rmax: None)
         with pytest.raises(RuntimeError):
             enumerate_index_multisets(EnumerationQuery(chi0=1, filter=INTEGRAL_L2))
 
@@ -532,29 +532,29 @@ class TestEnumerate:
 
     def test_c1c2_filter_runs_before_integrality(self, monkeypatch):
         decided = []
-        real = enumeration.exists_integral_basket
+        real = enumeration._witness_runs
 
-        def recording(indices, rmax=None):
-            decided.append(indices)
-            return real(indices, rmax)
+        def recording(groups, rmax):
+            decided.append(IndexMultiset(groups))
+            return real(groups, rmax)
 
-        monkeypatch.setattr(enumeration, "exists_integral_basket", recording)
+        monkeypatch.setattr(enumeration, "_witness_runs", recording)
         records = enumerate_index_multisets(EnumerationQuery(chi0=1, filter=C1C2_ZERO))
         assert decided
         assert set(decided) <= {rec.indices for rec in records}
 
     def test_walk_hands_over_only_integral_multisets(self, monkeypatch):
-        # the walk runs the same l(2) DP as exists_integral_basket, so every
+        # the walk runs the same l(2) DP as the witness rebuild, so every
         # multiset it hands over has an integral basket
         outcomes = []
-        real = enumeration.exists_integral_basket
+        real = enumeration._witness_runs
 
-        def recording(indices, rmax=None):
-            ok, witness = real(indices, rmax)
-            outcomes.append(ok)
-            return ok, witness
+        def recording(groups, rmax):
+            runs = real(groups, rmax)
+            outcomes.append(runs is not None)
+            return runs
 
-        monkeypatch.setattr(enumeration, "exists_integral_basket", recording)
+        monkeypatch.setattr(enumeration, "_witness_runs", recording)
         records = enumerate_index_multisets(EnumerationQuery(chi0=1))
         assert all(outcomes)
         assert len(outcomes) == sum(rec.has_integral_basket for rec in records) == 40
@@ -768,7 +768,7 @@ class TestWitnessOverTheWalksRmax:
         assert len(raw) == count
         for groups, _, _, witness in raw:
             indices = IndexMultiset(groups)
-            found = (witness is not None, witness)
+            found = (witness is not None, None if witness is None else enumeration._basket(witness))
             assert exists_integral_basket(indices) == found, groups
             assert exists_integral_basket(indices, rmax=rmax) == found, groups
         assert exists_integral_basket(IndexMultiset(), rmax=rmax) == (True, Basket())
@@ -916,7 +916,7 @@ class TestCheckedRowMutants:
 
     def test_walked_items_pass(self, monkeypatch):
         (groups, rem, lcm, witness), scale = self.walked("2^16")
-        assert witness == parse_basket("(1,2)^16")
+        assert witness == (((2, 1), 16),)
         [(fields, num, den)] = self.rows(monkeypatch, (groups, rem, lcm, witness))
         assert fields == ("2^16", "2", "0", "true", "(1,2)^16")
         assert (num, den) == (rem, scale)
@@ -930,10 +930,8 @@ class TestCheckedRowMutants:
              "not ascending"),
             ("2^16", lambda g, rem, lcm, w: (g + ((3, 0),), rem, lcm, w), "multiplicity"),
             ("2^16", lambda g, rem, lcm, w: (((1, 1),) + g, rem, lcm, w), "local index"),
-            ("2^16", lambda g, rem, lcm, w: (g, rem, lcm, parse_basket("(1,2)^8")),
-             "does not project"),
-            ("2", lambda g, rem, lcm, w: (g, rem, lcm, parse_basket("(1,2)")),
-             "non-integral l"),
+            ("2^16", lambda g, rem, lcm, w: (g, rem, lcm, (((2, 1), 8),)), "does not project"),
+            ("2", lambda g, rem, lcm, w: (g, rem, lcm, (((2, 1), 1),)), "non-integral l"),
             # each mutation of a run, in the last run as well as in the head
             ("2^3,4,7,9", lambda g, rem, lcm, w: (g[:-2] + g[-1:] + g[-2:-1], rem, lcm, w),
              "not ascending"),
@@ -970,8 +968,63 @@ class TestCheckedRowMutants:
             self.rows(monkeypatch, (groups, int(rem), 6, None))
 
 
+# mutants of the χ = 1 walk's witness runs for 2,4,8^2, (1,2),(1,4),(1,8),(3,8):
+# (mutation, message on both paths); None where a `Basket` takes the runs as
+# they are and a record keeps its canonical witness
+WITNESS_MUTANTS = {
+    "wrong-b": (lambda w: w[:2] + (((8, 1), 2),), "witness has non-integral l(2) = 3/2"),
+    "dropped-point": (lambda w: w[1:], "witness does not project onto the index multiset"),
+    "other-multiset": (lambda w: (((7, 1), 1), ((7, 2), 1), ((7, 3), 1)),
+                       "witness does not project onto the index multiset"),
+    "b-not-coprime": (lambda w: w[:3] + (((8, 2), 1),), "b and r must be coprime, got (2,8)"),
+    "2b-above-r": (lambda w: w[:3] + (((8, 5), 1),), "point (5,8) violates 2b <= r"),
+    "out-of-order": (lambda w: w[:2] + w[3:] + w[2:3], None),
+    "k=0": (lambda w: w[:1] + (((4, 1), 0),) + w[2:], "multiplicity must be >= 1, got 0"),
+}
+
+
+class TestWitnessMutants:
+    """Each witness mutant raises the same error on the row path as in a `ChernRecord`."""
+
+    @staticmethod
+    def mutant(name):
+        (groups, rem, lcm, witness), scale = TestCheckedRowMutants.walked("2,4,8^2")
+        assert witness == (((2, 1), 1), ((4, 1), 1), ((8, 1), 1), ((8, 3), 1))
+        mutate, message = WITNESS_MUTANTS[name]
+        return (groups, rem, lcm, mutate(witness)), scale, message
+
+    @pytest.mark.parametrize("name", WITNESS_MUTANTS)
+    def test_rows(self, monkeypatch, name):
+        # check_record alone, before rendering builds any BasketPoint, and
+        # the rows of checked_lines
+        (groups, rem, lcm, runs), scale, message = self.mutant(name)
+        message = re.escape(message or f"witness runs {runs} are not ascending by (r, b)")
+        with pytest.raises(ValueError, match=message):
+            enumeration.check_record(groups, 1, rem, scale, lcm, runs)
+        with pytest.raises(ValueError, match=message):
+            TestCheckedRowMutants.rows(monkeypatch, (groups, rem, lcm, runs))
+
+    @pytest.mark.parametrize("name", WITNESS_MUTANTS)
+    def test_record(self, name):
+        (groups, rem, lcm, runs), scale, message = self.mutant(name)
+
+        def record():
+            witness = enumeration._basket(runs)
+            return ChernRecord(IndexMultiset(groups), 1, Fraction(rem, scale), lcm, witness)
+
+        if message is None:
+            assert record().witness == parse_basket("(1,2),(1,4),(1,8),(3,8)")
+        else:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                record()
+
+
 def reference_check(groups, chi0, num, den, r_x, witness):
-    """The record rules in one from-scratch pass over every run; returns the runs' text."""
+    """The record rules in one from-scratch pass over every run; returns the runs' text.
+
+    The witness, given as runs ((r, b), k), is checked as a `Basket` whose
+    every l(m) the full-period scan `first_fractional_l` tests.
+    """
     if IndexMultiset.canonical_runs(groups) is not groups:
         raise ValueError(f"index runs {groups} are not ascending tuples")
     derived = lcm(*[r for r, _ in groups])
@@ -987,11 +1040,19 @@ def reference_check(groups, chi0, num, den, r_x, witness):
     if r_x != derived:
         raise ValueError(f"Cartier index mismatch for {text}")
     if witness is not None:
-        if witness.index_multiset().groups != groups:
+        for (r, b), k in witness:
+            BasketPoint(b, r)
+            if k < 1:
+                raise ValueError(f"multiplicity must be >= 1, got {k}")
+        points = [point for point, _ in witness]
+        if points != sorted(set(points)):
+            raise ValueError(f"witness runs {witness} are not ascending by (r, b)")
+        basket = Basket(tuple((BasketPoint(b, r), k) for (r, b), k in witness))
+        if basket.index_multiset().groups != groups:
             raise ValueError("witness does not project onto the index multiset")
-        m = first_fractional_l(witness)
+        m = first_fractional_l(basket)
         if m is not None:
-            raise ValueError(f"witness has non-integral l({m}) = {l_value(witness, m)}")
+            raise ValueError(f"witness has non-integral l({m}) = {l_value(basket, m)}")
     return text
 
 
@@ -1039,12 +1100,10 @@ class TestPrefixMemoOracle:
     ):
         original = groups
         groups, rem, r_x, witness = consistent_item(groups, chi0)
-        if with_witness and groups and r_x <= 5000:  # a witness scans one period of l
-            ok, witness = exists_integral_basket(IndexMultiset(groups))
-            if not ok:  # b = 1 for every point: some l(m) is fractional
-                witness = Basket.from_points(
-                    BasketPoint(1, r) for r in IndexMultiset(groups).indices()
-                )
+        if with_witness and groups and r_x <= 5000:  # the reference scans one period of l
+            ok, basket = exists_integral_basket(IndexMultiset(groups))
+            # else b = 1 for every point: some l(m) is fractional
+            witness = enumeration._runs(basket) if ok else tuple(((r, 1), k) for r, k in groups)
         j = position % len(groups) if groups else 0
         r, k = groups[j] if groups else (2, 1)
         if mutation == "rem+1":
@@ -1080,6 +1139,53 @@ class TestPrefixMemoOracle:
         expected = outcome(reference_check, *args)
         assert outcome(enumeration.check_record, *args) == expected
         assert outcome(enumeration.check_record, *args, heads) == expected
+
+
+@lru_cache(maxsize=None)
+def chi2_witnesses():
+    """The runs of the χ = 2 l2-integral walk's 1,399 witnesses."""
+    raw, _ = _enumerate_raw(Fraction(48), INTEGRAL_L2, jobs=1)
+    return [witness for *_, witness in raw]
+
+
+@st.composite
+def witness_runs(draw):
+    """Runs ((r, b), k) of a basket.
+
+    Either up to six points drawn from indices 2..72, or a χ = 2 walk
+    witness with one point's b redrawn or none.
+    """
+    if draw(st.booleans()):
+        points = [point for point, k in draw(st.sampled_from(chi2_witnesses())) for _ in range(k)]
+        i = draw(st.integers(0, len(points)))  # len(points): none redrawn
+        if i < len(points):
+            r = points[i][0]
+            points[i] = (r, draw(st.sampled_from(admissible_b(r))))
+    else:
+        points = []
+        for _ in range(draw(st.integers(1, 6))):
+            r = draw(st.integers(2, 72))
+            points += [(r, draw(st.sampled_from(admissible_b(r))))] * draw(st.integers(1, 4))
+    return tuple(sorted(Counter(points).items()))
+
+
+class TestWitnessRuleOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(witness_runs())
+    def test_l2_rule_matches_the_full_period_scan(self, runs):
+        # the witness passes check_record iff every l(m) is integral, as the
+        # full-period scan finds
+        basket = enumeration._basket(runs)
+        indices = basket.index_multiset()
+        r_x = cartier_index(indices)
+        # the scan runs over a whole period of l only when l(2) is integral
+        assume(l_value(basket, 2).denominator != 1 or r_x <= 5000)
+        chi0 = -(-indices.weight // 24)  # the least chi0 with c1c2 >= 0
+        num = (24 * chi0 - indices.weight) * r_x
+        args = (indices.groups, chi0, int(num), r_x, r_x, runs)
+        result = outcome(enumeration.check_record, *args)
+        assert result == outcome(reference_check, *args)
+        assert (result[0] == "ok") == (first_fractional_l(basket) is None)
 
 
 @settings(max_examples=500, deadline=None)

@@ -24,7 +24,23 @@ from chern3 import (
     point_correction,
     residue,
 )
-from chern3.riemann_roch import first_fractional_l
+from chern3.riemann_roch import _scaled_l
+
+
+def first_fractional_l(basket):
+    """The smallest m >= 2 with l(m) not an integer; None when every l(m) is.
+
+    The brute-force reference for the witness rule: every summand of l is
+    periodic in j with a period dividing r_X, the lcm of the basket's
+    indices, so l(m + r_X) = l(m) + l(r_X + 1) and the values m = 2..r_X + 1
+    settle every m.  They are scanned as the integer partial sums
+    2 r_X * l(m) of `_scaled_l`, each tested modulo 2 r_X.
+    """
+    mod, sums = _scaled_l(basket)
+    for m, total in zip(range(2, mod // 2 + 2), sums):
+        if total % mod:
+            return m
+    return None
 
 
 def admissible_b(r):
