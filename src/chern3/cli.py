@@ -156,9 +156,9 @@ def _write_lines(lines: list[str], fmt: str, stream) -> None:
     if fmt == "md":
         header = ("indices", "r_X", "c1c2", "~c1c2 (approx.)", "integral", "witness")
         _write_markdown(header, [line.split("\t") for line in lines], stream)
-    elif lines:
-        stream.write("\n".join(lines))
-        stream.write("\n")
+    else:  # in batches, so no text of every line, or its encoded bytes, is ever made
+        for start in range(0, len(lines), 4096):
+            stream.write("\n".join(lines[start:start + 4096]) + "\n")
 
 
 def _record_row(rec: ChernRecord) -> tuple[tuple[str, ...], int, int]:

@@ -7,14 +7,14 @@ many multisets.  A run passes through these layers:
   rem (its c1.c2) are integers over one scale, so the walk meets no float
   and no `Fraction`.
 - `_run_task` and `_scan`: the walk, depth first over non-decreasing index
-  sequences, one task per smallest run (`_tasks`).  A node carries its rem,
-  its Cartier index and one l(2) bitmask per prime (`_prime_moduli`,
-  `_l2_parts`, `_l2_rotations`); it has a basket with integral l(2) iff
-  every mask holds 0.  Every walked node, the empty multiset at the root
-  (`_root_items`) included, meets the filter once, and the l2-integral walk
-  skips subtrees that keep no row (`_needs`, `_barren`).
-- `_finish_node` and `_witness_runs`: each kept node with integral l(2)
-  gets its witness rebuilt, as integer ((r, b), k) runs.
+  sequences, one task per head r0^k0 and its extensions by larger indices
+  (`_tasks`).  A node carries its rem, its Cartier index and one l(2)
+  bitmask per prime (`_prime_moduli`, `_l2_parts`, `_l2_rotations`); it
+  has a basket with integral l(2) iff every mask holds 0.  `_scan` tests,
+  keeps and cuts each non-empty node once, `_root_items` the empty one,
+  and the l2-integral walk skips subtrees that keep no row (`_needs`,
+  `_barren`).  A kept node with integral l(2) gets its witness rebuilt,
+  as integer ((r, b), k) runs (`_witness_runs`).
 - `_map_tasks` and `_canonical_order`: the tasks run in order or in a
   pool, and one stable sort on rem puts their rows in canonical order.
 - `check_record`: the record rules, the witness's (`_check_witness`)
@@ -398,17 +398,18 @@ def _frame(max_weight: Fraction) -> tuple[int, int, int, tuple[int, ...], tuple]
 
     The budget and weights[r] = r - 1/r are in units of 1/scale, with scale =
     lcm(1..rmax) * the budget's denominator; rotations[r] is index r's l(2)
-    step over `_prime_moduli(rmax)`.
+    step over `_prime_moduli(rmax)`.  weights[rmax + 1] is budget + 1, more
+    than any node has left, so no node extends beyond rmax.
     """
     rmax = max_index(max_weight)
     lcm_all = math.lcm(*range(1, rmax + 1))
     scale = lcm_all * max_weight.denominator
-    weights = [0] * (rmax + 1)
+    budget = max_weight.numerator * lcm_all
+    weights = [0] * (rmax + 1) + [budget + 1]
     rotations = [()] * (rmax + 1)
     for r in range(2, rmax + 1):
         weights[r] = (r * lcm_all - lcm_all // r) * max_weight.denominator
         rotations[r] = _l2_rotations(r, rmax)
-    budget = max_weight.numerator * lcm_all
     return rmax, scale, budget, tuple(weights), tuple(rotations)
 
 
@@ -470,25 +471,6 @@ def _needs(max_weight: Fraction) -> tuple[tuple[dict, ...], ...]:
     return tuple(zip(*columns))
 
 
-def _finish_node(
-    out: list, groups: _Groups, rem: int, lcm: int, l2_reachable: bool, rmax: int
-) -> None:
-    """Append the item (groups, rem, lcm, witness) for one walked node to out.
-
-    rem is c1c2 in units of the walk's scale, lcm the Cartier index and
-    witness the integral basket's runs ((r, b), k) or None.  The caller has
-    tested the node against the filter, once, so a node it rejects never
-    gets here.  The witness is rebuilt over the walk's rmax, so it reads the
-    walk's rotation memos.
-    """
-    witness = None
-    if l2_reachable:
-        witness = _witness_runs(groups, rmax)
-        if witness is None:
-            raise RuntimeError("walk and witness rebuild disagree; this is a bug")
-    out.append((groups, rem, lcm, witness))
-
-
 @lru_cache(maxsize=None)
 def _barren(max_weight: Fraction) -> dict:
     """The l2-integral walk's memo of barren subtrees for a budget, kept per process.
@@ -522,22 +504,26 @@ def _cut(masks: list[int], moved: tuple, needs: tuple, barren: dict, r: int, rem
     return None if barren.get(key, -1) >= rem else key
 
 
-def _scan(ctx, rmin: int, rem: int, prefix: _Groups, lcm: int, bad: int) -> None:
+def _scan(ctx, rmin: int, rem: int, prefix: _Groups, lcm: int, bad: int, head: int = 0) -> None:
     """Visit the extensions of prefix by indices >= rmin, in pre-order.
 
     Each node is followed by its extensions repeating its last index, then
-    by larger indices.  ctx is (out, masks, rmax, weights, rotations, scale,
-    flt, floor, needs, barren).  masks holds prefix's per-prime l(2) masks
-    and bad counts those that lack 0.  A node looks up only the slots its
-    index moves, and writes them into masks only while its subtree is
-    scanned, so masks is as on entry when this returns.  No node with rem
-    below floor is kept, and since weights grow with the index and a
-    subtree only loses budget, the first sibling below floor ends the loop.
-    needs and barren are the l2-integral walk's cuts (`_cut`), and None for
-    every other filter.
+    by larger indices; with head 1 only the node prefix + rmin is visited,
+    and its extensions start at rmin + 1 (`_run_task`).  ctx is (out, masks,
+    rmax, weights, rotations, scale, flt, floor, needs, barren).  masks
+    holds prefix's per-prime l(2) masks and bad counts those that lack 0.
+    A node looks up only the slots its index moves, and writes them into
+    masks only while its subtree is scanned, so masks is as on entry when
+    this returns.  No node with rem below floor is kept, and since weights
+    grow with the index and a subtree only loses budget, the first sibling
+    below floor ends the loop.  needs and barren are the l2-integral walk's
+    cuts (`_cut`), and None for every other filter.  A kept node's item
+    (groups, rem, lcm, witness) goes to out: rem is c1c2 in units of scale,
+    lcm the Cartier index and witness the integral basket's runs, rebuilt
+    over the walk's rmax from its rotation memos, or None.
     """
     out, masks, rmax, weights, rotations, scale, flt, floor, needs, barren = ctx
-    for r in range(rmin, rmax + 1):
+    for r in range(rmin, rmin + 1 if head else rmax + 1):
         w = weights[r]
         node_rem = rem - w
         if node_rem < floor:
@@ -548,24 +534,28 @@ def _scan(ctx, rmin: int, rem: int, prefix: _Groups, lcm: int, bad: int) -> None
             mask = masks[slot]
             node_bad += (mask & 1) - (rotation[mask] & 1)
         keep = flt.accepts(node_rem, scale, node_bad == 0)
-        walk = node_rem >= w  # its extensions start at r
+        rnext = r + head  # its extensions start here
+        walk = node_rem >= weights[rnext]
         if walk and needs is not None:
-            key = _cut(masks, moved, needs, barren, r, node_rem)
+            key = _cut(masks, moved, needs, barren, rnext, node_rem)
             walk = key is not None
         if not (keep or walk):
             continue  # dropped before its runs are built
-        if prefix[-1][0] == r:
+        if prefix and prefix[-1][0] == r:
             node, node_lcm = prefix[:-1] + ((r, prefix[-1][1] + 1),), lcm
         else:
             node, node_lcm = prefix + ((r, 1),), math.lcm(lcm, r)
         if keep:
-            _finish_node(out, node, node_rem, node_lcm, node_bad == 0, rmax)
+            witness = None if node_bad else _witness_runs(node, rmax)
+            if witness is None and not node_bad:
+                raise RuntimeError("walk and witness rebuild disagree; this is a bug")
+            out.append((node, node_rem, node_lcm, witness))
         if walk:
             saved = [masks[slot] for slot, _ in moved]
             for slot, rotation in moved:
                 masks[slot] = rotation[masks[slot]]
             kept = len(out)
-            _scan(ctx, r, node_rem, node, node_lcm, node_bad)
+            _scan(ctx, rnext, node_rem, node, node_lcm, node_bad)
             if needs is not None and len(out) == kept:
                 barren[key] = node_rem
             for (slot, _), mask in zip(moved, saved):
@@ -575,47 +565,40 @@ def _scan(ctx, rmin: int, rem: int, prefix: _Groups, lcm: int, bad: int) -> None
 def _run_task(args) -> list:
     """Filtered items for the multisets whose smallest run is (r0, k0).
 
-    The items come in lexicographic order of the expanded index sequence,
-    and so do the chunks of the tasks listed by r0 ascending, then k0
-    descending: every root r0^k sorts before every longer sequence starting
-    with r0, and the subtree of r0^(k+1) before that of r0^k.  So the task
-    with the largest k0 that fits first emits the roots r0, ..., r0^k0, and
-    every task emits the subtree of r0^k0 extended by larger indices.  The
-    task's l(2) masks are its own; only the rotation memos, and the
-    l2-integral walk's cuts, are shared.
+    They are the head r0^k0 and its extensions by indices > r0, which
+    `_scan` visits from the masks of r0^(k0 - 1), in lexicographic order of
+    the expanded index sequence.  The task's l(2) masks are its own; only
+    the rotation memos, and the l2-integral walk's cuts, are shared.
+
+    The tasks run r0 ascending, then k0 descending, so a row past its
+    task's head sorts after every row of the earlier tasks and before every
+    row of the later ones.  A head r0^k0 sorts before the rows of the
+    earlier tasks (r0, k > k0) too, but those, like its own extensions, are
+    strictly heavier.  So among rows of equal rem the joined chunks are in
+    lexicographic order, which `_canonical_order`'s stable sort keeps.
     """
     max_weight, flt, r0, k0 = args
     rmax, scale, budget, weights, rotations = _frame(max_weight)
-    out: list = []
-    rem = budget - k0 * weights[r0]
-    masks, bad = [1] * len(_prime_moduli(rmax)), 0  # the empty multiset reaches 0 only
-    for k in range(1, k0 + 1):
-        for slot, rotation in rotations[r0]:
-            mask = masks[slot]
-            masks[slot] = rotation[mask]
-            bad += (mask & 1) - (masks[slot] & 1)
-        root_rem = budget - k * weights[r0]
-        # only the task whose k0 is the largest that fits emits the roots
-        if rem < weights[r0] and flt.accepts(root_rem, scale, bad == 0):
-            _finish_node(out, ((r0, k),), root_rem, r0, bad == 0, rmax)
+    masks = [1] * len(_prime_moduli(rmax))  # the empty multiset reaches 0 only
+    for slot, rotation in rotations[r0]:
+        for _ in range(k0 - 1):
+            masks[slot] = rotation[masks[slot]]
     floor = 0
     if flt.kind == "c1c2-range":  # the least rem at or above lo * scale
         floor = max(0, -(-flt.lo.numerator * scale // flt.lo.denominator))
     needs = barren = None
     if flt.kind == "l2-integral":
         needs, barren = _needs(max_weight), _barren(max_weight)
+    out: list = []
     ctx = (out, masks, rmax, weights, rotations, scale, flt, floor, needs, barren)
-    key = None if needs is None else _cut(masks, (), needs, barren, r0 + 1, rem)
-    if needs is None or key is not None:
-        kept = len(out)
-        _scan(ctx, r0 + 1, rem, ((r0, k0),), r0, bad)
-        if needs is not None and len(out) == kept:
-            barren[key] = rem
+    prefix, lcm = (((r0, k0 - 1),), r0) if k0 > 1 else ((), 1)
+    bad = sum(not mask & 1 for mask in masks)
+    _scan(ctx, r0, budget - (k0 - 1) * weights[r0], prefix, lcm, bad, 1)
     return out
 
 
 def _tasks(max_weight: Fraction, flt: RecordFilter) -> list:
-    """The walk's tasks (max_weight, flt, r0, k0), in output order (see `_run_task`)."""
+    """The walk's tasks (max_weight, flt, r0, k0), r0 ascending, then k0 descending."""
     rmax, _, budget, weights, _ = _frame(max_weight)
     return [
         (max_weight, flt, r, k)
@@ -647,8 +630,9 @@ def _canonical_order(rems: list[int]) -> list[int]:
     """Positions of the rows, joined in task order, in canonical order.
 
     Canonical is weight ascending (rem descending), then lexicographic on
-    the expanded index sequence, which the stable sort keeps from the task
-    order among equal weights; so it never depends on task scheduling.
+    the expanded index sequence, the order the joined chunks have among
+    equal rems (`_run_task`) and the stable sort keeps; so it never depends
+    on task scheduling.
     """
     return sorted(range(len(rems)), key=rems.__getitem__, reverse=True)
 
@@ -662,13 +646,16 @@ def _enumerate_raw(max_weight: Fraction, flt: RecordFilter, jobs: int) -> tuple[
 
 
 def _root_items(query: EnumerationQuery) -> list:
-    """The walk's root, the empty multiset, as a raw item if the query emits it."""
-    rmax, scale, *_ = _frame(Fraction(24 * query.chi0))
-    rem = 24 * query.chi0 * scale  # weight 0, Cartier index 1, and l(2) = 0 reachable
-    root: list = []
+    """The walk's root, the empty multiset, as a raw item if the query emits it.
+
+    Its weight is 0 and its Cartier index 1, and its witness is the empty
+    basket, with l(2) = 0.
+    """
+    scale = _frame(Fraction(24 * query.chi0))[1]
+    rem = 24 * query.chi0 * scale
     if query.include_empty and query.filter.accepts(rem, scale, True):
-        _finish_node(root, (), rem, 1, True, rmax)
-    return root
+        return [((), rem, 1, ())]
+    return []
 
 
 @contextmanager
@@ -803,27 +790,15 @@ def feasible_index_multisets(max_weight: Fraction) -> list[IndexMultiset]:
     return [IndexMultiset(groups) for groups, *_ in raw]
 
 
-def exists_integral_basket(
-    indices: IndexMultiset, rmax: Optional[int] = None
-) -> tuple[bool, Optional[Basket]]:
+def exists_integral_basket(indices: IndexMultiset) -> tuple[bool, Optional[Basket]]:
     """Does some b-assignment over the multiset make every l(m) integral?
 
     l(2) alone decides every m (`_check_witness`).  On success the
     lexicographically smallest witness is returned, ordering baskets by
     their canonical (r, b) point sequence (`_witness_runs`).
-
-    rmax, by default the largest index, bounds the primes the masks cover.
-    Any rmax at least the largest index gives the same answer and witness:
-    no index moves a prime above it, and a higher power of a prime only
-    rescales that prime's mask.
     """
     groups = indices.groups
-    largest = groups[-1][0] if groups else 1
-    if rmax is None:
-        rmax = largest
-    elif rmax < largest:
-        raise ValueError(f"rmax {rmax} is below the largest index {largest}")
-    runs = _witness_runs(groups, rmax)
+    runs = _witness_runs(groups, groups[-1][0] if groups else 1)
     return (False, None) if runs is None else (True, _basket(runs))
 
 
@@ -834,9 +809,12 @@ def _witness_runs(groups: _Groups, rmax: int) -> Optional[_Runs]:
     per prime p <= rmax (`_l2_parts`), since l(2) is integral exactly when
     every p-component is.  Suffix masks guide a greedy reconstruction that
     tries each run's b-combinations in lexicographic order, so the witness
-    is the lexicographically smallest by its (r, b) point sequence.  rmax is
-    at least the largest index; the walk passes its own, so the rebuild
-    reads the walk's rotation memos.
+    is the lexicographically smallest by its (r, b) point sequence.
+
+    rmax bounds the primes the masks cover.  Any rmax at least the largest
+    index gives the same answer and witness: no index moves a prime above
+    it, and a higher power of a prime only rescales that prime's mask.  The
+    walk passes its own, so the rebuild reads the walk's rotation memos.
     """
     # suffix[i] = per-prime masks reachable using groups i..end
     suffix = [[1] * len(_prime_moduli(rmax))]

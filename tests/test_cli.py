@@ -365,7 +365,7 @@ class TestWorkerMutants:
 
         def corrupted(task):
             items = real(task)
-            # the task (2, 16) emits the roots 2, ..., 2^16; only a worker corrupts one
+            # the task (2, 16) emits its head 2^16; only a worker corrupts it
             if os.getpid() != parent and task[2:] == (2, 16):
                 i = next(i for i, item in enumerate(items) if item[0] == ((2, 16),))
                 items[i] = mutate(*items[i])

@@ -500,10 +500,13 @@ class TestEnumerate:
         monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
         assert enumerate_index_multisets(EnumerationQuery(chi0=1), jobs=2) == serial
 
-    @pytest.mark.parametrize("max_weight", [Fraction(24), Fraction(37, 3)])
-    def test_chunks_join_in_output_order(self, monkeypatch, max_weight):
-        # the task chunks, joined in task order, are already in lexicographic
-        # order of the expanded index sequence, before the sort by weight
+    @pytest.mark.parametrize(
+        "max_weight, tied", [(Fraction(24), 375), (Fraction(37, 3), 8), (Fraction(48), 29300)]
+    )
+    def test_chunks_join_in_order_among_equal_rems(self, monkeypatch, max_weight, tied):
+        # the stable sort on rem keeps the joined chunks' order among rows of
+        # equal rem, so there it must be lexicographic on the expanded index
+        # sequence; tied counts the rems that more than one row has
         chunks = []
         real = enumeration._run_task
 
@@ -513,9 +516,15 @@ class TestEnumerate:
 
         monkeypatch.setattr(enumeration, "_run_task", recording)
         raw, _ = _enumerate_raw(max_weight, ALL, jobs=1)
-        joined = [IndexMultiset(item[0]).indices() for chunk in chunks for item in chunk]
-        assert joined == sorted(set(joined))
-        assert len(joined) == len(raw)
+        by_rem = {}
+        for chunk in chunks:
+            for groups, rem, *_ in chunk:
+                by_rem.setdefault(rem, []).append(IndexMultiset(groups).indices())
+        assert sum(map(len, by_rem.values())) == len(raw)
+        ties = [joined for joined in by_rem.values() if len(joined) > 1]
+        assert len(ties) == tied
+        for joined in ties:
+            assert joined == sorted(set(joined))
 
     def test_every_emitted_witness_reverifies(self):
         records = enumerate_index_multisets(EnumerationQuery(chi0=1, filter=INTEGRAL_L2))
@@ -584,8 +593,6 @@ def walked_node(frame):
     names = frame.f_locals
     if frame.f_code.co_name == "_scan":
         return IndexMultiset(names["prefix"]).indices() + (names["r"],)
-    if frame.f_code.co_name == "_run_task":
-        return (names["r0"],) * names["k"]
     assert frame.f_code.co_name == "_root_items"
     return ()
 
@@ -593,8 +600,9 @@ def walked_node(frame):
 class TestFilterOncePerNode:
     # the χ = 1 walk has 2,151 nodes below its root, the empty multiset; the
     # l2-integral and c1c2-range walks skip nodes that keep no row, so their
-    # counts are pinned at --jobs 1 with the barren-subtree memo cleared
-    WALKED = dict(zip(EVERY_FILTER_KIND, [2151, 2151, 1059, 2151, 66, 66]))
+    # counts are pinned at --jobs 1 with the barren-subtree memo cleared.  In
+    # the windows [23, 24] and [24, 48] every node lies below the floor.
+    WALKED = dict(zip(EVERY_FILTER_KIND, [2151, 2151, 1059, 2151, 0, 0]))
 
     @pytest.mark.parametrize("include_empty", [False, True], ids=["", "include-empty"])
     @pytest.mark.parametrize(
@@ -603,11 +611,12 @@ class TestFilterOncePerNode:
         ids=lambda f: f.kind if f.lo is None else f"{f.kind}-{f.lo}-{f.hi}",
     )
     def test_every_node_meets_the_filter_once(self, monkeypatch, flt, include_empty):
-        nodes = []
+        nodes, values = [], []
         real = RecordFilter.accepts
 
         def recording(self, num, den, has_int):
             nodes.append(walked_node(sys._getframe(1)))
+            values.append(Fraction(num, den))
             return real(self, num, den, has_int)
 
         enumeration._barren.cache_clear()
@@ -617,6 +626,8 @@ class TestFilterOncePerNode:
         assert len(set(nodes)) == len(nodes)
         assert {rec.indices.indices() for rec in records} <= set(nodes)
         assert len(nodes) == self.WALKED[flt] + include_empty
+        if flt.kind == "c1c2-range":
+            assert all(value >= flt.lo for value in values)  # none below the floor
 
     def test_chi2_integral_walk(self, monkeypatch):
         # 70,025 of the 216,683 nodes, against 1,399 kept
@@ -762,16 +773,18 @@ class TestWitnessOverTheWalksRmax:
     )
     def test_same_witness_at_either_rmax(self, chi0, flt, count):
         # every χ = 1 node and every l2-reachable χ = 2 node, whose witnesses
-        # the walk rebuilt over its own rmax
+        # the walk rebuilt over its own rmax; any rmax at least the largest
+        # index gives the same witness
         rmax = max_index(Fraction(24 * chi0))
         raw, _ = _enumerate_raw(Fraction(24 * chi0), flt, jobs=1)
         assert len(raw) == count
         for groups, _, _, witness in raw:
-            indices = IndexMultiset(groups)
+            assert enumeration._witness_runs(groups, groups[-1][0]) == witness, groups
+            assert enumeration._witness_runs(groups, rmax) == witness, groups
             found = (witness is not None, None if witness is None else enumeration._basket(witness))
-            assert exists_integral_basket(indices) == found, groups
-            assert exists_integral_basket(indices, rmax=rmax) == found, groups
-        assert exists_integral_basket(IndexMultiset(), rmax=rmax) == (True, Basket())
+            assert exists_integral_basket(IndexMultiset(groups)) == found, groups
+        assert enumeration._witness_runs((), 1) == enumeration._witness_runs((), rmax) == ()
+        assert exists_integral_basket(IndexMultiset()) == (True, Basket())
 
     def test_witness_rebuild_reads_the_walks_rotation_memos(self):
         enumeration._frame.cache_clear()
@@ -781,10 +794,6 @@ class TestWitnessOverTheWalksRmax:
         assert sum(map(len, chunks)) == 1399
         # the walk's own step for each index 2..48 at rmax 48, and no other
         assert enumeration._l2_rotations.cache_info().currsize == 47
-
-    def test_rmax_below_the_largest_index_is_rejected(self):
-        with pytest.raises(ValueError, match="rmax 6 is below the largest index 7"):
-            exists_integral_basket(parse_index_multiset("2,7"), rmax=6)
 
 
 class TestQueryValidation:
