@@ -11,9 +11,13 @@ many multisets.  A run passes through these layers:
   (`_tasks`).  A node carries its rem, its Cartier index and one l(2)
   bitmask per prime (`_prime_moduli`, `_l2_parts`, `_l2_rotations`); it
   has a basket with integral l(2) iff every mask holds 0.  `_scan` tests,
-  keeps and cuts each non-empty node once, `_root_items` the empty one,
-  and the l2-integral walk skips subtrees that keep no row (`_needs`,
-  `_barren`).  A kept node with integral l(2) gets its witness rebuilt,
+  keeps and cuts each non-empty node once, `_root_items` the empty one.
+  The l2-integral walk tests only nodes that can still lead to a row: a
+  sibling loop ends where a slot lacking 0 needs more than the budget
+  left (`_needs`, `_stop`), a subtree is cut on the same rule (`_cut`),
+  and a subtree already walked with at least the budget is replayed from
+  one memo of its kept rows, empty for a barren one (`_walked`,
+  `_replay`).  A kept node with integral l(2) gets its witness rebuilt,
   as integer ((r, b), k) runs (`_witness_runs`).
 - `_map_tasks` and `_canonical_order`: the tasks run in order or in a
   pool, and one stable sort on rem puts their rows in canonical order.
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import gc
 import math
-import multiprocessing
+from bisect import bisect_right
 from contextlib import contextmanager
 from copy import copy
 from dataclasses import dataclass
@@ -414,8 +418,8 @@ def _frame(max_weight: Fraction) -> tuple[int, int, int, tuple[int, ...], tuple]
 
 
 @lru_cache(maxsize=None)
-def _needs(max_weight: Fraction) -> tuple[tuple[dict, ...], ...]:
-    """The l2-integral walk's need table for a budget: needs[r][slot][mask].
+def _needs(max_weight: Fraction) -> tuple[dict, ...]:
+    """The l2-integral walk's need table for a budget: needs[slot][mask][r].
 
     For r <= rmax + 1 and a slot's mask lacking 0, it is the least weight of
     indices >= r that brings 0 into that mask (in `_frame`'s units), or
@@ -424,6 +428,11 @@ def _needs(max_weight: Fraction) -> tuple[tuple[dict, ...], ...]:
     indices of an extension that move a slot weigh no more than the
     extension; so a node with a slot lacking 0 whose need exceeds its
     remaining budget keeps no row below it, and the walk cuts it (`_cut`).
+    Need is non-decreasing in r, since the indices >= r + 1 are among those
+    >= r, so a sibling loop, whose later nodes use only later indices
+    within the same budget, ends at the first r where a slot of its prefix
+    lacking 0 needs more than that budget, which a bisection of each such
+    slot's needs finds (`_stop`).
 
     The masks are those the slot reaches from {0} within the budget.
     Rotations commute, so a cheapest multiset can take its copies of the
@@ -431,8 +440,7 @@ def _needs(max_weight: Fraction) -> tuple[tuple[dict, ...], ...]:
     over t copies of it plus the need, at the next position, of the mask
     they make.  A path that fits the budget left after its mask only passes
     masks reached within the budget, so the least weight is exact wherever
-    it fits.  The table for r is the one of the first mover >= r, so
-    indices share one dict per slot and mover position.
+    it fits.  Need at r is the one at the first mover >= r.
     """
     rmax, _, budget, weights, rotations = _frame(max_weight)
     never = budget + 1
@@ -467,41 +475,99 @@ def _needs(max_weight: Fraction) -> tuple[tuple[dict, ...], ...]:
                     spent += w
                 need[mask] = least
             column[: r + 1] = [need] * (r + 1)
-        columns.append(column)
-    return tuple(zip(*columns))
+        columns.append({mask: tuple(need[mask] for need in column) for mask in need})
+    return tuple(columns)
 
 
 @lru_cache(maxsize=None)
-def _barren(max_weight: Fraction) -> dict:
-    """The l2-integral walk's memo of barren subtrees for a budget, kept per process.
+def _walked(max_weight: Fraction) -> dict:
+    """The l2-integral walk's memo of walked subtrees for a budget, kept per process.
 
-    It maps (next index, masks) to the largest remaining budget at which
-    the extensions of a node with those masks by indices >= next index were
-    walked and none was kept.  Whether the filter keeps a node depends on
-    its masks alone, and a smaller budget walks a subset of the same
-    extensions, so a later subtree with that key and no larger budget keeps
-    nothing either, and the walk skips it (`_cut`).  The memo and the need
-    table are per budget, and what they record does not depend on which
-    tasks ran before, so neither does a task's chunk.
+    It maps a subtree's key (next index, masks) to (rem, suffixes): the
+    largest remaining budget at which the extensions of a node with those
+    masks by indices >= next index were walked, and the suffixes of the
+    rows kept there, in pre-order, each as (runs, weight, lcm).  A barren
+    subtree's suffixes are empty.  Every cut is exact, so they are all the
+    subtree's rows that the filter keeps.  Whether it keeps a row depends
+    on the row's masks alone, which are the key's after the suffix, and a
+    smaller budget walks, in the same order, the extensions of the larger
+    one that fit it; so a later node with that key and no larger rem keeps
+    exactly the stored suffixes of weight <= its rem, and the walk replays
+    them (`_replay`) instead of walking the subtree (`_cut`).  The memo
+    and the need table are per budget, and what they record does not
+    depend on which tasks ran before, so neither does a task's chunk.
     """
     return {}
 
 
-def _cut(masks: list[int], moved: tuple, needs: tuple, barren: dict, r: int, rem: int):
-    """The memo key (r, *masks) of a subtree to walk, or None when a cut skips it.
+def _cut(masks: list[int], moved: tuple, needs: tuple, walked: dict, r: int, rem: int):
+    """(key, suffixes) for a subtree: its memo key (r, *masks) if the walk must walk it.
 
     The subtree is the extensions by indices >= r, within rem, of the node
-    whose masks are masks after the rotations moved.  Only the l2-integral
-    walk asks.
+    whose masks are masks after the rotations moved.  A slot lacking 0
+    whose need exceeds rem cuts it, (None, ()); a memo entry walked with at
+    least rem gives (None, its suffixes) to replay; else it is (key, ()).
+    Only the l2-integral walk asks.
     """
     masks = masks[:]
     for slot, rotation in moved:
         masks[slot] = rotation[masks[slot]]
-    for mask, need in zip(masks, needs[r]):
-        if not mask & 1 and need[mask] > rem:
-            return None  # that slot needs more than rem
+    for mask, need in zip(masks, needs):
+        if not mask & 1 and need[mask][r] > rem:
+            return None, ()  # that slot needs more than rem
     key = (r, *masks)
-    return None if barren.get(key, -1) >= rem else key
+    stored = walked.get(key)
+    if stored is not None and stored[0] >= rem:
+        return None, stored[1]
+    return key, ()
+
+
+def _stop(masks: list[int], needs: tuple, r: int, rem: int) -> int:
+    """The first index >= r at which a slot lacking 0 needs more than rem.
+
+    A node at that index or later, and its subtree, use only indices at or
+    beyond it within rem, so that slot keeps lacking 0 and no row is kept
+    there: the sibling loop ends at it.  Need grows with the index, as fewer
+    indices remain (`_needs`), so a bisection of each lacking slot's needs
+    finds it; need at rmax + 1 exceeds every rem, so one exists when some
+    slot lacks 0, as every caller's does.
+    """
+    return min(
+        bisect_right(need[mask], rem, r) for mask, need in zip(masks, needs) if not mask & 1
+    )
+
+
+def _suffixes(items: list, node: _Groups, node_rem: int) -> tuple:
+    """The rows below node in items as `_walked`'s suffixes (runs, weight, lcm)."""
+    n, (_, k) = len(node), node[-1]
+    suffixes = []
+    for groups, rem, _, _ in items:
+        r, row_k = groups[n - 1]
+        suffix = ((r, row_k - k),) + groups[n:] if row_k > k else groups[n:]
+        suffixes.append((suffix, node_rem - rem, math.lcm(*[s for s, _ in suffix])))
+    return tuple(suffixes)
+
+
+def _replay(out: list, node: _Groups, node_rem: int, node_lcm: int, suffixes: tuple, rmax: int):
+    """Append the rows of node's walked subtree that fit node_rem, from `_walked`'s suffixes.
+
+    A row is node followed by the suffix, its first run merged into node's
+    last when they share an index; its rem is node_rem less the suffix's
+    weight and its lcm that of node_lcm and the suffix's.  Its witness is
+    rebuilt as a walked row's is.
+    """
+    last, k = node[-1]
+    for suffix, weight, suffix_lcm in suffixes:
+        if weight > node_rem:
+            continue
+        if suffix[0][0] == last:
+            row = node[:-1] + ((last, k + suffix[0][1]),) + suffix[1:]
+        else:
+            row = node + suffix
+        witness = _witness_runs(row, rmax)
+        if witness is None:
+            raise RuntimeError("walk and witness rebuild disagree; this is a bug")
+        out.append((row, node_rem - weight, math.lcm(node_lcm, suffix_lcm), witness))
 
 
 def _scan(ctx, rmin: int, rem: int, prefix: _Groups, lcm: int, bad: int, head: int = 0) -> None:
@@ -510,20 +576,25 @@ def _scan(ctx, rmin: int, rem: int, prefix: _Groups, lcm: int, bad: int, head: i
     Each node is followed by its extensions repeating its last index, then
     by larger indices; with head 1 only the node prefix + rmin is visited,
     and its extensions start at rmin + 1 (`_run_task`).  ctx is (out, masks,
-    rmax, weights, rotations, scale, flt, floor, needs, barren).  masks
+    rmax, weights, rotations, scale, flt, floor, needs, walked).  masks
     holds prefix's per-prime l(2) masks and bad counts those that lack 0.
     A node looks up only the slots its index moves, and writes them into
     masks only while its subtree is scanned, so masks is as on entry when
     this returns.  No node with rem below floor is kept, and since weights
     grow with the index and a subtree only loses budget, the first sibling
-    below floor ends the loop.  needs and barren are the l2-integral walk's
-    cuts (`_cut`), and None for every other filter.  A kept node's item
-    (groups, rem, lcm, witness) goes to out: rem is c1c2 in units of scale,
-    lcm the Cartier index and witness the integral basket's runs, rebuilt
-    over the walk's rmax from its rotation memos, or None.
+    below floor ends the loop.  needs and walked are the l2-integral walk's
+    cuts and memo, and None for every other filter: its loop ends at
+    `_stop`, a node's subtree is cut or replayed as `_cut` says, and a
+    walked one is stored.  A kept node's item (groups, rem, lcm, witness)
+    goes to out: rem is c1c2 in units of scale, lcm the Cartier index and
+    witness the integral basket's runs, rebuilt over the walk's rmax from
+    its rotation memos, or None.
     """
-    out, masks, rmax, weights, rotations, scale, flt, floor, needs, barren = ctx
-    for r in range(rmin, rmin + 1 if head else rmax + 1):
+    out, masks, rmax, weights, rotations, scale, flt, floor, needs, walked = ctx
+    stop = rmin + 1 if head else rmax + 1
+    if needs is not None and bad and not head:
+        stop = _stop(masks, needs, rmin, rem)
+    for r in range(rmin, stop):
         w = weights[r]
         node_rem = rem - w
         if node_rem < floor:
@@ -536,10 +607,11 @@ def _scan(ctx, rmin: int, rem: int, prefix: _Groups, lcm: int, bad: int, head: i
         keep = flt.accepts(node_rem, scale, node_bad == 0)
         rnext = r + head  # its extensions start here
         walk = node_rem >= weights[rnext]
+        replay = ()
         if walk and needs is not None:
-            key = _cut(masks, moved, needs, barren, rnext, node_rem)
+            key, replay = _cut(masks, moved, needs, walked, rnext, node_rem)
             walk = key is not None
-        if not (keep or walk):
+        if not (keep or walk or replay):
             continue  # dropped before its runs are built
         if prefix and prefix[-1][0] == r:
             node, node_lcm = prefix[:-1] + ((r, prefix[-1][1] + 1),), lcm
@@ -550,14 +622,16 @@ def _scan(ctx, rmin: int, rem: int, prefix: _Groups, lcm: int, bad: int, head: i
             if witness is None and not node_bad:
                 raise RuntimeError("walk and witness rebuild disagree; this is a bug")
             out.append((node, node_rem, node_lcm, witness))
+        if replay:
+            _replay(out, node, node_rem, node_lcm, replay, rmax)
         if walk:
             saved = [masks[slot] for slot, _ in moved]
             for slot, rotation in moved:
                 masks[slot] = rotation[masks[slot]]
             kept = len(out)
             _scan(ctx, rnext, node_rem, node, node_lcm, node_bad)
-            if needs is not None and len(out) == kept:
-                barren[key] = node_rem
+            if needs is not None:
+                walked[key] = (node_rem, _suffixes(out[kept:], node, node_rem))
             for (slot, _), mask in zip(moved, saved):
                 masks[slot] = mask
 
@@ -586,11 +660,11 @@ def _run_task(args) -> list:
     floor = 0
     if flt.kind == "c1c2-range":  # the least rem at or above lo * scale
         floor = max(0, -(-flt.lo.numerator * scale // flt.lo.denominator))
-    needs = barren = None
+    needs = walked = None
     if flt.kind == "l2-integral":
-        needs, barren = _needs(max_weight), _barren(max_weight)
+        needs, walked = _needs(max_weight), _walked(max_weight)
     out: list = []
-    ctx = (out, masks, rmax, weights, rotations, scale, flt, floor, needs, barren)
+    ctx = (out, masks, rmax, weights, rotations, scale, flt, floor, needs, walked)
     prefix, lcm = (((r0, k0 - 1),), r0) if k0 > 1 else ((), 1)
     bad = sum(not mask & 1 for mask in masks)
     _scan(ctx, r0, budget - (k0 - 1) * weights[r0], prefix, lcm, bad, 1)
@@ -619,6 +693,8 @@ def _map_tasks(fn, tasks: list, jobs: int) -> list:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs == 1 or len(tasks) < 2:
         return [fn(task) for task in tasks]
+    import multiprocessing  # only a pool needs it, so a serial run never imports it
+
     with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
         results = pool.map(fn, tasks, chunksize=1)
         pool.close()

@@ -753,6 +753,15 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert result.stdout.strip() == "1/252\t2^3,4,7,9"
 
+    def test_parser_leaves_multiprocessing_unimported(self):
+        # only a --jobs > 1 pool needs multiprocessing, so setting up the CLI skips it
+        code = "import sys, chern3.cli; chern3.cli.build_parser(); print('multiprocessing' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
     def test_usage_error_exit_code(self):
         result = subprocess.run(
             [sys.executable, "-m", "chern3", "enumerate"],

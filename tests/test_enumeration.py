@@ -2,6 +2,7 @@
 
 import gc
 import multiprocessing
+import random
 import re
 import sys
 from collections import Counter
@@ -325,7 +326,7 @@ def test_tasks_share_no_walk_state():
 
     def clear_memos():
         for memo in (enumeration._frame, enumeration._l2_rotations,
-                     enumeration._needs, enumeration._barren):
+                     enumeration._needs, enumeration._walked):
             memo.cache_clear()
 
     clear_memos()
@@ -600,9 +601,9 @@ def walked_node(frame):
 class TestFilterOncePerNode:
     # the χ = 1 walk has 2,151 nodes below its root, the empty multiset; the
     # l2-integral and c1c2-range walks skip nodes that keep no row, so their
-    # counts are pinned at --jobs 1 with the barren-subtree memo cleared.  In
+    # counts are pinned at --jobs 1 with the walked-subtree memo cleared.  In
     # the windows [23, 24] and [24, 48] every node lies below the floor.
-    WALKED = dict(zip(EVERY_FILTER_KIND, [2151, 2151, 1059, 2151, 0, 0]))
+    WALKED = dict(zip(EVERY_FILTER_KIND, [2151, 2151, 491, 2151, 0, 0]))
 
     @pytest.mark.parametrize("include_empty", [False, True], ids=["", "include-empty"])
     @pytest.mark.parametrize(
@@ -619,18 +620,24 @@ class TestFilterOncePerNode:
             values.append(Fraction(num, den))
             return real(self, num, den, has_int)
 
-        enumeration._barren.cache_clear()
+        # a replayed row is no walked node, so the l2-integral records are
+        # held to the full walk's integral items instead, as in TestCuts
+        integral = [()] * include_empty + [groups for groups, *_ in integral_items(Fraction(24))]
+        enumeration._walked.cache_clear()
         monkeypatch.setattr(RecordFilter, "accepts", recording)
         query = EnumerationQuery(chi0=1, filter=flt, include_empty=include_empty)
         records = enumerate_index_multisets(query)
         assert len(set(nodes)) == len(nodes)
-        assert {rec.indices.indices() for rec in records} <= set(nodes)
+        if flt.kind == "l2-integral":
+            assert [rec.indices.groups for rec in records] == integral
+        else:
+            assert {rec.indices.indices() for rec in records} <= set(nodes)
         assert len(nodes) == self.WALKED[flt] + include_empty
         if flt.kind == "c1c2-range":
             assert all(value >= flt.lo for value in values)  # none below the floor
 
     def test_chi2_integral_walk(self, monkeypatch):
-        # 70,025 of the 216,683 nodes, against 1,399 kept
+        # 21,711 of the 216,683 nodes, against 1,399 kept
         nodes = []
         real = RecordFilter.accepts
 
@@ -638,11 +645,11 @@ class TestFilterOncePerNode:
             nodes.append(walked_node(sys._getframe(1)))
             return real(self, num, den, has_int)
 
-        enumeration._barren.cache_clear()
+        enumeration._walked.cache_clear()
         monkeypatch.setattr(RecordFilter, "accepts", recording)
         raw, _ = _enumerate_raw(Fraction(48), INTEGRAL_L2, jobs=1)
         assert len(raw) == 1399
-        assert len(nodes) == len(set(nodes)) == 70025
+        assert len(nodes) == len(set(nodes)) == 21711
 
 
 def integral_items(max_weight):
@@ -682,7 +689,7 @@ class TestCuts:
 
     @pytest.mark.parametrize("chi0", [0, 1, 2])
     def test_integral_walk_keeps_the_full_walks_integral_items(self, chi0):
-        enumeration._barren.cache_clear()
+        enumeration._walked.cache_clear()
         raw, _ = _enumerate_raw(Fraction(24 * chi0), INTEGRAL_L2, jobs=1)
         assert raw == integral_items(Fraction(24 * chi0))
         assert len(raw) == [0, 40, 1399][chi0]
@@ -710,7 +717,12 @@ class TestCuts:
         # >= r that move the slot and bring 0 into the mask
         rmax, _, full, weights, _ = enumeration._frame(budget)
         needs = enumeration._needs(budget)
-        assert len(needs) == rmax + 2
+        assert len(needs) == len(enumeration._prime_moduli(rmax))
+        # `_stop` bisects each slot's needs over r, which must not fall as r grows
+        for slot, curves in enumerate(needs):
+            for mask, curve in curves.items():
+                assert len(curve) == rmax + 2
+                assert list(curve) == sorted(curve), (slot, mask)
         for slot in range(len(enumeration._prime_moduli(rmax))):
             movers = []
             for r in range(2, rmax + 1):
@@ -719,7 +731,7 @@ class TestCuts:
                     movers.append((r, slots.index(slot)))
             reached = brute_masks(movers, 1, full, weights, rmax)
             for r in range(rmax + 2):
-                table = needs[r][slot]
+                table = {mask: curve[r] for mask, curve in needs[slot].items()}
                 assert set(table) == {mask for mask in reached if not mask & 1}
                 later = [mover for mover in movers if mover[0] >= r]
                 for mask, need in table.items():
@@ -733,6 +745,32 @@ class TestCuts:
                         assert need > slack, (slot, r, mask)
                     else:
                         assert need == exact, (slot, r, mask)
+
+    def test_memo_replays_in_any_warm_order(self, monkeypatch):
+        # a task's chunk is the same from a cold memo and from one that other
+        # tasks warmed in any order, and the memo's stored rows are replayed
+        budget = Fraction(48)
+        expected = integral_items(budget)
+        tasks = enumeration._tasks(budget, INTEGRAL_L2)
+        shuffled = tasks[:]
+        random.Random(1).shuffle(shuffled)
+        replayed = []
+        real = enumeration._replay
+
+        def counting(out, *args):
+            before = len(out)
+            real(out, *args)
+            replayed.append(len(out) - before)
+
+        monkeypatch.setattr(enumeration, "_replay", counting)
+        for warm in ([], tasks[::-1], shuffled):
+            enumeration._walked.cache_clear()
+            for task in warm:
+                enumeration._run_task(task)
+            replayed.clear()
+            raw, _ = _enumerate_raw(budget, INTEGRAL_L2, jobs=1)
+            assert raw == expected
+            assert sum(replayed) > 0
 
     @staticmethod
     @lru_cache(maxsize=None)
