@@ -109,19 +109,18 @@ def _write_markdown(header: Sequence[str], rows: Sequence[Sequence[str]], stream
 
 # `enumerate` renderers: `enumeration.checked_lines` calls one in the task
 # that walked the rows, so each is a module-level function, pickled by name.
-# A row is (fields, num, den) with c1.c2 = num/den; each row becomes one line.
-
-def _csv_cell(text: str) -> str:
-    """A cell as `csv.writer` writes it when no cell holds a quote, CR or LF."""
-    return f'"{text}"' if "," in text else text
-
+# A row is the flat tuple (multiset, r_X, c1.c2, integral, witness, scaled)
+# of `enumeration._checked_rows`, with c1.c2 = scaled / r_X; each row becomes
+# one line.
 
 def _render_csv(rows) -> str:
-    # of the row's fields only the multiset and the witness can hold a comma
-    return "".join(
-        f"{_csv_cell(indices)},{r_x},{c1c2},{integral},{_csv_cell(witness)}\n"
-        for (indices, r_x, c1c2, integral, witness), _, _ in rows
-    )
+    # only the multiset and the witness can hold a comma, and a cell is quoted
+    # iff it holds one, as `csv.writer` quotes a cell with no quote, CR or LF
+    return "".join([
+        f"""{f'"{indices}"' if "," in indices else indices},{r_x},{c1c2},{integral},"""
+        f"""{f'"{witness}"' if "," in witness else witness}\n"""
+        for indices, r_x, c1c2, integral, witness, _ in rows
+    ])
 
 
 def _render_jsonl(rows) -> str:
@@ -131,21 +130,21 @@ def _render_jsonl(rows) -> str:
     the empty-set sign as an ASCII escape; the other fields are digits, "/",
     "true" or "false", which need no escape.
     """
-    return "".join(
+    return "".join([
         f'{{"indices":{json.dumps(indices)},"cartier_index":{r_x},"c1c2":"{c1c2}",'
         f'"has_integral_basket":{integral},'
         f'"witness":{json.dumps(witness) if witness else "null"}}}\n'
-        for (indices, r_x, c1c2, integral, witness), _, _ in rows
-    )
+        for indices, r_x, c1c2, integral, witness, _ in rows
+    ])
 
 
 def _render_md(rows) -> str:
     """Tab-separated cells, which `_write_lines` pads into a table."""
-    # int / int rounds correctly, as float(Fraction(num, den)) does
-    return "".join(
-        "\t".join((*fields[:3], f"{num / den:.6g}", *fields[3:])) + "\n"
-        for fields, num, den in rows
-    )
+    # int / int rounds correctly, as float(Fraction(scaled, r_x)) does
+    return "".join([
+        f"{indices}\t{r_x}\t{c1c2}\t{scaled / r_x:.6g}\t{integral}\t{witness}\n"
+        for indices, r_x, c1c2, integral, witness, scaled in rows
+    ])
 
 
 RENDERERS = {"csv": _render_csv, "jsonl": _render_jsonl, "md": _render_md}
@@ -161,15 +160,18 @@ def _write_lines(lines: list[str], fmt: str, stream) -> None:
             stream.write("\n".join(lines[start:start + 4096]) + "\n")
 
 
-def _record_row(rec: ChernRecord) -> tuple[tuple[str, ...], int, int]:
-    fields = (
+def _record_row(rec: ChernRecord) -> tuple:
+    """A record as the flat row that `enumeration._checked_rows` makes of its item."""
+    # a record's c1.c2 has a denominator dividing its Cartier index
+    r_x, c1c2 = rec.cartier_index, rec.c1c2
+    return (
         format_index_multiset(rec.indices),
-        str(rec.cartier_index),
-        str(rec.c1c2),
+        r_x,
+        str(c1c2),
         "true" if rec.has_integral_basket else "false",
         format_basket(rec.witness) if rec.witness is not None else "",
+        c1c2.numerator * (r_x // c1c2.denominator),
     )
-    return fields, rec.c1c2.numerator, rec.c1c2.denominator
 
 
 def _emit_records(records: Iterable[ChernRecord], fmt: str, stream) -> None:

@@ -16,16 +16,20 @@ many multisets.  A run passes through these layers:
   sibling loop ends where a slot lacking 0 needs more than the budget
   left (`_needs`, `_stop`), a subtree is cut on the same rule (`_cut`),
   and a subtree already walked with at least the budget is replayed from
-  one memo of its kept rows, empty for a barren one (`_walked`,
-  `_replay`).  A kept node with integral l(2) gets its witness rebuilt,
-  as integer ((r, b), k) runs (`_witness_runs`).
+  one memo of its kept rows, empty for a barren one (`_walked`, freed as
+  the walk ends, and `_replay`).  A kept node with integral l(2) gets its
+  witness rebuilt, as integer ((r, b), k) runs (`_witness_runs`).
 - `_map_tasks` and `_canonical_order`: the tasks run in order or in a
   pool, and one stable sort on rem puts their rows in canonical order.
 - `check_record`: the record rules, the witness's (`_check_witness`)
   among them, which every record and every row passes.
 - `enumerate_index_multisets` turns the rows into `ChernRecord`s with
-  `Basket` witnesses; `checked_lines` checks and renders each task's rows
-  inside the task (`_checked_rows`), so a pool's workers send back text.
+  `Basket` witnesses.  `checked_lines` checks and renders each row in one
+  pass inside its task, so a pool's workers send back text: `_checked_rows`
+  makes each item a flat row, c1.c2's text reduced over the row's own
+  Cartier index with the c1.c2 * r_X that `check_record` returns, and one
+  renderer per format writes each row as one line.  The parent orders
+  the lines by their rems while each task's text is one string.
 
 The walk and the record build leave no reference cycle and run with the
 cyclic garbage collector paused (`collector_paused`).
@@ -192,11 +196,57 @@ def _runs_state(groups: _Groups) -> tuple[int, int, int, str]:
     return derived, weight, groups[-1][0], ",".join(map(_run_text, groups))
 
 
+def _stepped_state(groups: _Groups, heads: dict) -> tuple[int, int, int, str]:
+    """The `_runs_state` of runs, in one step from their head's.
+
+    The walk makes every node by adding one run to its parent or bumping
+    the parent's last run, so a row's runs are a head, all runs but the
+    last, plus the last run (r, k); the chi = 2 census's 216,683 rows have
+    28,738 distinct heads.  The head's state is read from heads, a `_Heads`
+    memo or any mapping of heads to their `_runs_state`; then one step adds
+    the last run: the runs are canonical iff the head is and r is above its
+    last index with k >= 1, lcm = lcm(head lcm, r), and the weight is the
+    head's rescaled plus k(r^2 - 1)/r.  So the memo changes no outcome:
+    every rule still re-derives from the runs alone.  The empty multiset,
+    and runs the step cannot take, are derived whole from scratch, which
+    raises `IndexMultiset`'s error for bad runs.
+    """
+    try:
+        head, (r, k) = groups[:-1], groups[-1]
+        head_lcm, head_weight, head_last, head_text = heads[head]
+        stepped = (
+            type(groups) is tuple and type(groups[-1]) is tuple and head_last < r and not k < 1
+        )
+    except (IndexError, TypeError, ValueError):  # empty, an unhashable head, or bad runs
+        stepped = False
+    if not stepped:
+        return _runs_state(groups)
+    derived = math.lcm(head_lcm, r)
+    weight = head_weight * (derived // head_lcm) + k * (r * r - 1) * (derived // r)
+    text = f"{head_text},{_run_text(groups[-1])}" if head else _run_text(groups[-1])
+    return derived, weight, r, text
+
+
+class _Heads(dict):
+    """`check_record`'s memo of the heads of one task's rows: head -> `_runs_state`.
+
+    A head met first is stepped from its own head (`_stepped_state`), so
+    it costs one run's work, as a row does.  `_checked_rows` keeps one for
+    a task's rows; it lives and dies there, so no task shares or pickles it.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, head):
+        state = self[head] = _stepped_state(head, self)
+        return state
+
+
 def check_record(
     groups: _Groups, chi0: int, num: int, den: int, lcm: int, witness: Optional[_Runs],
     heads: Optional[dict] = None,
-) -> str:
-    """Raise ValueError unless these are the fields of a consistent record; else the runs' text.
+) -> tuple[str, int]:
+    """Raise ValueError unless these are the fields of a consistent record; else (text, scaled).
 
     The one owner of the record rules, which `ChernRecord` and
     `checked_lines` both apply: the runs are canonical index runs, c1.c2 =
@@ -204,37 +254,15 @@ def check_record(
     is their Cartier index, and a witness, given as runs ((r, b), k), passes
     `_check_witness`.  c1.c2 is checked in integers scaled by the
     re-derived lcm, which every weight term r - 1/r has as a denominator.
-    The text is the runs as `format_index_multiset` prints them.
-
-    The walk makes every node by adding one run to its parent or bumping
-    the parent's last run, so a row's runs are a head, all runs but the
-    last, plus the last run (r, k); the chi = 2 census's 216,683 rows have
-    28,738 distinct heads.  The head's state (`_runs_state`) is derived
-    from scratch, or read from heads, a `_Memo` of `_runs_state` that
-    `_checked_rows` keeps for one task's rows; then one step adds the last
-    run: the runs are canonical iff the head is and r is above its last
-    index with k >= 1, lcm = lcm(head lcm, r), and the weight is the head's
-    rescaled plus k(r^2 - 1)/r.  So the memo changes no outcome: every rule
-    still re-derives from the runs alone, and a row costs one run's work.
-    The empty multiset, and runs the step cannot take, are derived whole
-    from scratch, which raises `IndexMultiset`'s error for bad runs.
+    The text is the runs as `format_index_multiset` prints them, and scaled
+    is c1.c2 * lcm, an int, so num/den = scaled/lcm once the checks pass.
+    The runs' lcm, weight and text are derived from scratch, or with heads
+    in one step from their head's state (`_stepped_state`), so a row costs
+    one run's work.
     """
-    try:
-        head, (r, k) = groups[:-1], groups[-1]
-        head_lcm, head_weight, head_last, head_text = (
-            _runs_state(head) if heads is None else heads[head]
-        )
-        stepped = (
-            type(groups) is tuple and type(groups[-1]) is tuple and head_last < r and not k < 1
-        )
-    except (IndexError, TypeError, ValueError):  # empty, an unhashable head, or bad runs
-        stepped = False
-    if stepped:
-        derived = math.lcm(head_lcm, r)
-        weight = head_weight * (derived // head_lcm) + k * (r * r - 1) * (derived // r)
-        text = f"{head_text},{_run_text(groups[-1])}" if head else _run_text(groups[-1])
-    else:
-        derived, weight, _, text = _runs_state(groups)
+    derived, weight, _, text = (
+        _runs_state(groups) if heads is None else _stepped_state(groups, heads)
+    )
     scaled = 24 * chi0 * derived - weight  # c1c2 * derived, by 24*chi0 = c1c2 + weight
     if num * derived != scaled * den:
         raise ValueError(
@@ -247,7 +275,7 @@ def check_record(
         raise ValueError(f"Cartier index mismatch for {text}")
     if witness is not None:
         _check_witness(witness, groups, derived)
-    return text
+    return text, scaled
 
 
 def _check_witness(runs: _Runs, groups: _Groups, r_x: int) -> None:
@@ -481,7 +509,7 @@ def _needs(max_weight: Fraction) -> tuple[dict, ...]:
 
 @lru_cache(maxsize=None)
 def _walked(max_weight: Fraction) -> dict:
-    """The l2-integral walk's memo of walked subtrees for a budget, kept per process.
+    """The l2-integral walk's memo of walked subtrees for a budget, kept for one walk.
 
     It maps a subtree's key (next index, masks) to (rem, suffixes): the
     largest remaining budget at which the extensions of a node with those
@@ -496,6 +524,9 @@ def _walked(max_weight: Fraction) -> dict:
     them (`_replay`) instead of walking the subtree (`_cut`).  The memo
     and the need table are per budget, and what they record does not
     depend on which tasks ran before, so neither does a task's chunk.
+    The memo lives until the walk that filled it ends: `_enumerate_raw` and
+    `checked_lines` clear it then, whether the walk ran in this process or
+    in a pool whose workers each kept their own.
     """
     return {}
 
@@ -715,7 +746,10 @@ def _canonical_order(rems: list[int]) -> list[int]:
 
 def _enumerate_raw(max_weight: Fraction, flt: RecordFilter, jobs: int) -> tuple[list, int]:
     """Filtered raw items (groups, rem, lcm, witness runs) in canonical order, and the scale."""
-    chunks = _map_tasks(_run_task, _tasks(max_weight, flt), jobs)
+    try:
+        chunks = _map_tasks(_run_task, _tasks(max_weight, flt), jobs)
+    finally:
+        _walked.cache_clear()
     raw = [item for chunk in chunks for item in chunk]
     order = _canonical_order([item[1] for item in raw])
     return [raw[i] for i in order], _frame(max_weight)[1]
@@ -793,25 +827,23 @@ def _witness_text(runs: _Runs) -> str:
 
 
 def _checked_rows(items: list, chi0: int, scale: int) -> Iterator[tuple]:
-    """Each raw item as the row (fields, num, den) of its record, after `check_record`.
+    """Each raw item as the flat row of its record, after `check_record`.
 
-    fields are the multiset, Cartier index, c1.c2, "true"/"false" for an
-    integral basket and the witness ("" when there is none), as `chern3
-    enumerate` prints them, and c1.c2 = num/den unreduced.  The arithmetic
-    stays in integers; the text of each index and witness run is made once
-    per process, and the state of each head once per call: that memo lives
-    and dies here, so no task shares or pickles it.
+    A row is (multiset, Cartier index, c1.c2, "true"/"false" for an integral
+    basket, witness, scaled): texts as `chern3 enumerate` prints them, the
+    witness "" when there is none, the Cartier index r_X an int and scaled
+    = c1.c2 * r_X.  `check_record` has just verified that rem/scale =
+    scaled/r_X, so c1.c2's text is reduced from scaled/r_X, a gcd of small
+    ints, not from rem/scale.  The text of each index and witness run is made once
+    per process, and the state of each head once per call (`_Heads`).
     """
-    heads = _Memo(_runs_state)
+    heads = _Heads()
     for groups, rem, lcm, witness in items:
-        fields = (
-            check_record(groups, chi0, rem, scale, lcm, witness, heads),
-            str(lcm),
-            fraction_text(rem, scale),
-            "false" if witness is None else "true",
-            "" if witness is None else _witness_text(witness),
-        )
-        yield fields, rem, scale
+        text, scaled = check_record(groups, chi0, rem, scale, lcm, witness, heads)
+        if witness is None:
+            yield text, lcm, fraction_text(scaled, lcm), "false", "", scaled
+        else:
+            yield text, lcm, fraction_text(scaled, lcm), "true", _witness_text(witness), scaled
 
 
 def _checked_text(items: list, chi0: int, scale: int, render) -> tuple[list[int], str]:
@@ -832,8 +864,8 @@ def _render_task(args) -> tuple[list[int], str]:
 def checked_lines(query: EnumerationQuery, render, jobs: int = 1) -> list[str]:
     """The records of `enumerate_index_multisets` as lines of text, without the records.
 
-    render turns an iterable of rows (fields, num, den), as `_checked_rows`
-    makes them, into text with one newline-terminated line per row and no
+    render turns an iterable of flat rows, as `_checked_rows` makes them,
+    into text with one newline-terminated line per row and no
     other newline.  Each walk task checks its rows with `check_record`, so
     a row is checked exactly as its record would be, and renders them; with
     `jobs` > 1 the tasks run in worker processes, so render must be a
@@ -845,15 +877,25 @@ def checked_lines(query: EnumerationQuery, render, jobs: int = 1) -> list[str]:
     scale = _frame(max_weight)[1]
     with collector_paused():
         tasks = [(task, chi0, render) for task in _tasks(max_weight, query.filter)]
-        # the root has the largest rem, so it sorts first
-        chunks = [_checked_text(_root_items(query), chi0, scale, render)]
-        chunks += _map_tasks(_render_task, tasks, jobs)
-        rems = [rem for chunk_rems, _ in chunks for rem in chunk_rems]
-        lines = [line for _, text in chunks for line in text.split("\n")[:-1]]
-        del chunks  # free the texts before the ordered copy of the lines is built
-        if len(lines) != len(rems):
+        try:
+            # the root has the largest rem, so it sorts first
+            chunks = [_checked_text(_root_items(query), chi0, scale, render)]
+            chunks += _map_tasks(_render_task, tasks, jobs)
+        finally:
+            _walked.cache_clear()
+        # the order is made while each task's text is one string, and the
+        # texts are split one at a time, each freed once split, so the rems
+        # and every line are never alive together
+        order = _canonical_order([rem for chunk_rems, _ in chunks for rem in chunk_rems])
+        texts = [text for _, text in chunks]
+        del chunks
+        lines: list[str] = []
+        for i, text in enumerate(texts):
+            texts[i] = None
+            lines += text.split("\n")[:-1]
+        if len(lines) != len(order):
             raise RuntimeError("a rendered row is not one line; this is a bug")
-        return [lines[i] for i in _canonical_order(rems)]
+        return [lines[i] for i in order]
 
 
 def feasible_index_multisets(max_weight: Fraction) -> list[IndexMultiset]:

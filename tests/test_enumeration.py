@@ -8,7 +8,7 @@ import sys
 from collections import Counter
 from contextlib import suppress
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product, zip_longest
 from math import gcd, lcm
 
@@ -684,6 +684,12 @@ def brute_masks(movers, start, budget, weights, rmax):
     return least
 
 
+# rational budgets in [0, 48] with denominators up to 12
+RATIONAL_BUDGETS = st.integers(1, 12).flatmap(
+    lambda den: st.builds(Fraction, st.integers(0, 48 * den), st.just(den))
+)
+
+
 class TestCuts:
     """The l2-integral walk's cuts skip only subtrees that keep no row."""
 
@@ -695,19 +701,38 @@ class TestCuts:
         assert len(raw) == [0, 40, 1399][chi0]
 
     @settings(max_examples=12, deadline=None)
-    @given(
-        st.integers(1, 12).flatmap(
-            lambda den: st.builds(Fraction, st.integers(0, 48 * den), st.just(den))
-        )
-    )
+    @given(RATIONAL_BUDGETS)
     @example(Fraction(47))
     @example(Fraction(95, 2))
     @example(Fraction(143, 3))
     def test_rational_budgets(self, budget):
-        # the memos of the budgets drawn so far stay in the process, so each
-        # budget's walk meets the others' memos
+        # each budget's walk fills its own memo and frees it as it ends
         raw, _ = _enumerate_raw(budget, INTEGRAL_L2, jobs=1)
         assert raw == integral_items(budget)
+
+    def test_walks_free_their_memo(self, monkeypatch):
+        # the memo lives while its walk runs and is empty once the walk ends,
+        # also when the walk fails
+        query = EnumerationQuery(chi0=1, filter=INTEGRAL_L2)
+        sizes = []
+        real = enumeration._run_task
+
+        def recording(task):
+            items = real(task)
+            sizes.append(len(enumeration._walked(task[0])))
+            return items
+
+        monkeypatch.setattr(enumeration, "_run_task", recording)
+        enumerate_index_multisets(query)
+        assert max(sizes) > 0 and enumeration._walked.cache_info().currsize == 0
+        sizes.clear()
+        checked_lines(query, cli.RENDERERS["csv"])
+        assert max(sizes) > 0 and enumeration._walked.cache_info().currsize == 0
+        monkeypatch.setattr(enumeration, "_witness_runs", lambda groups, rmax: None)
+        for walk in (enumerate_index_multisets, partial(checked_lines, render=cli._render_csv)):
+            with pytest.raises(RuntimeError):
+                walk(query)
+            assert enumeration._walked.cache_info().currsize == 0
 
     @pytest.mark.parametrize("budget", [Fraction(9, 2), Fraction(10), Fraction(31, 2), Fraction(16)])
     def test_need_table_matches_brute_force(self, budget):
@@ -964,9 +989,9 @@ class TestCheckedRowMutants:
     def test_walked_items_pass(self, monkeypatch):
         (groups, rem, lcm, witness), scale = self.walked("2^16")
         assert witness == (((2, 1), 16),)
-        [(fields, num, den)] = self.rows(monkeypatch, (groups, rem, lcm, witness))
-        assert fields == ("2^16", "2", "0", "true", "(1,2)^16")
-        assert (num, den) == (rem, scale)
+        [(*fields, scaled)] = self.rows(monkeypatch, (groups, rem, lcm, witness))
+        assert fields == ["2^16", 2, "0", "true", "(1,2)^16"]
+        assert Fraction(scaled, fields[1]) == Fraction(rem, scale)
 
     @pytest.mark.parametrize(
         "text, mutate, message",
@@ -1067,7 +1092,7 @@ class TestWitnessMutants:
 
 
 def reference_check(groups, chi0, num, den, r_x, witness):
-    """The record rules in one from-scratch pass over every run; returns the runs' text.
+    """The record rules in one from-scratch pass over every run; returns (text, c1c2 * lcm).
 
     The witness, given as runs ((r, b), k), is checked as a `Basket` whose
     every l(m) the full-period scan `first_fractional_l` tests.
@@ -1100,7 +1125,7 @@ def reference_check(groups, chi0, num, den, r_x, witness):
         m = first_fractional_l(basket)
         if m is not None:
             raise ValueError(f"witness has non-integral l({m}) = {l_value(basket, m)}")
-    return text
+    return text, scaled
 
 
 def outcome(check, *args):
@@ -1174,18 +1199,22 @@ class TestPrefixMemoOracle:
         elif mutation == "sole-1":
             groups = ((1, k),)
 
-        # the memo holds the heads of other rows and of the item before it was mutated
+        # the memo holds the heads of other rows and of the item before it was
+        # mutated; `_checked_rows`' own memo steps each head from its head
         heads = enumeration._Memo(enumeration._runs_state)
+        stepped = enumeration._Heads()
         for other in [*warm, original]:
             other, other_rem, other_lcm, _ = consistent_item(other, chi0)
-            with suppress(ValueError):  # a heavy multiset has c1c2 < 0
-                enumeration.check_record(
-                    other, chi0, other_rem, CENSUS_SCALE, other_lcm, None, heads
-                )
+            for memo in (heads, stepped):
+                with suppress(ValueError):  # a heavy multiset has c1c2 < 0
+                    enumeration.check_record(
+                        other, chi0, other_rem, CENSUS_SCALE, other_lcm, None, memo
+                    )
         args = (groups, chi0, rem, CENSUS_SCALE, r_x, witness)
         expected = outcome(reference_check, *args)
         assert outcome(enumeration.check_record, *args) == expected
         assert outcome(enumeration.check_record, *args, heads) == expected
+        assert outcome(enumeration.check_record, *args, stepped) == expected
 
 
 @lru_cache(maxsize=None)
@@ -1245,6 +1274,32 @@ def test_fraction_text_matches_fraction(rem, scale):
     assert fraction_text(rem, scale) == str(Fraction(rem, scale))
     # rem * scale is divisible by scale
     assert fraction_text(rem * scale, scale) == str(Fraction(rem * scale, scale))
+
+
+@settings(max_examples=12, deadline=None)
+@given(RATIONAL_BUDGETS)
+@example(Fraction(47))
+@example(Fraction(95, 2))
+@example(Fraction(143, 3))
+def test_row_text_matches_fraction(budget):
+    # every row of the budget's walk, checked as a χ = 2 row whose rem keeps
+    # the 48 - budget the walk did not spend, at the walk's scale: its c1c2
+    # text and md's approximate cell are those of Fraction(rem, scale)
+    with enumeration.collector_paused():
+        raw, scale = _enumerate_raw(budget, ALL, jobs=1)
+        slack = (48 - budget) * scale
+        assert slack.denominator == 1
+        items = [(groups, rem + int(slack), r_x, witness) for groups, rem, r_x, witness in raw]
+        rows = list(enumeration._checked_rows(items, 2, scale))
+        # md's c1c2 and approximate cells
+        cells = [line.split("\t")[2:4] for line in cli._render_md(rows).split("\n")[:-1]]
+        expected = {}
+        for _, rem, _, _ in items:
+            if rem not in expected:
+                value = Fraction(rem, scale)
+                expected[rem] = [str(value), f"{float(value):.6g}"]
+        assert [row[2] for row in rows] == [text for text, _ in cells]
+        assert cells == [expected[rem] for _, rem, _, _ in items]
 
 
 @settings(max_examples=300, deadline=None)
