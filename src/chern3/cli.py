@@ -1,15 +1,18 @@
 """Command-line surface for enumeration, table verification and series evaluation.
 
 Exit codes follow one contract everywhere: 0 success, 1 verification
-mismatch or empty result, 2 usage or input error.  Machine formats (csv,
-jsonl) are byte-deterministic for a given query and never decimalize
-fractions; the markdown format adds a decimal column that is explicitly
-approximate.  `enumerate` writes the lines of `enumeration.checked_lines`
-without building records: with `--jobs N` the walk's tasks run in N
-worker processes, each checking its rows and rendering them with the
-format's renderer (`RENDERERS`), and this process only orders the lines
-and writes them.  `_emit_records` puts the library's records through the
-same renderers and writer, and gives the same bytes.
+mismatch or empty result, 2 usage or input error, an output that cannot
+be opened or written included: a reader that closes stdout early gets
+one `error:` line and no traceback.  Machine formats (csv, jsonl) are
+byte-deterministic for a given query and never decimalize fractions; the
+markdown format adds a decimal column that is explicitly approximate.
+`enumerate` writes the lines of `enumeration.checked_lines` without
+building records: the walk's one driver runs its tasks, with `--jobs N`
+in N worker processes, each checking its rows and rendering them with
+the format's renderer (`RENDERERS`), and this process only writes the
+lines in the order the driver gives them.  `_emit_records` puts the
+library's records through the same renderers and writer, and gives the
+same bytes.
 """
 
 from __future__ import annotations
@@ -483,9 +486,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # collector never traverses the records
     with enumeration.collector_paused():
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # a closed stdout fails here, not at exit
+            return code
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except BrokenPipeError as exc:
+            # the reader has gone: what is still buffered goes to devnull, so
+            # the flush at exit does not raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print(f"error: cannot write the output: {exc.strerror}", file=sys.stderr)
             return EXIT_USAGE
 
 

@@ -11,7 +11,8 @@ many multisets.  A run passes through these layers:
   (`_tasks`).  A node carries its rem, its Cartier index and one l(2)
   bitmask per prime (`_prime_moduli`, `_l2_parts`, `_l2_rotations`); it
   has a basket with integral l(2) iff every mask holds 0.  `_scan` tests,
-  keeps and cuts each non-empty node once, `_root_items` the empty one.
+  keeps and cuts each non-empty node once; the empty multiset is a task of
+  its own, which `_run_task` tests.
   The l2-integral walk tests only nodes that can still lead to a row: a
   sibling loop ends where a slot lacking 0 needs more than the budget
   left (`_needs`, `_stop`), a subtree is cut on the same rule (`_cut`),
@@ -19,17 +20,18 @@ many multisets.  A run passes through these layers:
   one memo of its kept rows, empty for a barren one (`_walked`, freed as
   the walk ends, and `_replay`).  A kept node with integral l(2) gets its
   witness rebuilt, as integer ((r, b), k) runs (`_witness_runs`).
-- `_map_tasks` and `_canonical_order`: the tasks run in order or in a
-  pool, and one stable sort on rem puts their rows in canonical order.
+- `_enumerate_raw`, the one driver: the tasks run in order or in a pool
+  (`_map_tasks`), and one stable sort on rem puts their rows in canonical
+  order.
 - `check_record`: the record rules, the witness's (`_check_witness`)
   among them, which every record and every row passes.
 - `enumerate_index_multisets` turns the rows into `ChernRecord`s with
-  `Basket` witnesses.  `checked_lines` checks and renders each row in one
-  pass inside its task, so a pool's workers send back text: `_checked_rows`
-  makes each item a flat row, c1.c2's text reduced over the row's own
-  Cartier index with the c1.c2 * r_X that `check_record` returns, and one
-  renderer per format writes each row as one line.  The parent orders
-  the lines by their rems while each task's text is one string.
+  `Basket` witnesses.  `checked_lines` has the driver check and render
+  each row in one pass inside its task, so a pool's workers send back
+  text: `_checked_rows` makes each item a flat row, c1.c2's text reduced
+  over the row's own Cartier index with the c1.c2 * r_X that
+  `check_record` returns, and one renderer per format writes each row as
+  one line.
 
 The walk and the record build leave no reference cycle and run with the
 cyclic garbage collector paused (`collector_paused`).
@@ -523,10 +525,10 @@ def _walked(max_weight: Fraction) -> dict:
     exactly the stored suffixes of weight <= its rem, and the walk replays
     them (`_replay`) instead of walking the subtree (`_cut`).  The memo
     and the need table are per budget, and what they record does not
-    depend on which tasks ran before, so neither does a task's chunk.
-    The memo lives until the walk that filled it ends: `_enumerate_raw` and
-    `checked_lines` clear it then, whether the walk ran in this process or
-    in a pool whose workers each kept their own.
+    depend on which tasks ran before, so neither does a task's items.
+    The memo lives until the walk that filled it ends: `_enumerate_raw`
+    clears it then, whether the walk ran in this process or in a pool whose
+    workers each kept their own.
     """
     return {}
 
@@ -673,17 +675,22 @@ def _run_task(args) -> list:
     They are the head r0^k0 and its extensions by indices > r0, which
     `_scan` visits from the masks of r0^(k0 - 1), in lexicographic order of
     the expanded index sequence.  The task's l(2) masks are its own; only
-    the rotation memos, and the l2-integral walk's cuts, are shared.
+    the rotation memos, and the l2-integral walk's cuts, are shared.  The
+    task (r0, k0) = (1, 0) is the root, the empty multiset, alone: its rem
+    is the budget, its Cartier index 1 and its witness the empty basket,
+    with l(2) = 0, and it meets the filter here.
 
     The tasks run r0 ascending, then k0 descending, so a row past its
     task's head sorts after every row of the earlier tasks and before every
     row of the later ones.  A head r0^k0 sorts before the rows of the
     earlier tasks (r0, k > k0) too, but those, like its own extensions, are
-    strictly heavier.  So among rows of equal rem the joined chunks are in
-    lexicographic order, which `_canonical_order`'s stable sort keeps.
+    strictly heavier.  So among rows of equal rem the joined parts are in
+    lexicographic order, which `_enumerate_raw`'s stable sort keeps.
     """
     max_weight, flt, r0, k0 = args
     rmax, scale, budget, weights, rotations = _frame(max_weight)
+    if not k0:
+        return [((), budget, 1, ())] if flt.accepts(budget, scale, True) else []
     masks = [1] * len(_prime_moduli(rmax))  # the empty multiset reaches 0 only
     for slot, rotation in rotations[r0]:
         for _ in range(k0 - 1):
@@ -702,10 +709,14 @@ def _run_task(args) -> list:
     return out
 
 
-def _tasks(max_weight: Fraction, flt: RecordFilter) -> list:
-    """The walk's tasks (max_weight, flt, r0, k0), r0 ascending, then k0 descending."""
+def _tasks(max_weight: Fraction, flt: RecordFilter, include_empty: bool = False) -> list:
+    """The walk's tasks (max_weight, flt, r0, k0), r0 ascending, then k0 descending.
+
+    With include_empty the root's task (max_weight, flt, 1, 0) comes first;
+    its one row has the largest rem, so it sorts first too.
+    """
     rmax, _, budget, weights, _ = _frame(max_weight)
-    return [
+    return [(max_weight, flt, 1, 0)] * include_empty + [
         (max_weight, flt, r, k)
         for r in range(2, rmax + 1)
         for k in range(budget // weights[r], 0, -1)
@@ -718,7 +729,8 @@ def _map_tasks(fn, tasks: list, jobs: int) -> list:
     A pool hands the tasks out one at a time: the (2, k0) tasks hold 78 %
     of the chi = 2 census's rows, and the default chunking (21 tasks each)
     gave most of them to one worker.  Every worker has exited before this
-    returns.  fn and the tasks are pickled, fn by name.
+    returns.  fn and the tasks are pickled, fn by name (a partial by its
+    function's name).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -733,39 +745,48 @@ def _map_tasks(fn, tasks: list, jobs: int) -> list:
     return results
 
 
-def _canonical_order(rems: list[int]) -> list[int]:
-    """Positions of the rows, joined in task order, in canonical order.
+def _part(finish, task) -> tuple[list[int], object]:
+    """A task's part: the rems of its items in walk order, and the items or their text.
 
-    Canonical is weight ascending (rem descending), then lexicographic on
-    the expanded index sequence, the order the joined chunks have among
-    equal rems (`_run_task`) and the stable sort keeps; so it never depends
-    on task scheduling.
+    With finish the items become finish(items), one text with one
+    newline-terminated line per item, in the same order.
     """
-    return sorted(range(len(rems)), key=rems.__getitem__, reverse=True)
+    items = _run_task(task)
+    return [item[1] for item in items], items if finish is None else finish(items)
 
 
-def _enumerate_raw(max_weight: Fraction, flt: RecordFilter, jobs: int) -> tuple[list, int]:
-    """Filtered raw items (groups, rem, lcm, witness runs) in canonical order, and the scale."""
+def _enumerate_raw(
+    max_weight: Fraction, flt: RecordFilter, jobs: int, include_empty: bool = False, finish=None
+) -> tuple[list, int]:
+    """Filtered raw items (groups, rem, lcm, witness runs) in canonical order, and the scale.
+
+    With include_empty the empty multiset is one more task (`_tasks`).
+    With finish, each task turns its items into text (`_part`) and the
+    rows are that text's lines, without their newlines; in a pool, finish
+    is pickled by name, so it is a module-level function or a partial of
+    one.  Canonical is weight ascending (rem descending), then
+    lexicographic on the expanded index sequence, the order the joined
+    parts have among equal rems (`_run_task`) and the stable sort keeps; so
+    it never depends on task scheduling.
+    """
     try:
-        chunks = _map_tasks(_run_task, _tasks(max_weight, flt), jobs)
+        parts = _map_tasks(partial(_part, finish), _tasks(max_weight, flt, include_empty), jobs)
     finally:
         _walked.cache_clear()
-    raw = [item for chunk in chunks for item in chunk]
-    order = _canonical_order([item[1] for item in raw])
-    return [raw[i] for i in order], _frame(max_weight)[1]
-
-
-def _root_items(query: EnumerationQuery) -> list:
-    """The walk's root, the empty multiset, as a raw item if the query emits it.
-
-    Its weight is 0 and its Cartier index 1, and its witness is the empty
-    basket, with l(2) = 0.
-    """
-    scale = _frame(Fraction(24 * query.chi0))[1]
-    rem = 24 * query.chi0 * scale
-    if query.include_empty and query.filter.accepts(rem, scale, True):
-        return [((), rem, 1, ())]
-    return []
+    # the order is made while each task's part is whole; then the rems are
+    # freed and the parts gathered one at a time, each freed once gathered,
+    # so the rems and every row are never alive together
+    rems = [rem for part_rems, _ in parts for rem in part_rems]
+    order = sorted(range(len(rems)), key=rems.__getitem__, reverse=True)
+    parts = [part for _, part in parts]
+    del rems
+    rows: list = []
+    for i, part in enumerate(parts):
+        parts[i] = None
+        rows += part if finish is None else part.split("\n")[:-1]
+    if len(rows) != len(order):
+        raise RuntimeError("a rendered row is not one line; this is a bug")
+    return [rows[i] for i in order], _frame(max_weight)[1]
 
 
 @contextmanager
@@ -794,8 +815,9 @@ def enumerate_index_multisets(
     record build run with the cyclic garbage collector paused.
     """
     with collector_paused():
-        raw, scale = _enumerate_raw(Fraction(24 * query.chi0), query.filter, jobs)
-        raw[:0] = _root_items(query)
+        raw, scale = _enumerate_raw(
+            Fraction(24 * query.chi0), query.filter, jobs, query.include_empty
+        )
         # each raw item is replaced by its record in place, so the raw items
         # are freed while the records are built
         for i, (groups, rem, lcm, witness) in enumerate(raw):
@@ -846,19 +868,9 @@ def _checked_rows(items: list, chi0: int, scale: int) -> Iterator[tuple]:
             yield text, lcm, fraction_text(scaled, lcm), "true", _witness_text(witness), scaled
 
 
-def _checked_text(items: list, chi0: int, scale: int, render) -> tuple[list[int], str]:
-    """(rems, text): the items' rems and their checked rows as `render` writes them."""
-    return [item[1] for item in items], render(_checked_rows(items, chi0, scale))
-
-
-def _render_task(args) -> tuple[list[int], str]:
-    """`checked_lines`' task: `_run_task`'s items, checked and rendered.
-
-    args is (task, chi0, render).  Returns the rem of each item in walk
-    order and one text with one line per item, in the same order.
-    """
-    task, chi0, render = args
-    return _checked_text(_run_task(task), chi0, _frame(task[0])[1], render)
+def _checked_text(render, chi0: int, scale: int, items: list) -> str:
+    """The items' checked rows as `render` writes them: `checked_lines`' finish."""
+    return render(_checked_rows(items, chi0, scale))
 
 
 def checked_lines(query: EnumerationQuery, render, jobs: int = 1) -> list[str]:
@@ -873,29 +885,10 @@ def checked_lines(query: EnumerationQuery, render, jobs: int = 1) -> list[str]:
     texts at newlines and orders the lines.  Returns the lines, without
     their newlines, in the records' order.
     """
-    chi0, max_weight = query.chi0, Fraction(24 * query.chi0)
-    scale = _frame(max_weight)[1]
+    max_weight = Fraction(24 * query.chi0)
+    finish = partial(_checked_text, render, query.chi0, _frame(max_weight)[1])
     with collector_paused():
-        tasks = [(task, chi0, render) for task in _tasks(max_weight, query.filter)]
-        try:
-            # the root has the largest rem, so it sorts first
-            chunks = [_checked_text(_root_items(query), chi0, scale, render)]
-            chunks += _map_tasks(_render_task, tasks, jobs)
-        finally:
-            _walked.cache_clear()
-        # the order is made while each task's text is one string, and the
-        # texts are split one at a time, each freed once split, so the rems
-        # and every line are never alive together
-        order = _canonical_order([rem for chunk_rems, _ in chunks for rem in chunk_rems])
-        texts = [text for _, text in chunks]
-        del chunks
-        lines: list[str] = []
-        for i, text in enumerate(texts):
-            texts[i] = None
-            lines += text.split("\n")[:-1]
-        if len(lines) != len(order):
-            raise RuntimeError("a rendered row is not one line; this is a bug")
-        return [lines[i] for i in order]
+        return _enumerate_raw(max_weight, query.filter, jobs, query.include_empty, finish)[0]
 
 
 def feasible_index_multisets(max_weight: Fraction) -> list[IndexMultiset]:

@@ -308,9 +308,10 @@ RENDERED_QUERIES = pytest.mark.parametrize(
 
 def checked_rows(query):
     """Every row the walk checks for the query, the empty multiset included."""
-    raw, scale = enumeration._enumerate_raw(Fraction(24 * query.chi0), query.filter, jobs=1)
-    items = enumeration._root_items(query) + raw
-    return list(enumeration._checked_rows(items, query.chi0, scale))
+    raw, scale = enumeration._enumerate_raw(
+        Fraction(24 * query.chi0), query.filter, jobs=1, include_empty=query.include_empty
+    )
+    return list(enumeration._checked_rows(raw, query.chi0, scale))
 
 
 @RENDERED_QUERIES
@@ -761,6 +762,27 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "md"])
+    def test_closed_stdout_exits_2_without_a_traceback(self, fmt, jobs):
+        # the pipe's read end is closed before the start, so every write fails
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "chern3", "enumerate", "--chi", "1",
+                 "--format", fmt, "--jobs", jobs],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr == "error: cannot write the output: Broken pipe\n"
 
     def test_usage_error_exit_code(self):
         result = subprocess.run(

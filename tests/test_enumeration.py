@@ -501,6 +501,16 @@ class TestEnumerate:
         monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
         assert enumerate_index_multisets(EnumerationQuery(chi0=1), jobs=2) == serial
 
+    def test_root_task_in_a_pool(self):
+        # the empty multiset is the first task; a pool returns its row first too
+        query = EnumerationQuery(chi0=1, include_empty=True)
+        serial = enumerate_index_multisets(query)
+        assert serial[0].indices == IndexMultiset() and len(serial) == 2152
+        assert enumerate_index_multisets(query, jobs=2) == serial
+        lines = checked_lines(query, cli._render_csv)
+        assert lines[0] == "∅,1,24,true,∅" and len(lines) == 2152
+        assert checked_lines(query, cli._render_csv, jobs=2) == lines
+
     @pytest.mark.parametrize(
         "max_weight, tied", [(Fraction(24), 375), (Fraction(37, 3), 8), (Fraction(48), 29300)]
     )
@@ -594,7 +604,7 @@ def walked_node(frame):
     names = frame.f_locals
     if frame.f_code.co_name == "_scan":
         return IndexMultiset(names["prefix"]).indices() + (names["r"],)
-    assert frame.f_code.co_name == "_root_items"
+    assert frame.f_code.co_name == "_run_task"
     return ()
 
 
