@@ -12,13 +12,14 @@ in N worker processes, each checking its rows and rendering them with
 the format's renderer (`RENDERERS`), and this process only writes the
 lines in the order the driver gives them.  `_emit_records` puts the
 library's records through the same renderers and writer, and gives the
-same bytes.
+same bytes.  One writer, `_write_lines`, prints the tables of both
+`enumerate` and `chi-series` in every format, and one helper,
+`_write_output`, owns `--output` for both.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import stat
@@ -75,11 +76,11 @@ def _factorization(n: int) -> str:
     return " * ".join(parts)
 
 
-def _open_output(path: Optional[str], mode: str = "w"):
+def _open_output(path: Optional[str]):
     if path is None:
         return nullcontext(sys.stdout)
     try:
-        return open(path, mode, encoding="utf-8", newline="")
+        return open(path, "a", encoding="utf-8", newline="")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
@@ -90,24 +91,6 @@ def _read_fixture(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
-
-
-def _write_csv(rows: Iterable[Sequence[str]], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerows(rows)
-
-
-def _write_markdown(header: Sequence[str], rows: Sequence[Sequence[str]], stream) -> None:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def line(cells):
-        return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |\n"
-    stream.write(line(header))
-    stream.write(line("-" * w for w in widths))
-    for row in rows:
-        stream.write(line(row))
 
 
 # `enumerate` renderers: `enumeration.checked_lines` calls one in the task
@@ -142,7 +125,7 @@ def _render_jsonl(rows) -> str:
 
 
 def _render_md(rows) -> str:
-    """Tab-separated cells, which `_write_lines` pads into a table."""
+    """Tab-separated cells, which `_write_lines`, the one writer of every table, pads."""
     # int / int rounds correctly, as float(Fraction(scaled, r_x)) does
     return "".join([
         f"{indices}\t{r_x}\t{c1c2}\t{scaled / r_x:.6g}\t{integral}\t{witness}\n"
@@ -151,16 +134,50 @@ def _render_md(rows) -> str:
 
 
 RENDERERS = {"csv": _render_csv, "jsonl": _render_jsonl, "md": _render_md}
+MD_HEADER = ("indices", "r_X", "c1c2", "~c1c2 (approx.)", "integral", "witness")
 
 
-def _write_lines(lines: list[str], fmt: str, stream) -> None:
-    """Write the lines of `fmt`'s renderer, without their newlines, in order."""
+def _write_lines(lines: list[str], fmt: str, stream, header: Sequence[str]) -> None:
+    """Write the lines of `fmt`, without their newlines, in order, in batches.
+
+    md lines are tab-separated cells, padded to their columns' widths under
+    `header` and a rule.  No split, padded or encoded copy of every line is made.
+    """
     if fmt == "md":
-        header = ("indices", "r_X", "c1c2", "~c1c2 (approx.)", "integral", "witness")
-        _write_markdown(header, [line.split("\t") for line in lines], stream)
-    else:  # in batches, so no text of every line, or its encoded bytes, is ever made
+        widths = list(map(len, header))
         for start in range(0, len(lines), 4096):
-            stream.write("\n".join(lines[start:start + 4096]) + "\n")
+            columns = zip(*[line.split("\t") for line in lines[start:start + 4096]])
+            widths = [max(w, *map(len, column)) for w, column in zip(widths, columns)]
+        row = ("| " + " | ".join(f"{{:<{w}}}" for w in widths) + " |").format
+        stream.write(f"{row(*header)}\n{row(*('-' * w for w in widths))}\n")
+    for start in range(0, len(lines), 4096):
+        batch = lines[start:start + 4096]
+        if fmt == "md":
+            batch = [row(*line.split("\t")) for line in batch]
+        stream.write("\n".join(batch) + "\n")
+
+
+def _write_output(args, header: Sequence[str], make_lines) -> None:
+    """Write `make_lines()` in `args.format` to `args.output`, or to stdout.
+
+    Called after the usage checks, it opens the file for appending before
+    the lines are made, so an unwritable path fails first and failed work
+    leaves an earlier file as it was and removes one it created.  Then a
+    regular file is emptied; a device or pipe has no bytes to drop.
+    """
+    path = args.output
+    created = path is not None and not os.path.lexists(path)
+    try:
+        with _open_output(path) as stream:
+            lines = make_lines()
+            if path is not None and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+                stream.truncate(0)
+            _write_lines(lines, args.format, stream, header)
+    except BaseException:
+        if created:
+            with suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def _record_row(rec: ChernRecord) -> tuple:
@@ -180,7 +197,7 @@ def _record_row(rec: ChernRecord) -> tuple:
 def _emit_records(records: Iterable[ChernRecord], fmt: str, stream) -> None:
     """Write library records as `enumerate` writes its rows: the rows' reference."""
     text = RENDERERS[fmt](map(_record_row, records))
-    _write_lines(text.split("\n")[:-1], fmt, stream)
+    _write_lines(text.split("\n")[:-1], fmt, stream, MD_HEADER)
 
 
 def _build_filter(args) -> RecordFilter:
@@ -203,24 +220,14 @@ def _cmd_enumerate(args) -> int:
         include_empty=args.include_empty,
         allow_any_chi=args.unsafe_chi,
     )
-    # every usage check is done before --output is opened, for appending: an
-    # unwritable path fails before the walk, and a walk that fails leaves an
-    # earlier file as it was and removes one it created.  After the walk a
-    # regular file is emptied, as mode "w" would have done; a device or pipe
-    # has no bytes to drop.
-    created = args.output is not None and not os.path.lexists(args.output)
-    try:
-        with _open_output(args.output, "a") as stream:
-            lines = enumeration.checked_lines(query, RENDERERS[args.format], jobs=args.jobs)
-            if args.output is not None and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
-                stream.truncate(0)
-            _write_lines(lines, args.format, stream)
-    except BaseException:
-        if created:
-            with suppress(OSError):
-                os.remove(args.output)
-        raise
+    render = RENDERERS[args.format]
+    _write_output(args, MD_HEADER, lambda: enumeration.checked_lines(query, render, jobs=args.jobs))
     return EXIT_OK
+
+
+# chi-series lines: the texts are digits, "-" and "/", which neither
+# `csv.writer` quotes nor `json.dumps` escapes
+SERIES_LINES = {"csv": "{},{},{}", "jsonl": '{{"n":{},"l":"{}","chi":"{}"}}', "md": "{}\t{}\t{}"}
 
 
 def _cmd_chi_series(args) -> int:
@@ -228,19 +235,10 @@ def _cmd_chi_series(args) -> int:
         raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
     basket = parse_basket(args.basket)
     ctx = ChernContext(chi0=args.chi, anticanonical_cube=args.kcube)
-    rows = [
-        [str(n), str(l), str(chi)]
-        for n, (l, chi) in enumerate(chi_series(basket, ctx, args.n_max))
-    ]
-    with _open_output(args.output) as stream:
-        if args.format == "csv":
-            _write_csv(rows, stream)
-        elif args.format == "jsonl":
-            for n, (_, l, chi) in enumerate(rows):
-                payload = {"n": n, "l": l, "chi": chi}
-                stream.write(json.dumps(payload, separators=(",", ":")) + "\n")
-        else:
-            _write_markdown(["n", "l(n+1)", "chi(-nK)"], rows, stream)
+    line = SERIES_LINES[args.format].format
+    _write_output(args, ("n", "l(n+1)", "chi(-nK)"), lambda: [
+        line(n, *row) for n, row in enumerate(chi_series(basket, ctx, args.n_max))
+    ])
     return EXIT_OK
 
 

@@ -207,8 +207,12 @@ class TestEnumerateCommand:
              "16f22637c67955a52282cb648e42ae622e534aea4def4e11253900148242742f"),
             (["--chi", "2", "--filter", "l2-integral", "--depth", "12"],
              "8f783c45b491a90fff32f7748cb5d39d906a1803d0536b248aec6309cbf68ac3"),
+            # no rows: the header and the rule only
+            (["--chi", "0", "--format", "md"],
+             "68107de68ce33f915931f8721a0afc44e962489c27ee2d64a199e89e72386a58"),
         ],
-        ids=["chi1-csv", "chi1-l2-jsonl", "chi1-zero-md", "chi0-empty", "chi2-l2-depth12"],
+        ids=["chi1-csv", "chi1-l2-jsonl", "chi1-zero-md", "chi0-empty", "chi2-l2-depth12",
+             "chi0-md-no-rows"],
     )
     def test_golden_bytes(self, argv, sha256):
         code, out, _ = run_cli("enumerate", *argv)
@@ -438,6 +442,30 @@ class TestChiSeriesCommand:
         ]
         assert out.splitlines() == expected
 
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (["--basket", "(1,2)^3,(2,7),(3,11)", "--chi", "1", "--kcube", "1/2", "--n-max", "30"],
+             {"csv": "a23e7d93bc4e43ada29d2ffa248b975c9d1b51e511b78f3f610bdef96e86237b",
+              "jsonl": "f9dbe0a8d572bae86d11ed968b84bd16241dce20f961146779943b6595dd7f6c",
+              "md": "ffa678bbe7a1929bcc847c9eead724633abd8e6a91d88ba8274e3ae11658b3ac"}),
+            (["--basket", "", "--chi", "1", "--n-max", "0"],
+             {"csv": "6edf941f10a1e0f132c013f8360a57e28f59f25297ddd1a0531a3a8ab1ce7934",
+              "jsonl": "a652c48edb74567bfb6043f39379291a9e536685825ed81f43b177abc7e3b50c",
+              "md": "26662d07186ed4e0799d44547163ea4a8365a5d0e777bbbb92b84ef88aa849d7"}),
+            (["--basket", "(1,2)", "--chi", "0", "--kcube=-7/3", "--n-max", "12"],
+             {"csv": "f9a96435e12c58afabda9d6e6e7a57d5a28bd4d87fd66953f99cc54398fd6bed",
+              "jsonl": "f9a933cf6453182e2c8221b70dea686e4b3e65c4be469da08a28d48cc6908dd8",
+              "md": "f60f74547c4e2b906e61857169a8afd6d89c34d96463301f3cc1dea250f2dfa0"}),
+        ],
+        ids=["fractional-l", "empty-basket", "negative-chi"],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "md"])
+    def test_golden_bytes(self, argv, sha256, fmt):
+        code, out, _ = run_cli("chi-series", *argv, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256[fmt]
+
     def test_negative_n_max_is_a_usage_error(self):
         code, out, err = run_cli(
             "chi-series", "--basket", "(1,2)", "--chi", "1", "--n-max", "-3"
@@ -447,35 +475,46 @@ class TestChiSeriesCommand:
         assert err == "error: --n-max must be >= 0, got -3\n"
 
 
+SERIES_ARGV = ["chi-series", "--basket", "(1,2)^3,(2,7),(3,11)", "--chi", "1", "--n-max", "30"]
+
+
 class TestOutputOpenOrder:
-    """--output is opened after the usage checks, before the walk; it is emptied after it."""
+    """--output is opened after the usage checks, before the work; it is emptied after it.
+
+    `enumerate` walks and `chi-series` evaluates its series in between.
+    """
 
     def test_unopenable_output_fails_before_the_walk(self, tmp_path, monkeypatch):
         def walk(*args, **kwargs):
-            raise AssertionError("the walk ran before --output was opened")
+            raise AssertionError("the work ran before --output was opened")
 
         monkeypatch.setattr(enumeration, "_map_tasks", walk)
+        monkeypatch.setattr(cli, "chi_series", walk)
         path = str(tmp_path / "missing" / "x.csv")
-        code, out, err = run_cli("enumerate", "--chi", "2", "--output", path)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: cannot write ") and path in err
+        for argv in (["enumerate", "--chi", "2"], SERIES_ARGV):
+            code, out, err = run_cli(*argv, "--output", path)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: cannot write ") and path in err
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--chi", "7"],
-            ["--chi", "1", "--filter", "c1c2-range", "--lo", "1"],
-            ["--chi", "1", "--lo", "1", "--hi", "2"],
-            ["--chi", "1", "--depth", "1"],
-            ["--chi", "1", "--jobs", "0"],
+            ["enumerate", "--chi", "7"],
+            ["enumerate", "--chi", "1", "--filter", "c1c2-range", "--lo", "1"],
+            ["enumerate", "--chi", "1", "--lo", "1", "--hi", "2"],
+            ["enumerate", "--chi", "1", "--depth", "1"],
+            ["enumerate", "--chi", "1", "--jobs", "0"],
+            [*SERIES_ARGV, "--n-max", "-1"],
+            ["chi-series", "--basket", "(2,4)", "--chi", "1"],
         ],
-        ids=["chi", "range-bounds", "bounds-without-range", "depth", "jobs"],
+        ids=["chi", "range-bounds", "bounds-without-range", "depth", "jobs",
+             "chi-series-n-max", "chi-series-basket"],
     )
     def test_usage_error_keeps_an_existing_output(self, tmp_path, argv):
         path = tmp_path / "kept.csv"
         path.write_text("earlier output\n", encoding="utf-8")
-        code, out, err = run_cli("enumerate", *argv, "--output", str(path))
+        code, out, err = run_cli(*argv, "--output", str(path))
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
@@ -486,26 +525,28 @@ class TestOutputOpenOrder:
             raise ValueError("the walk failed")
 
         monkeypatch.setattr(enumeration, "_map_tasks", walk)
-        path = tmp_path / "new.csv"
-        code, out, err = run_cli("enumerate", "--chi", "1", "--output", str(path))
-        assert (code, out, err) == (2, "", "error: the walk failed\n")
-        assert not path.exists()
-        # a file that was there before keeps its bytes
-        path.write_bytes(b"earlier output\n")
-        assert run_cli("enumerate", "--chi", "1", "--output", str(path))[0] == 2
-        assert path.read_bytes() == b"earlier output\n"
+        monkeypatch.setattr(cli, "chi_series", walk)
+        for argv in (["enumerate", "--chi", "1"], SERIES_ARGV):
+            path = tmp_path / f"new-{argv[0]}.csv"
+            code, out, err = run_cli(*argv, "--output", str(path))
+            assert (code, out, err) == (2, "", "error: the walk failed\n")
+            assert not path.exists()
+            # a file that was there before keeps its bytes
+            path.write_bytes(b"earlier output\n")
+            assert run_cli(*argv, "--output", str(path))[0] == 2
+            assert path.read_bytes() == b"earlier output\n"
 
     def test_output_replaces_a_longer_earlier_file(self, tmp_path):
-        # --output is opened for appending and truncated after the walk
-        path = tmp_path / "x.csv"
-        path.write_text("earlier output\n" * 1000, encoding="utf-8")
-        code, out, _ = run_cli("enumerate", "--chi", "1", "--filter", "c1c2-zero")
-        assert code == 0
-        assert run_cli("enumerate", "--chi", "1", "--filter", "c1c2-zero",
-                       "--output", str(path)) == (0, "", "")
-        assert path.read_bytes() == out.encode("utf-8")
-        # a device cannot be truncated, and need not be
-        assert run_cli("enumerate", "--chi", "1", "--output", os.devnull) == (0, "", "")
+        # --output is opened for appending and truncated after the work
+        for argv in (["enumerate", "--chi", "1", "--filter", "c1c2-zero"], SERIES_ARGV):
+            path = tmp_path / f"x-{argv[0]}.csv"
+            path.write_text("earlier output\n" * 1000, encoding="utf-8")
+            code, out, _ = run_cli(*argv)
+            assert code == 0
+            assert run_cli(*argv, "--output", str(path)) == (0, "", "")
+            assert path.read_bytes() == out.encode("utf-8")
+            # a device cannot be truncated, and need not be
+            assert run_cli(*argv, "--output", os.devnull) == (0, "", "")
 
     def test_collector_is_restored(self, tmp_path):
         assert gc.isenabled()
@@ -584,13 +625,14 @@ class TestUnopenablePaths:
         "argv",
         [
             ["enumerate", "--chi", "0", "--output"],
+            [*SERIES_ARGV, "--output"],
             ["verify-tables", "--table1"],
             ["quotient", "check", "--table", "4", "--fixture"],
             ["quotient", "derive-enriques", "--k3"],
             ["quotient", "derive-enriques", "--expected"],
         ],
-        ids=["enumerate-output", "verify-tables", "quotient-check", "derive-k3",
-             "derive-expected"],
+        ids=["enumerate-output", "chi-series-output", "verify-tables", "quotient-check",
+             "derive-k3", "derive-expected"],
     )
     def test_missing_path_is_an_input_error(self, tmp_path, argv):
         path = str(tmp_path / "missing" / "x.csv")
