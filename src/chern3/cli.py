@@ -20,7 +20,6 @@ same bytes.  One writer, `_write_lines`, prints the tables of both
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
@@ -42,6 +41,7 @@ from .quotient import (
     format_profile,
 )
 from .riemann_roch import (
+    EMPTY_SYMBOL,
     ChernContext,
     chi_series,
     format_basket,
@@ -109,17 +109,23 @@ def _render_csv(rows) -> str:
     ])
 
 
+# the JSON values of the texts that quotes alone do not make: the empty-set
+# sign, which `json.dumps` writes as an ASCII escape, and no witness
+JSON_EMPTY_SET = '"\\u2205"'
+JSON_WITNESS = {"": "null", EMPTY_SYMBOL: JSON_EMPTY_SET}
+
+
 def _render_jsonl(rows) -> str:
     """Each row as `json.dumps` writes its dict with separators (",", ":").
 
-    Only the multiset and the witness go through `json.dumps`, which writes
-    the empty-set sign as an ASCII escape; the other fields are digits, "/",
-    "true" or "false", which need no escape.
+    No text needs an escape but the empty-set sign: a multiset or witness
+    text is ASCII digits, "^", ",", "(" and ")", or the sign alone, and the
+    other fields are digits, "/", "true" or "false".
     """
     return "".join([
-        f'{{"indices":{json.dumps(indices)},"cartier_index":{r_x},"c1c2":"{c1c2}",'
-        f'"has_integral_basket":{integral},'
-        f'"witness":{json.dumps(witness) if witness else "null"}}}\n'
+        f"""{{"indices":{f'"{indices}"' if indices != EMPTY_SYMBOL else JSON_EMPTY_SET},"cartier_index":"""
+        f"""{r_x},"c1c2":"{c1c2}","has_integral_basket":{integral},"witness":"""
+        f"""{f'"{witness}"' if witness not in JSON_WITNESS else JSON_WITNESS[witness]}}}\n"""
         for indices, r_x, c1c2, integral, witness, _ in rows
     ])
 
@@ -477,9 +483,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the options that take a rational (`parse_rational`)
+RATIONAL_OPTIONS = frozenset({"--lo", "--hi", "--kcube", "--max-cube", "--min-positive"})
+
+
+def _joined_negatives(argv: Sequence[str]) -> list[str]:
+    """argv with each negative value of a rational option joined to it, as --lo=-1/2.
+
+    argparse reads a separate "-1/2" as an option, not a value, since it
+    takes only -N and -N.N for negative numbers.  Only a value that starts
+    with "-" and a digit is joined, so an option that lacks its value still
+    fails to parse.
+    """
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in RATIONAL_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            joined[-1] += f"={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_negatives(sys.argv[1:] if argv is None else argv))
     # a command frees what it built before the collector resumes, so the
     # collector never traverses the records
     with enumeration.collector_paused():

@@ -20,18 +20,26 @@ many multisets.  A run passes through these layers:
   one memo of its kept rows, empty for a barren one (`_walked`, freed as
   the walk ends, and `_replay`).  A kept node with integral l(2) gets its
   witness rebuilt, as integer ((r, b), k) runs (`_witness_runs`).
+  A kept node's item is (head, last, rem, lcm, witness): its runs as all
+  but the last, a tuple the walk already holds and shares among siblings,
+  and the last run (r, k).  So a leaf builds no runs tuple; head +
+  (last,) is made only where a whole multiset is needed.  The empty
+  multiset's item is ((), None, ...).
 - `_enumerate_raw`, the one driver: the tasks run in order or in a pool
   (`_map_tasks`), and one stable sort on rem puts their rows in canonical
   order.
-- `check_record`: the record rules, the witness's (`_check_witness`)
-  among them, which every record and every row passes.
+- `_checked_rows`, the one generator that owns the record rules, the
+  witness's (`_check_witness`) among them, which every row and every
+  record passes: it steps each row from its head's state, which it looks
+  up (`_Heads`) only when the head is not the previous row's head object,
+  and yields the row's flat record.  `check_record` is its one-item input,
+  which every `ChernRecord` passes.
 - `enumerate_index_multisets` turns the rows into `ChernRecord`s with
   `Basket` witnesses.  `checked_lines` has the driver check and render
-  each row in one pass inside its task, so a pool's workers send back
-  text: `_checked_rows` makes each item a flat row, c1.c2's text reduced
-  over the row's own Cartier index with the c1.c2 * r_X that
-  `check_record` returns, and one renderer per format writes each row as
-  one line.
+  each task's rows in one pass inside the task, so a pool's workers send
+  back text: `_checked_rows` makes each item a flat row, c1.c2's text
+  reduced over the row's own Cartier index, and one renderer per format
+  writes each row as one line.
 
 The walk and the record build leave no reference cycle and run with the
 cyclic garbage collector paused (`collector_paused`).
@@ -144,7 +152,8 @@ class EnumerationQuery:
 class ChernRecord:
     """One admissible index multiset together with its exact Chern data.
 
-    Construction passes the fields through `check_record`, which re-derives
+    Construction passes the fields through `check_record`, the one-item
+    input of the record rules' home (`_checked_rows`), which re-derives
     c1.c2 and the Cartier index from the multiset and re-checks the
     witness, as runs, so a record that exists is consistent.
     `has_integral_basket` is read from the witness, which must have
@@ -198,85 +207,51 @@ def _runs_state(groups: _Groups) -> tuple[int, int, int, str]:
     return derived, weight, groups[-1][0], ",".join(map(_run_text, groups))
 
 
-def _stepped_state(groups: _Groups, heads: dict) -> tuple[int, int, int, str]:
-    """The `_runs_state` of runs, in one step from their head's.
-
-    The walk makes every node by adding one run to its parent or bumping
-    the parent's last run, so a row's runs are a head, all runs but the
-    last, plus the last run (r, k); the chi = 2 census's 216,683 rows have
-    28,738 distinct heads.  The head's state is read from heads, a `_Heads`
-    memo or any mapping of heads to their `_runs_state`; then one step adds
-    the last run: the runs are canonical iff the head is and r is above its
-    last index with k >= 1, lcm = lcm(head lcm, r), and the weight is the
-    head's rescaled plus k(r^2 - 1)/r.  So the memo changes no outcome:
-    every rule still re-derives from the runs alone.  The empty multiset,
-    and runs the step cannot take, are derived whole from scratch, which
-    raises `IndexMultiset`'s error for bad runs.
-    """
-    try:
-        head, (r, k) = groups[:-1], groups[-1]
-        head_lcm, head_weight, head_last, head_text = heads[head]
-        stepped = (
-            type(groups) is tuple and type(groups[-1]) is tuple and head_last < r and not k < 1
-        )
-    except (IndexError, TypeError, ValueError):  # empty, an unhashable head, or bad runs
-        stepped = False
-    if not stepped:
-        return _runs_state(groups)
-    derived = math.lcm(head_lcm, r)
-    weight = head_weight * (derived // head_lcm) + k * (r * r - 1) * (derived // r)
-    text = f"{head_text},{_run_text(groups[-1])}" if head else _run_text(groups[-1])
-    return derived, weight, r, text
-
-
 class _Heads(dict):
-    """`check_record`'s memo of the heads of one task's rows: head -> `_runs_state`.
+    """`_checked_rows`' memo of one call's heads: head -> (lcm, weight, last index, text).
 
-    A head met first is stepped from its own head (`_stepped_state`), so
-    it costs one run's work, as a row does.  `_checked_rows` keeps one for
-    a task's rows; it lives and dies there, so no task shares or pickles it.
+    Its keys are tuples.  A head met first is checked as the runs of a row
+    of its own, one step from its own head's state, by `_checked_rows`
+    itself, when that state is here, as it is for most heads of a walk's
+    rows; else, as for a record's runs, it is derived from scratch
+    (`_runs_state`).  It lives and dies in one call, so no task shares or
+    pickles it.
     """
 
     __slots__ = ()
 
     def __missing__(self, head):
-        state = self[head] = _stepped_state(head, self)
+        if self and head[:-1] in self:
+            [state] = _checked_rows(((head[:-1], head[-1], None, None, None),), 0, 1, self)
+        else:
+            state = _runs_state(head)
+        self[head] = state
         return state
 
 
+def _whole(head: _Groups, last) -> _Groups:
+    """The runs of the item (head, last): head and the last run, or head alone if last is None.
+
+    A head that is not a tuple gives a list, which no check takes for runs.
+    """
+    if last is None:
+        return head
+    return head + (last,) if type(head) is tuple else [*head, last]
+
+
 def check_record(
-    groups: _Groups, chi0: int, num: int, den: int, lcm: int, witness: Optional[_Runs],
-    heads: Optional[dict] = None,
+    groups: _Groups, chi0: int, num: int, den: int, lcm: int, witness: Optional[_Runs]
 ) -> tuple[str, int]:
     """Raise ValueError unless these are the fields of a consistent record; else (text, scaled).
 
-    The one owner of the record rules, which `ChernRecord` and
-    `checked_lines` both apply: the runs are canonical index runs, c1.c2 =
-    num/den (den > 0) is 24*chi0 minus their weight and not negative, lcm
-    is their Cartier index, and a witness, given as runs ((r, b), k), passes
-    `_check_witness`.  c1.c2 is checked in integers scaled by the
-    re-derived lcm, which every weight term r - 1/r has as a denominator.
-    The text is the runs as `format_index_multiset` prints them, and scaled
-    is c1.c2 * lcm, an int, so num/den = scaled/lcm once the checks pass.
-    The runs' lcm, weight and text are derived from scratch, or with heads
-    in one step from their head's state (`_stepped_state`), so a row costs
-    one run's work.
+    The record rules, which `ChernRecord` and `checked_lines` both apply,
+    have one home, `_checked_rows`; this is its one-item input, the runs
+    as a head with no last run, which a fresh head memo derives from
+    scratch.  The text is the runs as `format_index_multiset` prints them,
+    and scaled is c1.c2 * lcm, an int, so num/den = scaled/lcm once the
+    checks pass.
     """
-    derived, weight, _, text = (
-        _runs_state(groups) if heads is None else _stepped_state(groups, heads)
-    )
-    scaled = 24 * chi0 * derived - weight  # c1c2 * derived, by 24*chi0 = c1c2 + weight
-    if num * derived != scaled * den:
-        raise ValueError(
-            f"c1c2 mismatch for {text}: "
-            f"stated {Fraction(num, den)}, derived {Fraction(scaled, derived)}"
-        )
-    if scaled < 0:
-        raise ValueError(f"{text} has negative c1c2 {Fraction(num, den)}")
-    if lcm != derived:
-        raise ValueError(f"Cartier index mismatch for {text}")
-    if witness is not None:
-        _check_witness(witness, groups, derived)
+    [(text, *_, scaled)] = _checked_rows(((groups, None, num, lcm, witness),), chi0, den)
     return text, scaled
 
 
@@ -570,62 +545,84 @@ def _stop(masks: list[int], needs: tuple, r: int, rem: int) -> int:
     )
 
 
-def _suffixes(items: list, node: _Groups, node_rem: int) -> tuple:
-    """The rows below node in items as `_walked`'s suffixes (runs, weight, lcm)."""
-    n, (_, k) = len(node), node[-1]
+def _suffixes(items: list, node_head: _Groups, node_last: tuple[int, int], node_rem: int) -> tuple:
+    """The rows below a node in items as `_walked`'s suffixes (runs, weight, lcm).
+
+    The node's runs are node_head + (node_last,), and its rem is node_rem.
+    """
+    n, k = len(node_head) + 1, node_last[1]
     suffixes = []
-    for groups, rem, _, _ in items:
+    for head, last, rem, _, _ in items:
+        groups = head + (last,)
         r, row_k = groups[n - 1]
         suffix = ((r, row_k - k),) + groups[n:] if row_k > k else groups[n:]
         suffixes.append((suffix, node_rem - rem, math.lcm(*[s for s, _ in suffix])))
     return tuple(suffixes)
 
 
-def _replay(out: list, node: _Groups, node_rem: int, node_lcm: int, suffixes: tuple, rmax: int):
-    """Append the rows of node's walked subtree that fit node_rem, from `_walked`'s suffixes.
+def _replay(
+    out: list, node_head: _Groups, node_last: tuple[int, int], node_rem: int, node_lcm: int,
+    suffixes: tuple, rmax: int,
+):
+    """Append the rows of a node's walked subtree that fit node_rem, from `_walked`'s suffixes.
 
-    A row is node followed by the suffix, its first run merged into node's
-    last when they share an index; its rem is node_rem less the suffix's
-    weight and its lcm that of node_lcm and the suffix's.  Its witness is
-    rebuilt as a walked row's is.
+    A row is the node's runs followed by the suffix, its first run merged
+    into the node's last when they share an index; its rem is node_rem less
+    the suffix's weight and its lcm that of node_lcm and the suffix's.  Its
+    witness is rebuilt as a walked row's is, from its whole runs, which
+    the row then carries as (all runs but the last, the last).
     """
-    last, k = node[-1]
+    last, k = node_last
     for suffix, weight, suffix_lcm in suffixes:
         if weight > node_rem:
             continue
         if suffix[0][0] == last:
-            row = node[:-1] + ((last, k + suffix[0][1]),) + suffix[1:]
+            row = node_head + ((last, k + suffix[0][1]),) + suffix[1:]
         else:
-            row = node + suffix
+            row = node_head + (node_last,) + suffix
         witness = _witness_runs(row, rmax)
         if witness is None:
             raise RuntimeError("walk and witness rebuild disagree; this is a bug")
-        out.append((row, node_rem - weight, math.lcm(node_lcm, suffix_lcm), witness))
+        out.append((row[:-1], row[-1], node_rem - weight, math.lcm(node_lcm, suffix_lcm), witness))
 
 
-def _scan(ctx, rmin: int, rem: int, prefix: _Groups, lcm: int, bad: int, head: int = 0) -> None:
-    """Visit the extensions of prefix by indices >= rmin, in pre-order.
+def _scan(
+    ctx, rmin: int, rem: int, head: _Groups, last, lcm: int, bad: int, once: int = 0
+) -> None:
+    """Visit the extensions by indices >= rmin of the node (head, last), in pre-order.
 
-    Each node is followed by its extensions repeating its last index, then
-    by larger indices; with head 1 only the node prefix + rmin is visited,
-    and its extensions start at rmin + 1 (`_run_task`).  ctx is (out, masks,
-    rmax, weights, rotations, scale, flt, floor, needs, walked).  masks
-    holds prefix's per-prime l(2) masks and bad counts those that lack 0.
-    A node looks up only the slots its index moves, and writes them into
-    masks only while its subtree is scanned, so masks is as on entry when
-    this returns.  No node with rem below floor is kept, and since weights
-    grow with the index and a subtree only loses budget, the first sibling
-    below floor ends the loop.  needs and walked are the l2-integral walk's
-    cuts and memo, and None for every other filter: its loop ends at
-    `_stop`, a node's subtree is cut or replayed as `_cut` says, and a
-    walked one is stored.  A kept node's item (groups, rem, lcm, witness)
-    goes to out: rem is c1c2 in units of scale, lcm the Cartier index and
-    witness the integral basket's runs, rebuilt over the walk's rmax from
-    its rotation memos, or None.
+    The node's runs are head + (last,), or head alone when last is None,
+    which only the empty multiset's are.  Each visited node is followed by
+    its extensions repeating its last index, then by larger indices; with
+    once = 1 only the node + rmin is visited, and its extensions start at
+    rmin + 1 (`_run_task`).  ctx is (out, masks, rmax, weights, rotations,
+    scale, flt, floor, needs, walked).  masks holds the node's per-prime
+    l(2) masks and bad counts those that lack 0.  A visited node looks up
+    only the slots its index moves, and writes them into masks only while
+    its subtree is scanned, so masks is as on entry when this returns.  No
+    node with rem below floor is kept, and since weights grow with the
+    index and a subtree only loses budget, the first sibling below floor
+    ends the loop.  needs and walked are the l2-integral walk's cuts and
+    memo, and None for every other filter: its loop ends at `_stop`, a
+    node's subtree is cut or replayed as `_cut` says, and a walked one is
+    stored.
+
+    A kept node's item (head, last, rem, lcm, witness) goes to out: its
+    runs as all but the last, a tuple shared with its siblings, and the
+    last run (r, k); rem is c1c2 in units of scale, lcm the Cartier index
+    and witness the integral basket's runs, rebuilt over the walk's rmax
+    from its rotation memos, or None.  A node repeating this node's last
+    index has this node's head; any other has this node's runs, built once
+    here.  So a leaf builds no runs tuple: a node's whole runs are built
+    only to scan its subtree, store it, or rebuild its witness.
     """
     out, masks, rmax, weights, rotations, scale, flt, floor, needs, walked = ctx
-    stop = rmin + 1 if head else rmax + 1
-    if needs is not None and bad and not head:
+    if last is None:
+        prefix, repeat, k = head, 0, 0
+    else:
+        prefix, (repeat, k) = head + (last,), last
+    stop = rmin + 1 if once else rmax + 1
+    if needs is not None and bad and not once:
         stop = _stop(masks, needs, rmin, rem)
     for r in range(rmin, stop):
         w = weights[r]
@@ -638,47 +635,48 @@ def _scan(ctx, rmin: int, rem: int, prefix: _Groups, lcm: int, bad: int, head: i
             mask = masks[slot]
             node_bad += (mask & 1) - (rotation[mask] & 1)
         keep = flt.accepts(node_rem, scale, node_bad == 0)
-        rnext = r + head  # its extensions start here
+        rnext = r + once  # its extensions start here
         walk = node_rem >= weights[rnext]
         replay = ()
         if walk and needs is not None:
             key, replay = _cut(masks, moved, needs, walked, rnext, node_rem)
             walk = key is not None
         if not (keep or walk or replay):
-            continue  # dropped before its runs are built
-        if prefix and prefix[-1][0] == r:
-            node, node_lcm = prefix[:-1] + ((r, prefix[-1][1] + 1),), lcm
+            continue  # dropped before its last run is built
+        if r == repeat:
+            node_head, node_last, node_lcm = head, (r, k + 1), lcm
         else:
-            node, node_lcm = prefix + ((r, 1),), math.lcm(lcm, r)
+            node_head, node_last, node_lcm = prefix, (r, 1), math.lcm(lcm, r)
         if keep:
-            witness = None if node_bad else _witness_runs(node, rmax)
+            witness = None if node_bad else _witness_runs(node_head + (node_last,), rmax)
             if witness is None and not node_bad:
                 raise RuntimeError("walk and witness rebuild disagree; this is a bug")
-            out.append((node, node_rem, node_lcm, witness))
+            out.append((node_head, node_last, node_rem, node_lcm, witness))
         if replay:
-            _replay(out, node, node_rem, node_lcm, replay, rmax)
+            _replay(out, node_head, node_last, node_rem, node_lcm, replay, rmax)
         if walk:
             saved = [masks[slot] for slot, _ in moved]
             for slot, rotation in moved:
                 masks[slot] = rotation[masks[slot]]
             kept = len(out)
-            _scan(ctx, rnext, node_rem, node, node_lcm, node_bad)
+            _scan(ctx, rnext, node_rem, node_head, node_last, node_lcm, node_bad)
             if needs is not None:
-                walked[key] = (node_rem, _suffixes(out[kept:], node, node_rem))
+                walked[key] = (node_rem, _suffixes(out[kept:], node_head, node_last, node_rem))
             for (slot, _), mask in zip(moved, saved):
                 masks[slot] = mask
 
 
 def _run_task(args) -> list:
-    """Filtered items for the multisets whose smallest run is (r0, k0).
+    """Filtered items (head, last, rem, lcm, witness) of the multisets with smallest run (r0, k0).
 
     They are the head r0^k0 and its extensions by indices > r0, which
     `_scan` visits from the masks of r0^(k0 - 1), in lexicographic order of
     the expanded index sequence.  The task's l(2) masks are its own; only
     the rotation memos, and the l2-integral walk's cuts, are shared.  The
-    task (r0, k0) = (1, 0) is the root, the empty multiset, alone: its rem
-    is the budget, its Cartier index 1 and its witness the empty basket,
-    with l(2) = 0, and it meets the filter here.
+    task (r0, k0) = (1, 0) is the root, the empty multiset, alone: its item
+    is ((), None, ...), the runs () with no last run, its rem is the
+    budget, its Cartier index 1 and its witness the empty basket, with
+    l(2) = 0, and it meets the filter here.
 
     The tasks run r0 ascending, then k0 descending, so a row past its
     task's head sorts after every row of the earlier tasks and before every
@@ -690,7 +688,7 @@ def _run_task(args) -> list:
     max_weight, flt, r0, k0 = args
     rmax, scale, budget, weights, rotations = _frame(max_weight)
     if not k0:
-        return [((), budget, 1, ())] if flt.accepts(budget, scale, True) else []
+        return [((), None, budget, 1, ())] if flt.accepts(budget, scale, True) else []
     masks = [1] * len(_prime_moduli(rmax))  # the empty multiset reaches 0 only
     for slot, rotation in rotations[r0]:
         for _ in range(k0 - 1):
@@ -703,9 +701,9 @@ def _run_task(args) -> list:
         needs, walked = _needs(max_weight), _walked(max_weight)
     out: list = []
     ctx = (out, masks, rmax, weights, rotations, scale, flt, floor, needs, walked)
-    prefix, lcm = (((r0, k0 - 1),), r0) if k0 > 1 else ((), 1)
+    last, lcm = ((r0, k0 - 1), r0) if k0 > 1 else (None, 1)
     bad = sum(not mask & 1 for mask in masks)
-    _scan(ctx, r0, budget - (k0 - 1) * weights[r0], prefix, lcm, bad, 1)
+    _scan(ctx, r0, budget - (k0 - 1) * weights[r0], (), last, lcm, bad, 1)
     return out
 
 
@@ -748,19 +746,23 @@ def _map_tasks(fn, tasks: list, jobs: int) -> list:
 def _part(finish, task) -> tuple[list[int], object]:
     """A task's part: the rems of its items in walk order, and the items or their text.
 
-    With finish the items become finish(items), one text with one
-    newline-terminated line per item, in the same order.
+    The items are (head, last, rem, lcm, witness) (`_scan`).  With finish
+    they become finish(items), one text with one newline-terminated line
+    per item, in the same order; `checked_lines`' finish checks them in one
+    `_checked_rows` loop, whose head memo lives for that one task.
     """
     items = _run_task(task)
-    return [item[1] for item in items], items if finish is None else finish(items)
+    return [item[2] for item in items], items if finish is None else finish(items)
 
 
 def _enumerate_raw(
     max_weight: Fraction, flt: RecordFilter, jobs: int, include_empty: bool = False, finish=None
 ) -> tuple[list, int]:
-    """Filtered raw items (groups, rem, lcm, witness runs) in canonical order, and the scale.
+    """Filtered raw items (head, last, rem, lcm, witness runs) in canonical order, and the scale.
 
-    With include_empty the empty multiset is one more task (`_tasks`).
+    An item's runs are head + (last,), or head alone when last is None,
+    as for the empty multiset (`_scan`, `_run_task`).  With include_empty
+    the empty multiset is one more task (`_tasks`).
     With finish, each task turns its items into text (`_part`) and the
     rows are that text's lines, without their newlines; in a pool, finish
     is pickled by name, so it is a module-level function or a partial of
@@ -820,9 +822,9 @@ def enumerate_index_multisets(
         )
         # each raw item is replaced by its record in place, so the raw items
         # are freed while the records are built
-        for i, (groups, rem, lcm, witness) in enumerate(raw):
+        for i, (head, last, rem, lcm, witness) in enumerate(raw):
             raw[i] = ChernRecord(
-                indices=IndexMultiset(groups),
+                indices=IndexMultiset(_whole(head, last)),
                 chi0=query.chi0,
                 c1c2=Fraction(rem, scale),
                 cartier_index=lcm,
@@ -838,7 +840,8 @@ def fraction_text(num: int, den: int) -> str:
 
 
 # the text of each index run (r, k) and witness run ((r, b), k), kept for the
-# life of the process
+# life of the process; a run that `IndexMultiset` or `Basket` rejects raises
+# and gets none
 _run_text = _Memo(lambda run: format_index_multiset(IndexMultiset((run,)))).__getitem__
 _witness_run_text = _Memo(lambda run: format_basket(_basket((run,)))).__getitem__
 
@@ -848,24 +851,78 @@ def _witness_text(runs: _Runs) -> str:
     return ",".join(map(_witness_run_text, runs)) or format_basket(Basket())
 
 
-def _checked_rows(items: list, chi0: int, scale: int) -> Iterator[tuple]:
-    """Each raw item as the flat row of its record, after `check_record`.
+def _checked_rows(items, chi0: int, den: int, heads: Optional[_Heads] = None) -> Iterator[tuple]:
+    """Each item (head, last, num, lcm, witness), checked, as the flat row of its record.
 
-    A row is (multiset, Cartier index, c1.c2, "true"/"false" for an integral
-    basket, witness, scaled): texts as `chern3 enumerate` prints them, the
-    witness "" when there is none, the Cartier index r_X an int and scaled
-    = c1.c2 * r_X.  `check_record` has just verified that rem/scale =
-    scaled/r_X, so c1.c2's text is reduced from scaled/r_X, a gcd of small
-    ints, not from rem/scale.  The text of each index and witness run is made once
-    per process, and the state of each head once per call (`_Heads`).
+    The one owner of the record rules, which every row and every record
+    (`check_record`) passes: the runs head + (last,), or head alone when
+    last is None, are canonical index runs; c1.c2 = num/den (den > 0) is
+    24*chi0 minus their weight and not negative; lcm is their Cartier
+    index; and a witness, given as runs ((r, b), k), passes
+    `_check_witness`.  c1.c2 is checked in integers scaled by the
+    re-derived lcm, which every weight term r - 1/r has as a denominator.
+
+    A head's (lcm, weight, last index, text) comes from heads, a `_Heads`
+    memo, and is looked up only when the head is not the previous row's
+    head object, as it is for most of a walk's rows.  Then one step adds
+    last = (r, k): the runs are canonical iff the head is, last is a pair
+    with r above the head's last index, and last is a run `IndexMultiset`
+    takes (k >= 1), which `_run_text` checks as it makes the run's text,
+    once per process; lcm = lcm(head lcm, r), and the weight is the
+    head's rescaled plus k(r^2 - 1)/r.  So every rule still re-derives
+    from the runs alone.  Runs the step cannot take are derived whole from
+    scratch, which raises `IndexMultiset`'s error.  An item whose num is
+    None gives its runs' state instead of a row: that is how `_Heads`
+    checks a head.
+
+    A row is (multiset, Cartier index, c1.c2, "true"/"false" for an
+    integral basket, witness, scaled): texts as `chern3 enumerate` prints
+    them, the witness "" when there is none, the Cartier index r_X an int
+    and scaled = c1.c2 * r_X.  Once num/den = scaled/r_X is checked,
+    c1.c2's text is reduced from scaled/r_X, a gcd of small ints.  The text
+    of each index and witness run is made once per process.
     """
-    heads = _Heads()
-    for groups, rem, lcm, witness in items:
-        text, scaled = check_record(groups, chi0, rem, scale, lcm, witness, heads)
-        if witness is None:
-            yield text, lcm, fraction_text(scaled, lcm), "false", "", scaled
+    heads = _Heads() if heads is None else heads
+    base = 24 * chi0
+    previous = object()  # the previous row's head, at first none
+    for head, last, num, lcm, witness in items:
+        if head is not previous:
+            try:
+                head_lcm, head_weight, head_r, head_text = (
+                    heads[head] if type(head) is tuple else _runs_state(head)
+                )
+            except (TypeError, ValueError):  # not canonical runs, or unhashable
+                _runs_state(_whole(head, last))  # raises, naming the row's runs
+                raise
+            previous = head
+        if last is None:
+            derived, weight, r, text = head_lcm, head_weight, head_r, head_text
+        elif type(last) is tuple and len(last) == 2 and head_r < last[0]:
+            r, k = last
+            derived = math.lcm(head_lcm, r)
+            weight = head_weight * (derived // head_lcm) + k * (r * r - 1) * (derived // r)
+            text = f"{head_text},{_run_text(last)}" if head else _run_text(last)
         else:
-            yield text, lcm, fraction_text(scaled, lcm), "true", _witness_text(witness), scaled
+            derived, weight, r, text = _runs_state(_whole(head, last))
+        if num is None:
+            yield derived, weight, r, text
+            continue
+        scaled = base * derived - weight  # c1c2 * derived, by 24*chi0 = c1c2 + weight
+        if num * derived != scaled * den:
+            raise ValueError(
+                f"c1c2 mismatch for {text}: "
+                f"stated {Fraction(num, den)}, derived {Fraction(scaled, derived)}"
+            )
+        if scaled < 0:
+            raise ValueError(f"{text} has negative c1c2 {Fraction(num, den)}")
+        if lcm != derived:
+            raise ValueError(f"Cartier index mismatch for {text}")
+        c1c2 = fraction_text(scaled, lcm)
+        if witness is None:
+            yield text, lcm, c1c2, "false", "", scaled
+        else:
+            _check_witness(witness, _whole(head, last), derived)
+            yield text, lcm, c1c2, "true", _witness_text(witness), scaled
 
 
 def _checked_text(render, chi0: int, scale: int, items: list) -> str:
@@ -878,8 +935,9 @@ def checked_lines(query: EnumerationQuery, render, jobs: int = 1) -> list[str]:
 
     render turns an iterable of flat rows, as `_checked_rows` makes them,
     into text with one newline-terminated line per row and no
-    other newline.  Each walk task checks its rows with `check_record`, so
-    a row is checked exactly as its record would be, and renders them; with
+    other newline.  Each walk task checks its rows in one `_checked_rows`
+    loop, the rules' one home, which `check_record` runs for each record,
+    so a row is checked exactly as its record would be, and renders them; with
     `jobs` > 1 the tasks run in worker processes, so render must be a
     module-level function, pickled by name.  The parent only splits the
     texts at newlines and orders the lines.  Returns the lines, without
@@ -898,7 +956,7 @@ def feasible_index_multisets(max_weight: Fraction) -> list[IndexMultiset]:
     an unpruned oracle over arbitrary rational budgets.
     """
     raw, _ = _enumerate_raw(Fraction(max_weight), ALL, jobs=1)
-    return [IndexMultiset(groups) for groups, *_ in raw]
+    return [IndexMultiset(head + (last,)) for head, last, *_ in raw]
 
 
 def exists_integral_basket(indices: IndexMultiset) -> tuple[bool, Optional[Basket]]:

@@ -357,9 +357,9 @@ class TestWorkerMutants:
     @pytest.mark.parametrize(
         "mutate, message",
         [
-            (lambda g, rem, lcm, w: (g, rem + 1, lcm, w), "c1c2 mismatch"),
-            (lambda g, rem, lcm, w: (g, rem, 2 * lcm, w), "Cartier index mismatch"),
-            (lambda g, rem, lcm, w: (g, rem, lcm, (((2, 1), 8),)), "does not project"),
+            (lambda h, last, rem, lcm, w: (h, last, rem + 1, lcm, w), "c1c2 mismatch"),
+            (lambda h, last, rem, lcm, w: (h, last, rem, 2 * lcm, w), "Cartier index mismatch"),
+            (lambda h, last, rem, lcm, w: (h, last, rem, lcm, (((2, 1), 8),)), "does not project"),
         ],
         ids=["rem", "lcm", "other-witness"],
     )
@@ -372,7 +372,7 @@ class TestWorkerMutants:
             items = real(task)
             # the task (2, 16) emits its head 2^16; only a worker corrupts it
             if os.getpid() != parent and task[2:] == (2, 16):
-                i = next(i for i, item in enumerate(items) if item[0] == ((2, 16),))
+                i = next(i for i, item in enumerate(items) if item[:2] == ((), (2, 16)))
                 items[i] = mutate(*items[i])
             return items
 
@@ -594,6 +594,68 @@ class TestCollectorPause:
             cli.main(["min"])
         assert exc.value.code == 2
         assert gc.isenabled()
+
+
+def rational_options(parser):
+    """The option strings of every action typed `parse_rational`, in every subcommand."""
+    for action in parser._actions:
+        if action.type is parse_rational:
+            yield from action.option_strings
+        if isinstance(action.choices, dict):  # a subcommand's parsers
+            for sub in action.choices.values():
+                yield from rational_options(sub)
+
+
+class TestNegativeRationals:
+    """A negative rational is read as a rational option's separate value, as after "="."""
+
+    def test_every_rational_option_is_joined(self):
+        assert set(rational_options(cli.build_parser())) == cli.RATIONAL_OPTIONS
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--chi", "1", "--filter", "c1c2-range", "--lo", "-1/2", "--hi", "0"],
+            ["enumerate", "--chi", "1", "--filter", "c1c2-range", "--lo", "-1", "--hi", "-1/3"],
+            ["chi-series", "--basket", "(1,2)", "--chi", "0", "--kcube", "-7/3", "--n-max", "12"],
+            ["bound", "--max-cube", "324", "--min-positive", "-1/5"],
+        ],
+        ids=["lo", "lo-and-hi", "kcube", "min-positive"],
+    )
+    def test_separate_value_reads_as_joined(self, argv):
+        # a negative --min-positive gets the command's own error, not argparse's
+        joined = cli._joined_negatives(argv)
+        assert len(joined) == len(argv) - sum(arg[0] == "-" and arg[1].isdigit() for arg in argv)
+        code, out, err = run_cli(*argv)
+        if "bound" in argv:
+            assert (code, err) == (2, "error: division by non-positive value -1/5\n")
+        else:
+            assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli(*joined)
+
+    def test_separate_negative_bounds_filter_the_rows(self):
+        code, out, _ = run_cli(
+            "enumerate", "--chi", "1", "--filter", "c1c2-range", "--lo", "-1/2", "--hi", "0"
+        )
+        assert code == 0
+        assert out == run_cli("enumerate", "--chi", "1", "--filter", "c1c2-zero")[1]
+        assert len(out.splitlines()) == 11
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["enumerate", "--chi", "1", "--filter", "c1c2-range", "--lo", "--hi", "0"], "--lo"),
+            (["enumerate", "--chi", "1", "--filter", "c1c2-range", "--lo", "0", "--hi"], "--hi"),
+            (["chi-series", "--basket", "(1,2)", "--chi", "0", "--kcube"], "--kcube"),
+            (["chi-series", "--basket", "(1,2)", "--chi", "0", "--kcube", "-x"], "--kcube"),
+        ],
+        ids=["lo", "hi", "kcube", "kcube-not-a-number"],
+    )
+    def test_missing_value_still_exits_2(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"argument {option}: expected one argument" in capsys.readouterr().err
 
 
 class TestFixtureColumns:

@@ -262,7 +262,7 @@ class TestAgainstWideModulusDP:
         # every chi <= 2 node: the per-prime walk decides l(2) as the wide set
         # DP does, and every integral node's witness is the wide DP's witness
         raw, _ = _enumerate_raw(Fraction(24 * chi0), ALL, jobs=1)
-        walked = {IndexMultiset(groups).indices(): witness for groups, _, _, witness in raw}
+        walked = {IndexMultiset(head + (last,)).indices(): witness for head, last, *_, witness in raw}
         reference = wide_reachability(Fraction(24 * chi0))
         assert {node: w is not None for node, w in walked.items()} == reference
         hits = [(node, w) for node, w in walked.items() if w is not None]
@@ -529,8 +529,8 @@ class TestEnumerate:
         raw, _ = _enumerate_raw(max_weight, ALL, jobs=1)
         by_rem = {}
         for chunk in chunks:
-            for groups, rem, *_ in chunk:
-                by_rem.setdefault(rem, []).append(IndexMultiset(groups).indices())
+            for head, last, rem, *_ in chunk:
+                by_rem.setdefault(rem, []).append(IndexMultiset(head + (last,)).indices())
         assert sum(map(len, by_rem.values())) == len(raw)
         ties = [joined for joined in by_rem.values() if len(joined) > 1]
         assert len(ties) == tied
@@ -582,8 +582,8 @@ class TestEnumerate:
     @pytest.mark.parametrize("chi0", [0, 1])
     def test_walk_carries_cartier_index(self, chi0):
         raw, _ = _enumerate_raw(Fraction(24 * chi0), ALL, jobs=1)
-        for groups, _, lcm, _ in raw:
-            assert lcm == cartier_index(IndexMultiset(groups))
+        for head, last, _, lcm, _ in raw:
+            assert lcm == cartier_index(IndexMultiset(head + (last,)))
         records = enumerate_index_multisets(
             EnumerationQuery(chi0=chi0, include_empty=True)
         )
@@ -593,9 +593,12 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("chi0", [0, 1])
     def test_walk_emits_canonical_groups(self, chi0):
-        # canonical runs are kept as they are, so records reuse the walk's tuples
+        # a row's head and its runs head + (last,) are canonical runs, kept as
+        # they are, so records reuse the tuples built from the walk's items
         raw, _ = _enumerate_raw(Fraction(24 * chi0), ALL, jobs=1)
-        for groups, *_ in raw:
+        for head, last, *_ in raw:
+            groups = head + (last,)
+            assert IndexMultiset(head).groups is head
             assert IndexMultiset(groups).groups is groups
 
 
@@ -632,7 +635,9 @@ class TestFilterOncePerNode:
 
         # a replayed row is no walked node, so the l2-integral records are
         # held to the full walk's integral items instead, as in TestCuts
-        integral = [()] * include_empty + [groups for groups, *_ in integral_items(Fraction(24))]
+        integral = [()] * include_empty + [
+            head + (last,) for head, last, *_ in integral_items(Fraction(24))
+        ]
         enumeration._walked.cache_clear()
         monkeypatch.setattr(RecordFilter, "accepts", recording)
         query = EnumerationQuery(chi0=1, filter=flt, include_empty=include_empty)
@@ -665,7 +670,7 @@ class TestFilterOncePerNode:
 def integral_items(max_weight):
     """The full walk's items that have a witness, in its order."""
     raw, _ = _enumerate_raw(max_weight, ALL, jobs=1)
-    return [item for item in raw if item[3] is not None]
+    return [item for item in raw if item[4] is not None]
 
 
 def brute_masks(movers, start, budget, weights, rmax):
@@ -814,7 +819,7 @@ class TestCuts:
 
     @staticmethod
     def in_range(items, scale, lo, hi):
-        return [item for item in items if lo <= Fraction(item[1], scale) <= hi]
+        return [item for item in items if lo <= Fraction(item[2], scale) <= hi]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -851,7 +856,8 @@ class TestWitnessOverTheWalksRmax:
         rmax = max_index(Fraction(24 * chi0))
         raw, _ = _enumerate_raw(Fraction(24 * chi0), flt, jobs=1)
         assert len(raw) == count
-        for groups, _, _, witness in raw:
+        for head, last, _, _, witness in raw:
+            groups = head + (last,)
             assert enumeration._witness_runs(groups, groups[-1][0]) == witness, groups
             assert enumeration._witness_runs(groups, rmax) == witness, groups
             found = (witness is not None, None if witness is None else enumeration._basket(witness))
@@ -967,22 +973,46 @@ class TestChernRecordValidation:
             )
 
 
+def split(groups, rem, r_x, witness=None):
+    """The walk's item (head, last, rem, lcm, witness) for runs: ((), None, ...) for no runs."""
+    if not groups:
+        return groups, None, rem, r_x, witness
+    return groups[:-1], groups[-1], rem, r_x, witness
+
+
+def consistent(groups, chi0, scale):
+    """The item of the runs groups with no witness at scale, c1c2 as a χ = chi0 row."""
+    indices = IndexMultiset(groups)
+    rem = (24 * chi0 - indices.weight) * scale
+    assert rem.denominator == 1
+    return split(groups, int(rem), cartier_index(indices))
+
+
+class Runs(tuple):
+    """A tuple of another type, which no check takes for runs."""
+
+
 class TestCheckedRowMutants:
     """`checked_lines` applies every record check: one bad raw item per check raises."""
 
     @staticmethod
-    def walked(text):
-        """The χ = 1 walk's raw item for a multiset, and the walk's scale."""
-        raw, scale = _enumerate_raw(Fraction(24), ALL, jobs=1)
+    @lru_cache(maxsize=None)
+    def chi1_raw():
+        return _enumerate_raw(Fraction(24), ALL, jobs=1)
+
+    @classmethod
+    def walked(cls, text):
+        """The χ = 1 walk's raw item (head, last, rem, lcm, witness) for a multiset, and the scale."""
+        raw, scale = cls.chi1_raw()
         groups = parse_index_multiset(text).groups
-        return next(item for item in raw if item[0] == groups), scale
+        return next(item for item in raw if item[0] + (item[1],) == groups), scale
 
     @staticmethod
     def rows(monkeypatch, item, warm=()):
         """The rows that reach the renderer when the χ = 1 walk's one task yields item.
 
         The task yields the items warm first, so item is checked with their
-        heads in the task's memo.
+        heads in the task's memo, and right after the last of them.
         """
         monkeypatch.setattr(enumeration, "_tasks", lambda *args: [(Fraction(24), ALL, 2, 1)])
         monkeypatch.setattr(enumeration, "_run_task", lambda task: [*warm, item])
@@ -997,57 +1027,92 @@ class TestCheckedRowMutants:
         return rendered
 
     def test_walked_items_pass(self, monkeypatch):
-        (groups, rem, lcm, witness), scale = self.walked("2^16")
-        assert witness == (((2, 1), 16),)
-        [(*fields, scaled)] = self.rows(monkeypatch, (groups, rem, lcm, witness))
+        (head, last, rem, lcm, witness), scale = self.walked("2^16")
+        assert (head, last, witness) == ((), (2, 16), (((2, 1), 16),))
+        [(*fields, scaled)] = self.rows(monkeypatch, (head, last, rem, lcm, witness))
         assert fields == ["2^16", 2, "0", "true", "(1,2)^16"]
         assert Fraction(scaled, fields[1]) == Fraction(rem, scale)
 
     @pytest.mark.parametrize(
         "text, mutate, message",
         [
-            ("2^3,4,7,9", lambda g, rem, lcm, w: (g, rem + 1, lcm, w), "c1c2 mismatch"),
-            ("2^3,4,7,9", lambda g, rem, lcm, w: (g, rem, 2 * lcm, w), "Cartier index mismatch"),
-            ("2^3,4,7,9", lambda g, rem, lcm, w: (g[1:2] + g[:1] + g[2:], rem, lcm, w),
+            ("2^3,4,7,9", lambda h, last, rem, lcm, w: (h, last, rem + 1, lcm, w), "c1c2 mismatch"),
+            ("2^3,4,7,9", lambda h, last, rem, lcm, w: (h, last, rem, 2 * lcm, w),
+             "Cartier index mismatch"),
+            ("2^3,4,7,9", lambda h, last, rem, lcm, w: (h[1:2] + h[:1] + h[2:], last, rem, lcm, w),
              "not ascending"),
-            ("2^16", lambda g, rem, lcm, w: (g + ((3, 0),), rem, lcm, w), "multiplicity"),
-            ("2^16", lambda g, rem, lcm, w: (((1, 1),) + g, rem, lcm, w), "local index"),
-            ("2^16", lambda g, rem, lcm, w: (g, rem, lcm, (((2, 1), 8),)), "does not project"),
-            ("2", lambda g, rem, lcm, w: (g, rem, lcm, (((2, 1), 1),)), "non-integral l"),
+            ("2^16", lambda h, last, rem, lcm, w: (h + (last,), (3, 0), rem, lcm, w), "multiplicity"),
+            ("2^16", lambda h, last, rem, lcm, w: (((1, 1),) + h, last, rem, lcm, w), "local index"),
+            ("2^16", lambda h, last, rem, lcm, w: (h, last, rem, lcm, (((2, 1), 8),)),
+             "does not project"),
+            ("2", lambda h, last, rem, lcm, w: (h, last, rem, lcm, (((2, 1), 1),)), "non-integral l"),
             # each mutation of a run, in the last run as well as in the head
-            ("2^3,4,7,9", lambda g, rem, lcm, w: (g[:-2] + g[-1:] + g[-2:-1], rem, lcm, w),
+            ("2^3,4,7,9", lambda h, last, rem, lcm, w: (h[:-1] + (last,), h[-1], rem, lcm, w),
              "not ascending"),
-            ("2^3,4,7,9", lambda g, rem, lcm, w: (((2, 0),) + g[1:], rem, lcm, w),
+            ("2^3,4,7,9", lambda h, last, rem, lcm, w: (((2, 0),) + h[1:], last, rem, lcm, w),
              "multiplicity must be >= 1, got 0"),
-            ("2^16", lambda g, rem, lcm, w: (g + ((1, 1),), rem, lcm, w),
+            ("2^16", lambda h, last, rem, lcm, w: (h + (last,), (1, 1), rem, lcm, w),
              "local index must be >= 2, got 1"),
-            ("2^3,4,7,9", lambda g, rem, lcm, w: ((list(g[0]),) + g[1:], rem, lcm, w),
+            ("2^3,4,7,9", lambda h, last, rem, lcm, w: ((list(h[0]),) + h[1:], last, rem, lcm, w),
              "not ascending"),
-            ("2^3,4,7,9", lambda g, rem, lcm, w: (g[:-1] + (list(g[-1]),), rem, lcm, w),
-             "not ascending"),
-            ("2^16", lambda g, rem, lcm, w: (((1, 1),), rem, lcm, w),
+            ("2^3,4,7,9", lambda h, last, rem, lcm, w: (h, list(last), rem, lcm, w), "not ascending"),
+            ("2^16", lambda h, last, rem, lcm, w: (h, (1, 1), rem, lcm, w),
              "local index must be >= 2, got 1"),
+            ("2^3,4,7,9", lambda h, last, rem, lcm, w: (list(h), last, rem, lcm, w), "not ascending"),
+            ("2^3,4,7,9", lambda h, last, rem, lcm, w: (h, (7, 1), rem, lcm, w), "not ascending"),
+            ("2^3,4,7,9", lambda h, last, rem, lcm, w: (h, (), rem, lcm, w), "not enough values"),
+            ("2^3,4,7,9", lambda h, last, rem, lcm, w: (Runs(h), last, rem, lcm, w), "not ascending"),
+            ("2^3,4,7,9", lambda h, last, rem, lcm, w: (h, Runs(last), rem, lcm, w), "not ascending"),
         ],
         ids=["rem", "lcm", "run-order", "multiplicity-0", "index-1", "other-witness",
              "fractional-l", "run-order-last", "multiplicity-0-head", "index-1-last",
-             "list-run-head", "list-run-last", "sole-index-1"],
+             "list-run-head", "list-run-last", "sole-index-1", "list-head", "repeat-last",
+             "empty-last", "tuple-subclass-head", "tuple-subclass-last"],
     )
     def test_bad_item_raises(self, monkeypatch, text, mutate, message):
-        # with an empty memo, and after every χ = 1 row, the item's own included
+        # with an empty memo; right after the item's own walked row, so a
+        # mutant that keeps the head object meets it as the previous row's;
+        # and after every χ = 1 row
         item, _ = self.walked(text)
-        raw, _ = _enumerate_raw(Fraction(24), ALL, jobs=1)
-        for warm in ((), raw):
+        raw, _ = self.chi1_raw()
+        before = raw[: raw.index(item) + 1]
+        for warm in ((), before, raw):
             with pytest.raises(ValueError, match=message):
                 self.rows(monkeypatch, mutate(*item), warm)
 
     def test_negative_c1c2_raises(self, monkeypatch):
         # 2^16,3 weighs more than 24: consistent, but c1c2 < 0
-        (groups, _, _, _), scale = self.walked("2^16")
-        groups += ((3, 1),)
+        (head, last, _, _, _), scale = self.walked("2^16")
+        groups = head + (last, (3, 1))
         rem = c1c2_from_indices(IndexMultiset(groups), 1) * scale
         assert rem < 0 and rem.denominator == 1
         with pytest.raises(ValueError, match="negative c1c2"):
-            self.rows(monkeypatch, (groups, int(rem), 6, None))
+            self.rows(monkeypatch, (head + (last,), (3, 1), int(rem), 6, None))
+
+    def test_list_head_of_two_rows_raises_on_both(self, monkeypatch):
+        # one list head shared by two consecutive rows: the first row raises,
+        # and so does the second, alone or after a row whose head is the
+        # equal tuple
+        _, scale = self.chi1_raw()
+        head = parse_index_multiset("2^3,4,7").groups
+        first, second = (consistent(head + (run,), 1, scale) for run in [(9, 1), (8, 1)])
+        shared = list(head)
+        bad = [(shared, *first[1:]), (shared, *second[1:])]
+        for warm, item in [((), bad[0]), (bad[:1], bad[1]), ((), bad[1]), ((first,), bad[1])]:
+            with pytest.raises(ValueError, match="not ascending"):
+                self.rows(monkeypatch, item, warm)
+
+    def test_equal_head_of_another_object_gives_the_same_row(self, monkeypatch):
+        # a row whose head equals the previous row's but is another object is
+        # looked up, not stepped from the previous row, and renders the same
+        _, scale = self.chi1_raw()
+        head = parse_index_multiset("2^3,4,7").groups
+        first, second = (consistent(head + (run,), 1, scale) for run in [(9, 1), (8, 1)])
+        shared, copied = first[0], tuple(list(first[0]))
+        assert copied == shared and copied is not shared
+        same = self.rows(monkeypatch, (shared, *second[1:]), [first])
+        assert self.rows(monkeypatch, (copied, *second[1:]), [first]) == same
+        assert same[1][:3] == ("2^3,4,7,8", 56, "57/56")
 
 
 # mutants of the χ = 1 walk's witness runs for 2,4,8^2, (1,2),(1,4),(1,8),(3,8):
@@ -1070,29 +1135,29 @@ class TestWitnessMutants:
 
     @staticmethod
     def mutant(name):
-        (groups, rem, lcm, witness), scale = TestCheckedRowMutants.walked("2,4,8^2")
+        (head, last, rem, lcm, witness), scale = TestCheckedRowMutants.walked("2,4,8^2")
         assert witness == (((2, 1), 1), ((4, 1), 1), ((8, 1), 1), ((8, 3), 1))
         mutate, message = WITNESS_MUTANTS[name]
-        return (groups, rem, lcm, mutate(witness)), scale, message
+        return (head, last, rem, lcm, mutate(witness)), scale, message
 
     @pytest.mark.parametrize("name", WITNESS_MUTANTS)
     def test_rows(self, monkeypatch, name):
         # check_record alone, before rendering builds any BasketPoint, and
         # the rows of checked_lines
-        (groups, rem, lcm, runs), scale, message = self.mutant(name)
+        (head, last, rem, lcm, runs), scale, message = self.mutant(name)
         message = re.escape(message or f"witness runs {runs} are not ascending by (r, b)")
         with pytest.raises(ValueError, match=message):
-            enumeration.check_record(groups, 1, rem, scale, lcm, runs)
+            enumeration.check_record(head + (last,), 1, rem, scale, lcm, runs)
         with pytest.raises(ValueError, match=message):
-            TestCheckedRowMutants.rows(monkeypatch, (groups, rem, lcm, runs))
+            TestCheckedRowMutants.rows(monkeypatch, (head, last, rem, lcm, runs))
 
     @pytest.mark.parametrize("name", WITNESS_MUTANTS)
     def test_record(self, name):
-        (groups, rem, lcm, runs), scale, message = self.mutant(name)
+        (head, last, rem, lcm, runs), scale, message = self.mutant(name)
 
         def record():
             witness = enumeration._basket(runs)
-            return ChernRecord(IndexMultiset(groups), 1, Fraction(rem, scale), lcm, witness)
+            return ChernRecord(IndexMultiset(head + (last,)), 1, Fraction(rem, scale), lcm, witness)
 
         if message is None:
             assert record().witness == parse_basket("(1,2),(1,4),(1,8),(3,8)")
@@ -1153,20 +1218,19 @@ runs_strategy = st.lists(st.integers(2, 48), max_size=8, unique=True).flatmap(
 )
 
 
-def consistent_item(groups, chi0):
-    """The raw item (groups, rem, lcm, None) a walk at the census's scale would make."""
-    indices = IndexMultiset(groups)
-    rem = (24 * chi0 - indices.weight) * CENSUS_SCALE
-    return groups, int(rem), cartier_index(indices), None
-
-
 MUTATIONS = [
     "none", "rem+1", "rem-1", "lcm*2", "swap", "repeat", "k=0", "index-1", "list", "sole-1"
 ]
 
 
+def last_row(items, chi0, scale, heads=None):
+    """(text, scaled) of the last row `_checked_rows` makes of the items."""
+    *_, row = enumeration._checked_rows(items, chi0, scale, heads)
+    return row[0], row[-1]
+
+
 class TestPrefixMemoOracle:
-    """`check_record` through a warm head memo agrees with it memo-less and with one full pass."""
+    """`_checked_rows` through its head memo agrees with `check_record` from scratch and one full pass."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1180,8 +1244,8 @@ class TestPrefixMemoOracle:
     def test_memo_matches_memo_less_and_full_pass(
         self, chi0, groups, warm, mutation, position, with_witness
     ):
-        original = groups
-        groups, rem, r_x, witness = consistent_item(groups, chi0)
+        runs, original = groups, consistent(groups, chi0, CENSUS_SCALE)
+        _, _, rem, r_x, witness = original
         if with_witness and groups and r_x <= 5000:  # the reference scans one period of l
             ok, basket = exists_integral_basket(IndexMultiset(groups))
             # else b = 1 for every point: some l(m) is fractional
@@ -1208,23 +1272,57 @@ class TestPrefixMemoOracle:
             groups = groups[:j] + ([r, k],) + groups[j + 1:]
         elif mutation == "sole-1":
             groups = ((1, k),)
+        item = split(groups, rem, r_x, witness)
+        if original[1] is not None and item[0] == original[0]:
+            item = (original[0], *item[1:])  # the original row's head object
 
-        # the memo holds the heads of other rows and of the item before it was
-        # mutated; `_checked_rows`' own memo steps each head from its head
-        heads = enumeration._Memo(enumeration._runs_state)
-        stepped = enumeration._Heads()
-        for other in [*warm, original]:
-            other, other_rem, other_lcm, _ = consistent_item(other, chi0)
-            for memo in (heads, stepped):
-                with suppress(ValueError):  # a heavy multiset has c1c2 < 0
-                    enumeration.check_record(
-                        other, chi0, other_rem, CENSUS_SCALE, other_lcm, None, memo
-                    )
         args = (groups, chi0, rem, CENSUS_SCALE, r_x, witness)
         expected = outcome(reference_check, *args)
         assert outcome(enumeration.check_record, *args) == expected
-        assert outcome(enumeration.check_record, *args, heads) == expected
-        assert outcome(enumeration.check_record, *args, stepped) == expected
+        # a memo that holds the heads of other rows and of the item before it
+        # was mutated, each checked as a row of its own
+        heads = enumeration._Heads()
+        for other in [*warm, runs]:
+            with suppress(ValueError):  # a heavy multiset has c1c2 < 0
+                last_row([consistent(other, chi0, CENSUS_SCALE)], chi0, CENSUS_SCALE, heads)
+        assert outcome(last_row, [item], chi0, CENSUS_SCALE, heads) == expected
+        # right after the row it was before the mutation, whose head object
+        # it keeps when the mutation leaves the head alone
+        if outcome(last_row, [original], chi0, CENSUS_SCALE)[0] == "ok":
+            assert outcome(last_row, [original, item], chi0, CENSUS_SCALE) == expected
+
+    @pytest.mark.parametrize("chi0", [0, 1, 2])
+    def test_every_row_matches_check_record(self, chi0):
+        # every χ <= 2 row under every filter kind, the empty multiset
+        # included, each filter's walk sharing and replaying heads its own way
+        reference = {}
+        for flt in EVERY_FILTER_KIND:
+            raw, scale = _enumerate_raw(Fraction(24 * chi0), flt, jobs=1, include_empty=True)
+            rows = list(enumeration._checked_rows(raw, chi0, scale))
+            assert len(rows) == len(raw)
+            for (head, last, *fields), row in zip(raw, rows):
+                key = (head if last is None else head + (last,), *fields[:2])
+                if key not in reference:
+                    reference[key] = enumeration.check_record(key[0], chi0, fields[0], scale, *fields[1:])
+                assert (row[0], row[-1]) == reference[key]
+        assert len(reference) == [1, 2152, 216684][chi0]
+
+    @settings(max_examples=12, deadline=None)
+    @given(RATIONAL_BUDGETS)
+    @example(Fraction(47))
+    @example(Fraction(95, 2))
+    @example(Fraction(143, 3))
+    def test_rational_budget_rows_match_check_record(self, budget):
+        # the l2-integral walk's rows, with their cuts and replays, checked
+        # as χ = 2 rows whose rem keeps the 48 - budget the walk did not spend
+        raw, scale = _enumerate_raw(budget, INTEGRAL_L2, jobs=1)
+        slack = int((48 - budget) * scale)
+        items = [(head, last, rem + slack, *fields) for head, last, rem, *fields in raw]
+        rows = list(enumeration._checked_rows(items, 2, scale))
+        assert len(rows) == len(items)
+        for (head, last, rem, r_x, witness), row in zip(items, rows):
+            args = (head + (last,), 2, rem, scale, r_x, witness)
+            assert (row[0], row[-1]) == enumeration.check_record(*args)
 
 
 @lru_cache(maxsize=None)
@@ -1299,17 +1397,17 @@ def test_row_text_matches_fraction(budget):
         raw, scale = _enumerate_raw(budget, ALL, jobs=1)
         slack = (48 - budget) * scale
         assert slack.denominator == 1
-        items = [(groups, rem + int(slack), r_x, witness) for groups, rem, r_x, witness in raw]
+        items = [(head, last, rem + int(slack), *fields) for head, last, rem, *fields in raw]
         rows = list(enumeration._checked_rows(items, 2, scale))
         # md's c1c2 and approximate cells
         cells = [line.split("\t")[2:4] for line in cli._render_md(rows).split("\n")[:-1]]
         expected = {}
-        for _, rem, _, _ in items:
+        for _, _, rem, _, _ in items:
             if rem not in expected:
                 value = Fraction(rem, scale)
                 expected[rem] = [str(value), f"{float(value):.6g}"]
         assert [row[2] for row in rows] == [text for text, _ in cells]
-        assert cells == [expected[rem] for _, rem, _, _ in items]
+        assert cells == [expected[rem] for _, _, rem, _, _ in items]
 
 
 @settings(max_examples=300, deadline=None)
