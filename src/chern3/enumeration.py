@@ -12,7 +12,8 @@ many multisets.  A run passes through these layers:
   bitmask per prime (`_prime_moduli`, `_l2_parts`, `_l2_rotations`); it
   has a basket with integral l(2) iff every mask holds 0.  `_scan` tests,
   keeps and cuts each non-empty node once; the empty multiset is a task of
-  its own, which `_run_task` tests.
+  its own, which `_run_task` tests, each against one integer range of rems
+  (`RecordFilter.window`) and, on the l2-integral walk, integral l(2).
   The l2-integral walk tests only nodes that can still lead to a row: a
   sibling loop ends where a slot lacking 0 needs more than the budget
   left (`_needs`, `_stop`), a subtree is cut on the same rule (`_cut`),
@@ -35,11 +36,11 @@ many multisets.  A run passes through these layers:
   and yields the row's flat record.  `check_record` is its one-item input,
   which every `ChernRecord` passes.
 - `enumerate_index_multisets` turns the rows into `ChernRecord`s with
-  `Basket` witnesses.  `checked_lines` has the driver check and render
-  each task's rows in one pass inside the task, so a pool's workers send
-  back text: `_checked_rows` makes each item a flat row, c1.c2's text
-  reduced over the row's own Cartier index, and one renderer per format
-  writes each row as one line.
+  `Basket` witnesses; `min_positive_c1c2` only for the attaining rows.
+  `checked_lines` has the driver check and render each task's rows in one
+  pass inside the task, so a pool's workers send back text: `_checked_rows`
+  makes each item a flat row, c1.c2's text reduced over the row's own
+  Cartier index, and one renderer per format writes each row as one line.
 
 The walk and the record build leave no reference cycle and run with the
 cyclic garbage collector paused (`collector_paused`).
@@ -51,11 +52,10 @@ import gc
 import math
 from bisect import bisect_right
 from contextlib import contextmanager
-from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement, groupby, tee
+from itertools import combinations_with_replacement, groupby
 from typing import ClassVar, Iterator, Optional, Sequence
 
 from . import tables
@@ -85,7 +85,7 @@ class NoPositiveValueError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class RecordFilter:
-    """Predicate selecting which enumerated records are emitted."""
+    """Which enumerated records are emitted: its kind, bounds and `window` live here alone."""
 
     KINDS: ClassVar[tuple[str, ...]] = ("all", "c1c2-zero", "l2-integral", "c1c2-range")
 
@@ -104,22 +104,17 @@ class RecordFilter:
         elif self.lo is not None or self.hi is not None:
             raise ValueError(f"bounds are only meaningful for c1c2-range, not {self.kind!r}")
 
-    def accepts(self, num: int, den: int, has_int: bool) -> bool:
-        """Does a record with c1.c2 = num/den (den > 0) pass the filter?
+    def window(self, scale: int, budget: int) -> range:
+        """The rems in 0..budget, c1.c2 * scale as ints, that this filter keeps.
 
-        has_int says whether some basket over the record has integral l(2).
+        c1c2-range keeps ceil(lo * scale)..floor(hi * scale) and c1c2-zero 0.
         """
         if self.kind == "c1c2-zero":
-            return num == 0
-        if self.kind == "c1c2-range":  # lo <= num/den <= hi, cross-multiplied
-            lo, hi = self.lo, self.hi
-            return (
-                lo.numerator * den <= num * lo.denominator
-                and num * hi.denominator <= hi.numerator * den
-            )
-        if self.kind == "l2-integral":
-            return has_int
-        return True
+            return range(1)
+        if self.kind == "c1c2-range":
+            lo = max(0, -(-self.lo.numerator * scale // self.lo.denominator))
+            return range(lo, min(budget, self.hi.numerator * scale // self.hi.denominator) + 1)
+        return range(budget + 1)
 
 
 ALL = RecordFilter("all")
@@ -596,16 +591,16 @@ def _scan(
     its extensions repeating its last index, then by larger indices; with
     once = 1 only the node + rmin is visited, and its extensions start at
     rmin + 1 (`_run_task`).  ctx is (out, masks, rmax, weights, rotations,
-    scale, flt, floor, needs, walked).  masks holds the node's per-prime
-    l(2) masks and bad counts those that lack 0.  A visited node looks up
-    only the slots its index moves, and writes them into masks only while
-    its subtree is scanned, so masks is as on entry when this returns.  No
-    node with rem below floor is kept, and since weights grow with the
-    index and a subtree only loses budget, the first sibling below floor
-    ends the loop.  needs and walked are the l2-integral walk's cuts and
-    memo, and None for every other filter: its loop ends at `_stop`, a
-    node's subtree is cut or replayed as `_cut` says, and a walked one is
-    stored.
+    window, needs, walked).  masks holds the node's per-prime l(2) masks
+    and bad counts those that lack 0.  A visited node looks up only the
+    slots its index moves, and writes them into masks only while its
+    subtree is scanned, so masks is as on entry when this returns.  A node
+    is kept iff its rem is in window, and on the l2-integral walk has
+    integral l(2); weights grow with the index and a subtree only loses
+    budget, so the first sibling below window.start ends the loop.  needs
+    and walked are the l2-integral walk's cuts and memo, and None for every
+    other filter: its loop ends at `_stop`, a node's subtree is cut or
+    replayed as `_cut` says, and a walked one is stored.
 
     A kept node's item (head, last, rem, lcm, witness) goes to out: its
     runs as all but the last, a tuple shared with its siblings, and the
@@ -616,7 +611,8 @@ def _scan(
     here.  So a leaf builds no runs tuple: a node's whole runs are built
     only to scan its subtree, store it, or rebuild its witness.
     """
-    out, masks, rmax, weights, rotations, scale, flt, floor, needs, walked = ctx
+    out, masks, rmax, weights, rotations, window, needs, walked = ctx
+    floor = window.start
     if last is None:
         prefix, repeat, k = head, 0, 0
     else:
@@ -634,7 +630,7 @@ def _scan(
         for slot, rotation in moved:
             mask = masks[slot]
             node_bad += (mask & 1) - (rotation[mask] & 1)
-        keep = flt.accepts(node_rem, scale, node_bad == 0)
+        keep = node_rem in window and (needs is None or not node_bad)
         rnext = r + once  # its extensions start here
         walk = node_rem >= weights[rnext]
         replay = ()
@@ -676,7 +672,7 @@ def _run_task(args) -> list:
     task (r0, k0) = (1, 0) is the root, the empty multiset, alone: its item
     is ((), None, ...), the runs () with no last run, its rem is the
     budget, its Cartier index 1 and its witness the empty basket, with
-    l(2) = 0, and it meets the filter here.
+    l(2) = 0, and it meets the task's one window of the filter here.
 
     The tasks run r0 ascending, then k0 descending, so a row past its
     task's head sorts after every row of the earlier tasks and before every
@@ -687,20 +683,18 @@ def _run_task(args) -> list:
     """
     max_weight, flt, r0, k0 = args
     rmax, scale, budget, weights, rotations = _frame(max_weight)
+    window = flt.window(scale, budget)
     if not k0:
-        return [((), None, budget, 1, ())] if flt.accepts(budget, scale, True) else []
+        return [((), None, budget, 1, ())] if budget in window else []
     masks = [1] * len(_prime_moduli(rmax))  # the empty multiset reaches 0 only
     for slot, rotation in rotations[r0]:
         for _ in range(k0 - 1):
             masks[slot] = rotation[masks[slot]]
-    floor = 0
-    if flt.kind == "c1c2-range":  # the least rem at or above lo * scale
-        floor = max(0, -(-flt.lo.numerator * scale // flt.lo.denominator))
     needs = walked = None
     if flt.kind == "l2-integral":
         needs, walked = _needs(max_weight), _walked(max_weight)
     out: list = []
-    ctx = (out, masks, rmax, weights, rotations, scale, flt, floor, needs, walked)
+    ctx = (out, masks, rmax, weights, rotations, window, needs, walked)
     last, lcm = ((r0, k0 - 1), r0) if k0 > 1 else (None, 1)
     bad = sum(not mask & 1 for mask in masks)
     _scan(ctx, r0, budget - (k0 - 1) * weights[r0], (), last, lcm, bad, 1)
@@ -817,20 +811,20 @@ def enumerate_index_multisets(
     record build run with the cyclic garbage collector paused.
     """
     with collector_paused():
-        raw, scale = _enumerate_raw(
-            Fraction(24 * query.chi0), query.filter, jobs, query.include_empty
-        )
+        max_weight = Fraction(24 * query.chi0)
+        raw, scale = _enumerate_raw(max_weight, query.filter, jobs, query.include_empty)
         # each raw item is replaced by its record in place, so the raw items
         # are freed while the records are built
-        for i, (head, last, rem, lcm, witness) in enumerate(raw):
-            raw[i] = ChernRecord(
-                indices=IndexMultiset(_whole(head, last)),
-                chi0=query.chi0,
-                c1c2=Fraction(rem, scale),
-                cartier_index=lcm,
-                witness=None if witness is None else _basket(witness),
-            )
+        for i, item in enumerate(raw):
+            raw[i] = _record(item, query.chi0, scale)
     return raw
+
+
+def _record(item: tuple, chi0: int, scale: int) -> ChernRecord:
+    """The checked `ChernRecord` of a raw item (head, last, rem, lcm, witness runs)."""
+    head, last, rem, lcm, witness = item
+    basket = None if witness is None else _basket(witness)
+    return ChernRecord(IndexMultiset(_whole(head, last)), chi0, Fraction(rem, scale), lcm, basket)
 
 
 def fraction_text(num: int, den: int) -> str:
@@ -1002,7 +996,7 @@ def _witness_runs(groups: _Groups, rmax: int) -> Optional[_Runs]:
     prefix = [0] * len(suffix[0])  # per-prime numerators of the points chosen so far
     for (r, mult), rest in zip(groups, suffix[1:]):
         slots, choices = _run_choices(r, mult, rmax)
-        for chosen, sums in copy(choices):
+        for chosen, sums in choices:
             # slots this run leaves alone keep -prefix reachable in rest
             if all(rest[slot] >> (-prefix[slot] - s) % n & 1 for s, (slot, n) in zip(sums, slots)):
                 for s, (slot, n) in zip(sums, slots):
@@ -1015,29 +1009,25 @@ def _witness_runs(groups: _Groups, rmax: int) -> Optional[_Runs]:
 
 
 @lru_cache(maxsize=None)
-def _run_choices(r: int, mult: int, rmax: int) -> tuple[tuple, Iterator]:
+def _run_choices(r: int, mult: int, rmax: int) -> tuple[tuple, tuple]:
     """The b-choices for a run of mult points of index r <= rmax: (slots, choices).
 
-    slots is `_l2_parts`' list of (slot, n).  choices yields (runs, sums)
+    slots is `_l2_parts`' list of (slot, n).  choices lists (runs, sums)
     for the b-multisets in lexicographic order, skipping any whose sums
     equal an earlier one's, which the greedy rebuild would reject alike:
     runs are the multiset as witness runs and sums its numerators, one per
-    slot, each modulo its n.  choices is a `tee`
-    iterator that is never advanced, so a copy of it walks the choices from
-    the start, and each choice is made on first demand, once per process.
+    slot, each modulo its n.  They are made once per process.
     """
     slots, parts = _l2_parts(r, rmax)
     part = dict(parts)
-
-    def choices():
-        seen = set()
-        for combo in combinations_with_replacement(part, mult):
-            sums = tuple(sum(part[b][i] for b in combo) % n for i, (_, n) in enumerate(slots))
-            if sums not in seen:
-                seen.add(sums)
-                yield tuple(((r, b), len(list(same))) for b, same in groupby(combo)), sums
-
-    return slots, tee(choices(), 1)[0]
+    first: dict = {}  # sums -> the first b-multiset with them
+    for combo in combinations_with_replacement(part, mult):
+        sums = tuple(sum(part[b][i] for b in combo) % n for i, (_, n) in enumerate(slots))
+        first.setdefault(sums, combo)
+    return slots, tuple(
+        (tuple(((r, b), len(list(same))) for b, same in groupby(combo)), sums)
+        for sums, combo in first.items()
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -1080,23 +1070,32 @@ def reproduce_table(
 def min_positive_c1c2(
     chi0: int, require_integral: bool = False
 ) -> tuple[Fraction, list[IndexMultiset]]:
-    """Smallest positive c1.c2 over the enumerated records, with every attaining multiset."""
-    flt = INTEGRAL_L2 if require_integral else ALL
-    records = enumerate_index_multisets(EnumerationQuery(chi0=chi0, filter=flt))
-    positive = [rec for rec in records if rec.c1c2 > 0]
-    if not positive:
-        raise NoPositiveValueError(
-            f"no positive c1c2 value for chi0={chi0}"
-            + (" under the integral-basket filter" if require_integral else "")
-        )
-    best = min(rec.c1c2 for rec in positive)
-    return best, [rec.indices for rec in positive if rec.c1c2 == best]
+    """Smallest positive c1.c2 over the enumerated records, with every attaining multiset.
+
+    The items come rem descending, so a scan from the end finds the
+    attaining ones; only they become records, in the records' order.
+    """
+    query = EnumerationQuery(chi0=chi0, filter=INTEGRAL_L2 if require_integral else ALL)
+    with collector_paused():
+        raw, scale = _enumerate_raw(Fraction(24 * chi0), query.filter, jobs=1)
+        end = len(raw)
+        while end and not raw[end - 1][2]:
+            end -= 1
+        if not end:
+            under = " under the integral-basket filter" if require_integral else ""
+            raise NoPositiveValueError(f"no positive c1c2 value for chi0={chi0}{under}")
+        start = end - 1
+        while start and raw[start - 1][2] == raw[end - 1][2]:
+            start -= 1
+        records = [_record(item, chi0, scale) for item in raw[start:end]]
+    return records[0].c1c2, [rec.indices for rec in records]
 
 
 def count_candidates(chi0: int, flt: RecordFilter = ALL, include_empty: bool = False) -> int:
-    """Number of records the corresponding enumeration emits."""
+    """Number of records the corresponding enumeration emits, counted without building them."""
     query = EnumerationQuery(chi0=chi0, filter=flt, include_empty=include_empty)
-    return len(enumerate_index_multisets(query))
+    with collector_paused():
+        return len(_enumerate_raw(Fraction(24 * chi0), query.filter, 1, query.include_empty)[0])
 
 
 def effective_bound(

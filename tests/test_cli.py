@@ -347,7 +347,7 @@ def test_jsonl_lines_match_json_dumps(query):
         for indices, r_x, c1c2, integral, witness, _ in rows
     )
     assert cli._render_jsonl(iter(rows)) == expected
-    if query.include_empty and query.filter.accepts(24 * query.chi0, 1, True):
+    if query.include_empty and 24 * query.chi0 in query.filter.window(1, 24 * query.chi0):
         assert '{"indices":"\\u2205",' in expected
 
 

@@ -78,13 +78,18 @@ EVERY_FILTER_KIND = [
 ]
 
 
+def filter_keeps(flt, c1c2):
+    """Does a record with this c1c2 and integral l(2) pass the filter?  In Fractions."""
+    if flt.kind == "c1c2-zero":
+        return c1c2 == 0
+    if flt.kind == "c1c2-range":
+        return flt.lo <= c1c2 <= flt.hi
+    return True
+
+
 def empty_multiset_passes(flt, chi0):
     """Does the empty multiset, c1c2 = 24*chi0 and l(m) = 0, pass the filter?"""
-    if flt.kind == "c1c2-zero":
-        return chi0 == 0
-    if flt.kind == "c1c2-range":
-        return flt.lo <= 24 * chi0 <= flt.hi
-    return True
+    return filter_keeps(flt, 24 * chi0)
 
 
 def admissible_b(r):
@@ -611,35 +616,53 @@ def walked_node(frame):
     return ()
 
 
+class RecordingWindow:
+    """A filter's window that records the node and c1c2 of each rem tested against it."""
+
+    def __init__(self, window, scale, nodes, values):
+        self.window, self.start, self.scale = window, window.start, scale
+        self.nodes, self.values = nodes, values
+
+    def __contains__(self, rem):
+        self.nodes.append(walked_node(sys._getframe(1)))
+        self.values.append(Fraction(rem, self.scale))
+        return rem in self.window
+
+
+def record_windows(monkeypatch, nodes, values):
+    """Make every filter's window a `RecordingWindow` appending to nodes and values."""
+    real = RecordFilter.window
+
+    def window(self, scale, budget):
+        return RecordingWindow(real(self, scale, budget), scale, nodes, values)
+
+    monkeypatch.setattr(RecordFilter, "window", window)
+
+
 class TestFilterOncePerNode:
     # the χ = 1 walk has 2,151 nodes below its root, the empty multiset; the
     # l2-integral and c1c2-range walks skip nodes that keep no row, so their
     # counts are pinned at --jobs 1 with the walked-subtree memo cleared.  In
-    # the windows [23, 24] and [24, 48] every node lies below the floor.
-    WALKED = dict(zip(EVERY_FILTER_KIND, [2151, 2151, 491, 2151, 0, 0]))
+    # the windows [23, 24] and [24, 48] every node lies below the floor; the
+    # window [-1, -1/3] holds no rem, and its walk keeps no row.
+    FILTERS = EVERY_FILTER_KIND + [c1c2_in_range(-1, Fraction(-1, 3))]
+    WALKED = dict(zip(FILTERS, [2151, 2151, 491, 2151, 0, 0, 2151]))
 
     @pytest.mark.parametrize("include_empty", [False, True], ids=["", "include-empty"])
     @pytest.mark.parametrize(
         "flt",
-        EVERY_FILTER_KIND,
+        FILTERS,
         ids=lambda f: f.kind if f.lo is None else f"{f.kind}-{f.lo}-{f.hi}",
     )
     def test_every_node_meets_the_filter_once(self, monkeypatch, flt, include_empty):
         nodes, values = [], []
-        real = RecordFilter.accepts
-
-        def recording(self, num, den, has_int):
-            nodes.append(walked_node(sys._getframe(1)))
-            values.append(Fraction(num, den))
-            return real(self, num, den, has_int)
-
         # a replayed row is no walked node, so the l2-integral records are
         # held to the full walk's integral items instead, as in TestCuts
         integral = [()] * include_empty + [
             head + (last,) for head, last, *_ in integral_items(Fraction(24))
         ]
         enumeration._walked.cache_clear()
-        monkeypatch.setattr(RecordFilter, "accepts", recording)
+        record_windows(monkeypatch, nodes, values)
         query = EnumerationQuery(chi0=1, filter=flt, include_empty=include_empty)
         records = enumerate_index_multisets(query)
         assert len(set(nodes)) == len(nodes)
@@ -649,19 +672,15 @@ class TestFilterOncePerNode:
             assert {rec.indices.indices() for rec in records} <= set(nodes)
         assert len(nodes) == self.WALKED[flt] + include_empty
         if flt.kind == "c1c2-range":
-            assert all(value >= flt.lo for value in values)  # none below the floor
+            assert all(value >= max(0, flt.lo) for value in values)  # none below the floor
+            if flt.hi < 0:
+                assert records == []
 
     def test_chi2_integral_walk(self, monkeypatch):
         # 21,711 of the 216,683 nodes, against 1,399 kept
         nodes = []
-        real = RecordFilter.accepts
-
-        def recording(self, num, den, has_int):
-            nodes.append(walked_node(sys._getframe(1)))
-            return real(self, num, den, has_int)
-
         enumeration._walked.cache_clear()
-        monkeypatch.setattr(RecordFilter, "accepts", recording)
+        record_windows(monkeypatch, nodes, [])
         raw, _ = _enumerate_raw(Fraction(48), INTEGRAL_L2, jobs=1)
         assert len(raw) == 1399
         assert len(nodes) == len(set(nodes)) == 21711
@@ -1412,22 +1431,27 @@ def test_row_text_matches_fraction(budget):
 
 @settings(max_examples=300, deadline=None)
 @given(
+    kind=st.sampled_from(RecordFilter.KINDS),
     lo=st.fractions(min_value=-48, max_value=48, max_denominator=10**4),
     width=st.fractions(min_value=0, max_value=48, max_denominator=10**4),
-    end=st.sampled_from(["lo", "hi", None]),
+    end=st.sampled_from(["lo", "hi", "zero", "budget", None]),
     scale=st.integers(1, 10**25),
-    num=st.integers(-(10**27), 10**27),
+    budget=st.integers(0, 10**27),
+    rem=st.integers(-(10**27), 10**27),
     nudge=st.integers(-1, 1),
 )
-def test_range_filter_matches_fraction(lo, width, end, scale, num, nudge):
-    # the integer cross-multiplied range test against Fraction, with num/den
-    # unreduced at either end of the range or one unit of 1/den beside it
-    flt = c1c2_in_range(lo, lo + width)
-    den = scale
-    if end is not None:
-        bound = flt.lo if end == "lo" else flt.hi
-        num, den = bound.numerator * scale + nudge, bound.denominator * scale
-    assert flt.accepts(num, den, False) == (flt.lo <= Fraction(num, den) <= flt.hi)
+def test_range_filter_matches_fraction(kind, lo, width, end, scale, budget, rem, nudge):
+    # every filter's integer window of rems against the Fraction test, with
+    # rem/scale unreduced at either end of the range, of 0 and of the budget,
+    # or one unit of 1/scale beside it
+    flt = c1c2_in_range(lo, lo + width) if kind == "c1c2-range" else RecordFilter(kind)
+    if end in ("lo", "hi"):
+        bound = lo if end == "lo" else lo + width
+        rem, scale = bound.numerator * scale + nudge, bound.denominator * scale
+    elif end is not None:
+        rem = (0 if end == "zero" else budget) + nudge
+    window = flt.window(scale, budget)
+    assert (rem in window) == (0 <= rem <= budget and filter_keeps(flt, Fraction(rem, scale)))
 
 
 class TestReproduceTable:
@@ -1509,6 +1533,46 @@ class TestExtremes:
         assert count_candidates(1, C1C2_ZERO) == 11
         assert count_candidates(1, INTEGRAL_L2) == 40
         assert count_candidates(0, include_empty=True) == 1
+
+    @pytest.mark.parametrize("chi0", [0, 1, 2])
+    def test_counts_match_the_records(self, chi0):
+        # the χ = 2 records are built for the cheap filters only; its full
+        # census is pinned
+        for flt in EVERY_FILTER_KIND if chi0 < 2 else [C1C2_ZERO, INTEGRAL_L2]:
+            for include_empty in (False, True):
+                query = EnumerationQuery(chi0=chi0, filter=flt, include_empty=include_empty)
+                expected = len(enumerate_index_multisets(query))
+                assert count_candidates(chi0, flt, include_empty) == expected
+        if chi0 == 2:
+            assert count_candidates(2) == 216683
+            assert count_candidates(2, include_empty=True) == 216684
+
+    @pytest.mark.parametrize(
+        "chi0, require_integral", [(1, False), (1, True), (2, True)]
+    )
+    def test_minimum_matches_the_records(self, chi0, require_integral):
+        flt = INTEGRAL_L2 if require_integral else ALL
+        positive = [
+            rec
+            for rec in enumerate_index_multisets(EnumerationQuery(chi0=chi0, filter=flt))
+            if rec.c1c2 > 0
+        ]
+        best = min(rec.c1c2 for rec in positive)
+        expected = best, [rec.indices for rec in positive if rec.c1c2 == best]
+        assert min_positive_c1c2(chi0, require_integral) == expected
+
+    def test_chi2_minima(self):
+        value, attaining = min_positive_c1c2(2)
+        assert value == Fraction(1, 2310)
+        assert [format_index_multiset(m) for m in attaining] == [
+            "2^10,3^2,7,10,11", "2^7,3^2,5^3,7,11", "2^7,5,7,11,15",
+            "2^5,3^2,4^2,7,10,11", "2^4,3,6^2,7,10,11", "2^2,3^2,4^2,5^3,7,11",
+            "2^2,4^2,5,7,11,15", "2,3,5^3,6^2,7,11", "3^2,4^4,7,10,11",
+        ]
+        value, attaining = min_positive_c1c2(2, require_integral=True)
+        assert (value, [format_index_multiset(m) for m in attaining]) == (
+            Fraction(1, 15), ["2,3,4^2,5^2,9^3"]
+        )
 
     def test_effective_bound(self):
         assert effective_bound(Fraction(1, 252)) == 81648
