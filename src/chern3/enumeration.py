@@ -6,26 +6,33 @@ many multisets.  A run passes through these layers:
 - `_frame`: a budget's integers.  The budget, the weights and each node's
   rem (its c1.c2) are integers over one scale, so the walk meets no float
   and no `Fraction`.
-- `_run_task` and `_scan`: the walk, depth first over non-decreasing index
+- `_run_task` and its two walks, depth first over non-decreasing index
   sequences, one task per head r0^k0 and its extensions by larger indices
-  (`_tasks`).  A node carries its rem, its Cartier index and one l(2)
-  bitmask per prime (`_prime_moduli`, `_l2_parts`, `_l2_rotations`); it
-  has a basket with integral l(2) iff every mask holds 0.  `_scan` tests,
-  keeps and cuts each non-empty node once; the empty multiset is a task of
-  its own, which `_run_task` tests, each against one integer range of rems
-  (`RecordFilter.window`) and, on the l2-integral walk, integral l(2).
-  The l2-integral walk tests only nodes that can still lead to a row: a
-  sibling loop ends where a slot lacking 0 needs more than the budget
-  left (`_needs`, `_stop`), a subtree is cut on the same rule (`_cut`),
-  and a subtree already walked with at least the budget is replayed from
-  one memo of its kept rows, empty for a barren one (`_walked`, freed as
-  the walk ends, and `_replay`).  A kept node with integral l(2) gets its
-  witness rebuilt, as integer ((r, b), k) runs (`_witness_runs`).
-  A kept node's item is (head, last, rem, lcm, witness): its runs as all
-  but the last, a tuple the walk already holds and shares among siblings,
-  and the last run (r, k).  So a leaf builds no runs tuple; head +
-  (last,) is made only where a whole multiset is needed.  The empty
-  multiset's item is ((), None, ...).
+  (`_tasks`), each in the same pre-order.  Every node the filter's walk
+  visits meets one integer range of rems (`RecordFilter.window`) once; the
+  empty multiset is a task of its own, which `_run_task` tests.
+  - The l(2) walk (`_l2_rows`, `_scan`) finds the task's rows with a
+    basket with integral l(2).  A node carries its rem, its Cartier index
+    and one l(2) bitmask per prime (`_prime_moduli`, `_l2_parts`,
+    `_l2_rotations`); it has such a basket iff every mask holds 0.  It
+    tests only nodes that can still lead to a row at or above the window's
+    floor: a sibling loop ends where a slot lacking 0 needs more than the
+    room above the floor (`_needs`, `_stop`), a subtree is cut on the same
+    rule (`_cut`), and a subtree already walked with at least the room is
+    replayed from one memo of its rows per budget, empty for a barren one
+    (`_walked`, freed as the walk ends, and `_replay`).  It is the
+    l2-integral filter's walk.
+  - The weights walk (`_weigh`) serves every other filter.  A node carries
+    its rem and Cartier index alone, with no l(2) mask; it joins the l(2)
+    walk's rows in order, by rem and then by runs, and a joined row gets
+    its witness rebuilt (`_witness`), so witnesses are rebuilt for kept
+    rows alone.  An l(2) row the join never meets raises.
+  A kept node with integral l(2) gets its witness rebuilt as integer
+  ((r, b), k) runs (`_witness_runs`).  A kept node's item is (head, last,
+  rem, lcm, witness): its runs as all but the last, a tuple the walk already holds
+  and shares among siblings, and the last run (r, k).  So a leaf builds no
+  runs tuple; head + (last,) is made only where a whole multiset is
+  needed.  The empty multiset's item is ((), None, ...).
 - `_enumerate_raw`, the one driver: the tasks run in order or in a pool
   (`_map_tasks`), and one stable sort on rem puts their rows in canonical
   order.
@@ -419,7 +426,7 @@ def _frame(max_weight: Fraction) -> tuple[int, int, int, tuple[int, ...], tuple]
 
 @lru_cache(maxsize=None)
 def _needs(max_weight: Fraction) -> tuple[dict, ...]:
-    """The l2-integral walk's need table for a budget: needs[slot][mask][r].
+    """The l(2) walk's need table for a budget: needs[slot][mask][r].
 
     For r <= rmax + 1 and a slot's mask lacking 0, it is the least weight of
     indices >= r that brings 0 into that mask (in `_frame`'s units), or
@@ -481,21 +488,23 @@ def _needs(max_weight: Fraction) -> tuple[dict, ...]:
 
 @lru_cache(maxsize=None)
 def _walked(max_weight: Fraction) -> dict:
-    """The l2-integral walk's memo of walked subtrees for a budget, kept for one walk.
+    """The l(2) walk's memo of walked subtrees for a budget, kept for one walk.
 
-    It maps a subtree's key (next index, masks) to (rem, suffixes): the
-    largest remaining budget at which the extensions of a node with those
-    masks by indices >= next index were walked, and the suffixes of the
-    rows kept there, in pre-order, each as (runs, weight, lcm).  A barren
-    subtree's suffixes are empty.  Every cut is exact, so they are all the
-    subtree's rows that the filter keeps.  Whether it keeps a row depends
-    on the row's masks alone, which are the key's after the suffix, and a
-    smaller budget walks, in the same order, the extensions of the larger
-    one that fit it; so a later node with that key and no larger rem keeps
-    exactly the stored suffixes of weight <= its rem, and the walk replays
-    them (`_replay`) instead of walking the subtree (`_cut`).  The memo
-    and the need table are per budget, and what they record does not
-    depend on which tasks ran before, so neither does a task's items.
+    It maps a subtree's key (next index, masks) to (room, suffixes): the
+    largest room at which the extensions of a node with those masks by
+    indices >= next index were walked, and the suffixes of the rows kept
+    there, in pre-order, each as (runs, weight, lcm).  A node's room is its
+    rem less the walk's floor, so a row below it is kept iff its suffix
+    weighs at most the room.  A barren subtree's suffixes are empty.  Every
+    cut is exact, so they are all the subtree's suffixes of weight <= room
+    with integral l(2).  Whether a row has integral l(2) depends on its
+    masks alone, which are the key's after the suffix, and a smaller room
+    walks, in the same order, the extensions of the larger one that fit it;
+    so a later node with that key and no larger room, whatever its walk's
+    floor, keeps exactly the stored suffixes of weight <= its room, and the
+    walk replays them (`_replay`) instead of walking the subtree (`_cut`).
+    The memo and the need table are per budget, and what they record does
+    not depend on which tasks ran before, so neither does a task's items.
     The memo lives until the walk that filled it ends: `_enumerate_raw`
     clears it then, whether the walk ran in this process or in a pool whose
     workers each kept their own.
@@ -503,51 +512,51 @@ def _walked(max_weight: Fraction) -> dict:
     return {}
 
 
-def _cut(masks: list[int], moved: tuple, needs: tuple, walked: dict, r: int, rem: int):
+def _cut(masks: list[int], moved: tuple, needs: tuple, walked: dict, r: int, room: int):
     """(key, suffixes) for a subtree: its memo key (r, *masks) if the walk must walk it.
 
-    The subtree is the extensions by indices >= r, within rem, of the node
-    whose masks are masks after the rotations moved.  A slot lacking 0
-    whose need exceeds rem cuts it, (None, ()); a memo entry walked with at
-    least rem gives (None, its suffixes) to replay; else it is (key, ()).
-    Only the l2-integral walk asks.
+    The subtree is the extensions by indices >= r, weighing at most room,
+    of the node whose masks are masks after the rotations moved.  A slot
+    lacking 0 whose need exceeds room cuts it, (None, ()); a memo entry
+    walked with at least room gives (None, its suffixes) to replay; else it
+    is (key, ()).
     """
     masks = masks[:]
     for slot, rotation in moved:
         masks[slot] = rotation[masks[slot]]
     for mask, need in zip(masks, needs):
-        if not mask & 1 and need[mask][r] > rem:
-            return None, ()  # that slot needs more than rem
+        if not mask & 1 and need[mask][r] > room:
+            return None, ()  # that slot needs more than room
     key = (r, *masks)
     stored = walked.get(key)
-    if stored is not None and stored[0] >= rem:
+    if stored is not None and stored[0] >= room:
         return None, stored[1]
     return key, ()
 
 
-def _stop(masks: list[int], needs: tuple, r: int, rem: int) -> int:
-    """The first index >= r at which a slot lacking 0 needs more than rem.
+def _stop(masks: list[int], needs: tuple, r: int, room: int) -> int:
+    """The first index >= r at which a slot lacking 0 needs more than room.
 
     A node at that index or later, and its subtree, use only indices at or
-    beyond it within rem, so that slot keeps lacking 0 and no row is kept
+    beyond it within room, so that slot keeps lacking 0 and no row is kept
     there: the sibling loop ends at it.  Need grows with the index, as fewer
     indices remain (`_needs`), so a bisection of each lacking slot's needs
-    finds it; need at rmax + 1 exceeds every rem, so one exists when some
+    finds it; need at rmax + 1 exceeds every room, so one exists when some
     slot lacks 0, as every caller's does.
     """
     return min(
-        bisect_right(need[mask], rem, r) for mask, need in zip(masks, needs) if not mask & 1
+        bisect_right(need[mask], room, r) for mask, need in zip(masks, needs) if not mask & 1
     )
 
 
-def _suffixes(items: list, node_head: _Groups, node_last: tuple[int, int], node_rem: int) -> tuple:
-    """The rows below a node in items as `_walked`'s suffixes (runs, weight, lcm).
+def _suffixes(rows: list, node_head: _Groups, node_last: tuple[int, int], node_rem: int) -> tuple:
+    """The rows below a node in rows as `_walked`'s suffixes (runs, weight, lcm).
 
     The node's runs are node_head + (node_last,), and its rem is node_rem.
     """
     n, k = len(node_head) + 1, node_last[1]
     suffixes = []
-    for head, last, rem, _, _ in items:
+    for head, last, rem, _ in rows:
         groups = head + (last,)
         r, row_k = groups[n - 1]
         suffix = ((r, row_k - k),) + groups[n:] if row_k > k else groups[n:]
@@ -557,59 +566,53 @@ def _suffixes(items: list, node_head: _Groups, node_last: tuple[int, int], node_
 
 def _replay(
     out: list, node_head: _Groups, node_last: tuple[int, int], node_rem: int, node_lcm: int,
-    suffixes: tuple, rmax: int,
+    suffixes: tuple, room: int,
 ):
-    """Append the rows of a node's walked subtree that fit node_rem, from `_walked`'s suffixes.
+    """Append the rows of a node's walked subtree that fit its room, from `_walked`'s suffixes.
 
-    A row is the node's runs followed by the suffix, its first run merged
-    into the node's last when they share an index; its rem is node_rem less
-    the suffix's weight and its lcm that of node_lcm and the suffix's.  Its
-    witness is rebuilt as a walked row's is, from its whole runs, which
-    the row then carries as (all runs but the last, the last).
+    A row is the node's runs followed by a suffix of weight <= room, its
+    first run merged into the node's last when they share an index; its
+    rem is node_rem less the suffix's weight and its lcm that of node_lcm
+    and the suffix's.  It is carried as (all runs but the last, the last).
     """
     last, k = node_last
     for suffix, weight, suffix_lcm in suffixes:
-        if weight > node_rem:
+        if weight > room:
             continue
         if suffix[0][0] == last:
             row = node_head + ((last, k + suffix[0][1]),) + suffix[1:]
         else:
             row = node_head + (node_last,) + suffix
-        witness = _witness_runs(row, rmax)
-        if witness is None:
-            raise RuntimeError("walk and witness rebuild disagree; this is a bug")
-        out.append((row[:-1], row[-1], node_rem - weight, math.lcm(node_lcm, suffix_lcm), witness))
+        out.append((row[:-1], row[-1], node_rem - weight, math.lcm(node_lcm, suffix_lcm)))
 
 
 def _scan(
     ctx, rmin: int, rem: int, head: _Groups, last, lcm: int, bad: int, once: int = 0
 ) -> None:
-    """Visit the extensions by indices >= rmin of the node (head, last), in pre-order.
+    """The l(2) walk: the rows with integral l(2) among the extensions of (head, last), in pre-order.
 
-    The node's runs are head + (last,), or head alone when last is None,
-    which only the empty multiset's are.  Each visited node is followed by
-    its extensions repeating its last index, then by larger indices; with
+    The extensions are by indices >= rmin; each is followed by its own
+    extensions repeating its last index, then by larger indices, and with
     once = 1 only the node + rmin is visited, and its extensions start at
-    rmin + 1 (`_run_task`).  ctx is (out, masks, rmax, weights, rotations,
-    window, needs, walked).  masks holds the node's per-prime l(2) masks
-    and bad counts those that lack 0.  A visited node looks up only the
-    slots its index moves, and writes them into masks only while its
-    subtree is scanned, so masks is as on entry when this returns.  A node
-    is kept iff its rem is in window, and on the l2-integral walk has
-    integral l(2); weights grow with the index and a subtree only loses
-    budget, so the first sibling below window.start ends the loop.  needs
-    and walked are the l2-integral walk's cuts and memo, and None for every
-    other filter: its loop ends at `_stop`, a node's subtree is cut or
-    replayed as `_cut` says, and a walked one is stored.
+    rmin + 1 (`_l2_rows`).  The node's runs are head + (last,), or head
+    alone when last is None.  ctx is (out, masks, rmax, weights, rotations,
+    window, needs, walked): masks holds the node's per-prime l(2) masks and
+    bad counts those that lack 0.  A visited node looks up only the slots
+    its index moves, and writes them into masks only while its subtree is
+    scanned, so masks is as on entry when this returns.
 
-    A kept node's item (head, last, rem, lcm, witness) goes to out: its
-    runs as all but the last, a tuple shared with its siblings, and the
-    last run (r, k); rem is c1c2 in units of scale, lcm the Cartier index
-    and witness the integral basket's runs, rebuilt over the walk's rmax
-    from its rotation memos, or None.  A node repeating this node's last
-    index has this node's head; any other has this node's runs, built once
-    here.  So a leaf builds no runs tuple: a node's whole runs are built
-    only to scan its subtree, store it, or rebuild its witness.
+    window runs from a floor up to the budget, so a node is kept iff its
+    rem is at least the floor and it has integral l(2), as `_walked`
+    needs.  A node's room is its rem less the floor: a sibling loop ends at
+    `_stop`, or where the rem falls below the floor, as weights grow with
+    the index; a node's subtree is cut or replayed as `_cut` says against
+    the room, and a walked one is stored with its room.
+
+    A kept node's row (head, last, rem, lcm) goes to out: its runs as all
+    but the last, a tuple shared with its siblings, and the last run
+    (r, k); rem is c1c2 in units of scale and lcm the Cartier index.  A
+    node repeating this node's last index has this node's head; any other
+    has this node's runs, built once here.
     """
     out, masks, rmax, weights, rotations, window, needs, walked = ctx
     floor = window.start
@@ -618,11 +621,10 @@ def _scan(
     else:
         prefix, (repeat, k) = head + (last,), last
     stop = rmin + 1 if once else rmax + 1
-    if needs is not None and bad and not once:
-        stop = _stop(masks, needs, rmin, rem)
+    if bad and not once:
+        stop = _stop(masks, needs, rmin, rem - floor)
     for r in range(rmin, stop):
-        w = weights[r]
-        node_rem = rem - w
+        node_rem = rem - weights[r]
         if node_rem < floor:
             break  # weights grow with r, so no later sibling is kept either
         moved = rotations[r]
@@ -630,49 +632,125 @@ def _scan(
         for slot, rotation in moved:
             mask = masks[slot]
             node_bad += (mask & 1) - (rotation[mask] & 1)
-        keep = node_rem in window and (needs is None or not node_bad)
+        keep = node_rem in window and not node_bad
         rnext = r + once  # its extensions start here
-        walk = node_rem >= weights[rnext]
-        replay = ()
-        if walk and needs is not None:
-            key, replay = _cut(masks, moved, needs, walked, rnext, node_rem)
-            walk = key is not None
-        if not (keep or walk or replay):
+        room = node_rem - floor
+        key, replay = None, ()
+        if room >= weights[rnext]:
+            key, replay = _cut(masks, moved, needs, walked, rnext, room)
+        if not (keep or key or replay):
             continue  # dropped before its last run is built
         if r == repeat:
             node_head, node_last, node_lcm = head, (r, k + 1), lcm
         else:
             node_head, node_last, node_lcm = prefix, (r, 1), math.lcm(lcm, r)
         if keep:
-            witness = None if node_bad else _witness_runs(node_head + (node_last,), rmax)
-            if witness is None and not node_bad:
-                raise RuntimeError("walk and witness rebuild disagree; this is a bug")
-            out.append((node_head, node_last, node_rem, node_lcm, witness))
+            out.append((node_head, node_last, node_rem, node_lcm))
         if replay:
-            _replay(out, node_head, node_last, node_rem, node_lcm, replay, rmax)
-        if walk:
+            _replay(out, node_head, node_last, node_rem, node_lcm, replay, room)
+        if key:
             saved = [masks[slot] for slot, _ in moved]
             for slot, rotation in moved:
                 masks[slot] = rotation[masks[slot]]
             kept = len(out)
             _scan(ctx, rnext, node_rem, node_head, node_last, node_lcm, node_bad)
-            if needs is not None:
-                walked[key] = (node_rem, _suffixes(out[kept:], node_head, node_last, node_rem))
+            walked[key] = (room, _suffixes(out[kept:], node_head, node_last, node_rem))
             for (slot, _), mask in zip(moved, saved):
                 masks[slot] = mask
+
+
+def _l2_rows(max_weight: Fraction, r0: int, k0: int, window: range) -> list:
+    """The task (r0, k0)'s rows (head, last, rem, lcm) with integral l(2) and rem in window.
+
+    They come in the task's pre-order (`_run_task`), from `_scan` entered at
+    the head r0^k0 with the masks of r0^(k0 - 1); window runs from a floor
+    up to the budget.  The masks are the task's own; the rotation memos,
+    the need table and `_walked` are shared.
+    """
+    rmax, _, budget, weights, rotations = _frame(max_weight)
+    masks = [1] * len(_prime_moduli(rmax))  # the empty multiset reaches 0 only
+    for slot, rotation in rotations[r0]:
+        for _ in range(k0 - 1):
+            masks[slot] = rotation[masks[slot]]
+    out: list = []
+    ctx = (out, masks, rmax, weights, rotations, window, _needs(max_weight), _walked(max_weight))
+    last, lcm = ((r0, k0 - 1), r0) if k0 > 1 else (None, 1)
+    bad = sum(not mask & 1 for mask in masks)
+    _scan(ctx, r0, budget - (k0 - 1) * weights[r0], (), last, lcm, bad, 1)
+    return out
+
+
+def _weigh(ctx, rmin: int, rem: int, head: _Groups, last, lcm: int, joins: int, once: int = 0) -> int:
+    """The weights walk: the extensions by indices >= rmin of (head, last) in window, in pre-order.
+
+    It visits every node whose rem is at least window.start, in the
+    pre-order that `_scan` keeps its rows in, from weights alone: no l(2)
+    mask, rotation or memo.  ctx is (out, rmax, weights, window, integral),
+    and once is as in `_scan`.  A node is kept iff its rem is in window,
+    and the first sibling below window.start ends the loop.  integral is a
+    stack of the task's rows with integral l(2) in window, the next one on
+    top, as `_l2_rows` gives them in the same pre-order, over a sentinel
+    of rem -1, and joins is the top row's rem, which this returns as the
+    walk leaves it.  A kept node that is the top row, by rem first and
+    then by runs, pops it and has its witness rebuilt as ((r, b), k) runs
+    over rmax (`_witness`); any other has none.
+
+    A kept node's item (head, last, rem, lcm, witness) goes to out, built
+    as `_scan` builds its rows.
+    """
+    out, rmax, weights, window, integral = ctx
+    floor = window.start
+    if last is None:
+        prefix, repeat, k = head, 0, 0
+    else:
+        prefix, (repeat, k) = head + (last,), last
+    for r in range(rmin, rmin + 1 if once else rmax + 1):
+        node_rem = rem - weights[r]
+        if node_rem < floor:
+            break  # weights grow with r, so no later sibling is kept either
+        keep = node_rem in window
+        walk = node_rem >= weights[r + once]  # its extensions start at r + once
+        if not (keep or walk):
+            continue
+        if r == repeat:
+            node_head, node_last, node_lcm = head, (r, k + 1), lcm
+        else:
+            node_head, node_last, node_lcm = prefix, (r, 1), math.lcm(lcm, r)
+        if keep:
+            if node_rem != joins or node_last != integral[-1][1] or node_head != integral[-1][0]:
+                out.append((node_head, node_last, node_rem, node_lcm, None))
+            else:
+                integral.pop()
+                joins = integral[-1][2]
+                witness = _witness(node_head + (node_last,), rmax)
+                out.append((node_head, node_last, node_rem, node_lcm, witness))
+        if walk:
+            joins = _weigh(ctx, r + once, node_rem, node_head, node_last, node_lcm, joins)
+    return joins
+
+
+def _witness(runs: _Groups, rmax: int) -> _Runs:
+    """The witness runs of index runs that the l(2) walk found integral, rebuilt over rmax."""
+    witness = _witness_runs(runs, rmax)
+    if witness is None:
+        raise RuntimeError("walk and witness rebuild disagree; this is a bug")
+    return witness
 
 
 def _run_task(args) -> list:
     """Filtered items (head, last, rem, lcm, witness) of the multisets with smallest run (r0, k0).
 
-    They are the head r0^k0 and its extensions by indices > r0, which
-    `_scan` visits from the masks of r0^(k0 - 1), in lexicographic order of
-    the expanded index sequence.  The task's l(2) masks are its own; only
-    the rotation memos, and the l2-integral walk's cuts, are shared.  The
-    task (r0, k0) = (1, 0) is the root, the empty multiset, alone: its item
-    is ((), None, ...), the runs () with no last run, its rem is the
-    budget, its Cartier index 1 and its witness the empty basket, with
-    l(2) = 0, and it meets the task's one window of the filter here.
+    They are the head r0^k0 and its extensions by indices > r0, in
+    pre-order, which is lexicographic order of the expanded index sequence.
+    The l2-integral filter's items are the l(2) walk's rows (`_l2_rows`),
+    each with its witness rebuilt.  Any other filter's are the weights
+    walk's (`_weigh`), joined with the l(2) walk's rows at or above the
+    window's floor that are in the window, so witnesses are rebuilt for
+    the kept rows alone; a row the join never meets raises.  The task
+    (r0, k0) = (1, 0) is the root, the empty multiset, alone: its item is
+    ((), None, ...), the runs () with no last run, its rem is the budget,
+    its Cartier index 1 and its witness the empty basket, with l(2) = 0,
+    and it meets the task's one window of the filter here.
 
     The tasks run r0 ascending, then k0 descending, so a row past its
     task's head sorts after every row of the earlier tasks and before every
@@ -682,22 +760,27 @@ def _run_task(args) -> list:
     lexicographic order, which `_enumerate_raw`'s stable sort keeps.
     """
     max_weight, flt, r0, k0 = args
-    rmax, scale, budget, weights, rotations = _frame(max_weight)
+    rmax, scale, budget, weights, _ = _frame(max_weight)
     window = flt.window(scale, budget)
     if not k0:
         return [((), None, budget, 1, ())] if budget in window else []
-    masks = [1] * len(_prime_moduli(rmax))  # the empty multiset reaches 0 only
-    for slot, rotation in rotations[r0]:
-        for _ in range(k0 - 1):
-            masks[slot] = rotation[masks[slot]]
-    needs = walked = None
+    if budget - k0 * weights[r0] < window.start:
+        return []  # the head lies below the floor, and its extensions weigh more
     if flt.kind == "l2-integral":
-        needs, walked = _needs(max_weight), _walked(max_weight)
+        return [
+            (head, last, rem, lcm, _witness(head + (last,), rmax))
+            for head, last, rem, lcm in _l2_rows(max_weight, r0, k0, window)
+        ]
+    integral = [((), None, -1, 0)] + [
+        row for row in _l2_rows(max_weight, r0, k0, range(window.start, budget + 1))
+        if row[2] < window.stop
+    ][::-1]
     out: list = []
-    ctx = (out, masks, rmax, weights, rotations, window, needs, walked)
     last, lcm = ((r0, k0 - 1), r0) if k0 > 1 else (None, 1)
-    bad = sum(not mask & 1 for mask in masks)
-    _scan(ctx, r0, budget - (k0 - 1) * weights[r0], (), last, lcm, bad, 1)
+    start = budget - (k0 - 1) * weights[r0]
+    _weigh((out, rmax, weights, window, integral), r0, start, (), last, lcm, integral[-1][2], 1)
+    if len(integral) > 1:
+        raise RuntimeError("the weights walk never met a row of the l(2) walk; this is a bug")
     return out
 
 
@@ -740,7 +823,7 @@ def _map_tasks(fn, tasks: list, jobs: int) -> list:
 def _part(finish, task) -> tuple[list[int], object]:
     """A task's part: the rems of its items in walk order, and the items or their text.
 
-    The items are (head, last, rem, lcm, witness) (`_scan`).  With finish
+    The items are (head, last, rem, lcm, witness) (`_run_task`).  With finish
     they become finish(items), one text with one newline-terminated line
     per item, in the same order; `checked_lines`' finish checks them in one
     `_checked_rows` loop, whose head memo lives for that one task.
@@ -755,7 +838,7 @@ def _enumerate_raw(
     """Filtered raw items (head, last, rem, lcm, witness runs) in canonical order, and the scale.
 
     An item's runs are head + (last,), or head alone when last is None,
-    as for the empty multiset (`_scan`, `_run_task`).  With include_empty
+    as for the empty multiset (`_run_task`).  With include_empty
     the empty multiset is one more task (`_tasks`).
     With finish, each task turns its items into text (`_part`) and the
     rows are that text's lines, without their newlines; in a pool, finish
@@ -1092,10 +1175,19 @@ def min_positive_c1c2(
 
 
 def count_candidates(chi0: int, flt: RecordFilter = ALL, include_empty: bool = False) -> int:
-    """Number of records the corresponding enumeration emits, counted without building them."""
+    """Number of records the corresponding enumeration emits, counted without building them.
+
+    It sums the walk tasks' lengths, so no rows are sorted or gathered;
+    the memo of walked subtrees is freed as the walk ends, as
+    `_enumerate_raw` frees it.
+    """
     query = EnumerationQuery(chi0=chi0, filter=flt, include_empty=include_empty)
+    tasks = _tasks(Fraction(24 * chi0), query.filter, query.include_empty)
     with collector_paused():
-        return len(_enumerate_raw(Fraction(24 * chi0), query.filter, 1, query.include_empty)[0])
+        try:
+            return sum(len(_run_task(task)) for task in tasks)
+        finally:
+            _walked.cache_clear()
 
 
 def effective_bound(

@@ -322,9 +322,13 @@ class TestRotationMemo:
 
 def test_tasks_share_no_walk_state():
     # each task's l(2) masks are its own and restored as its walk returns, and
-    # the shared rotation memos and the l2-integral cuts hold no walk state,
+    # the shared rotation memos and the l(2) walk's cuts hold no walk state,
     # so a task's chunk does not depend on which tasks ran before it.  At
     # chi = 2, l2-integral keeps exactly the nodes whose masks all reach 0.
+    # The range's l(2) walk, at the same budget, keeps only the rows at or
+    # above its floor, and stores each walked subtree with its room above
+    # the floor, so the l2-integral walk can replay what it stored.
+    ranged = enumeration._tasks(Fraction(48), c1c2_in_range(10, Fraction(25, 2)))
     chi2 = enumeration._tasks(Fraction(48), INTEGRAL_L2)
     chi1 = enumeration._tasks(Fraction(24), ALL)
     low = enumeration._tasks(Fraction(37, 3), ALL)
@@ -335,9 +339,12 @@ def test_tasks_share_no_walk_state():
             memo.cache_clear()
 
     clear_memos()
-    fresh = {task: enumeration._run_task(task) for task in chi2 + chi1 + low}
+    fresh = {task: enumeration._run_task(task) for task in ranged + chi2 + chi1 + low}
     assert sum(len(fresh[task]) for task in chi2) == 1399
+    assert sum(len(witnessed(fresh[task])) for task in ranged) == 126
     for task in reversed(chi2):
+        assert enumeration._run_task(task) == fresh[task], task
+    for task in ranged:
         assert enumeration._run_task(task) == fresh[task], task
     clear_memos()
     for task in reversed(chi2):
@@ -522,7 +529,8 @@ class TestEnumerate:
     def test_chunks_join_in_order_among_equal_rems(self, monkeypatch, max_weight, tied):
         # the stable sort on rem keeps the joined chunks' order among rows of
         # equal rem, so there it must be lexicographic on the expanded index
-        # sequence; tied counts the rems that more than one row has
+        # sequence; tied counts the rems that more than one row has.  Only the
+        # tasks' chunks are recorded, not the l(2) walks they join
         chunks = []
         real = enumeration._run_task
 
@@ -532,6 +540,7 @@ class TestEnumerate:
 
         monkeypatch.setattr(enumeration, "_run_task", recording)
         raw, _ = _enumerate_raw(max_weight, ALL, jobs=1)
+        assert len(chunks) == len(enumeration._tasks(max_weight, ALL))
         by_rem = {}
         for chunk in chunks:
             for head, last, rem, *_ in chunk:
@@ -608,9 +617,13 @@ class TestEnumerate:
 
 
 def walked_node(frame):
-    """The expanded index sequence of the node whose filter test is in frame."""
+    """The expanded index sequence of the node whose window test is in frame.
+
+    It is a node of the weights walk (`_weigh`) or of the l(2) walk
+    (`_scan`), or the root, which `_run_task` tests.
+    """
     names = frame.f_locals
-    if frame.f_code.co_name == "_scan":
+    if frame.f_code.co_name in ("_weigh", "_scan"):
         return IndexMultiset(names["prefix"]).indices() + (names["r"],)
     assert frame.f_code.co_name == "_run_task"
     return ()
@@ -620,7 +633,7 @@ class RecordingWindow:
     """A filter's window that records the node and c1c2 of each rem tested against it."""
 
     def __init__(self, window, scale, nodes, values):
-        self.window, self.start, self.scale = window, window.start, scale
+        self.window, self.start, self.stop, self.scale = window, window.start, window.stop, scale
         self.nodes, self.values = nodes, values
 
     def __contains__(self, rem):
@@ -644,7 +657,9 @@ class TestFilterOncePerNode:
     # l2-integral and c1c2-range walks skip nodes that keep no row, so their
     # counts are pinned at --jobs 1 with the walked-subtree memo cleared.  In
     # the windows [23, 24] and [24, 48] every node lies below the floor; the
-    # window [-1, -1/3] holds no rem, and its walk keeps no row.
+    # window [-1, -1/3] holds no rem, and its walk keeps no row.  Only the
+    # filter's own walk tests its window: the l(2) walk that every other
+    # filter's weights walk joins tests a range of its own.
     FILTERS = EVERY_FILTER_KIND + [c1c2_in_range(-1, Fraction(-1, 3))]
     WALKED = dict(zip(FILTERS, [2151, 2151, 491, 2151, 0, 0, 2151]))
 
@@ -657,7 +672,7 @@ class TestFilterOncePerNode:
     def test_every_node_meets_the_filter_once(self, monkeypatch, flt, include_empty):
         nodes, values = [], []
         # a replayed row is no walked node, so the l2-integral records are
-        # held to the full walk's integral items instead, as in TestCuts
+        # held to the mask walk's integral items instead, as in TestCuts
         integral = [()] * include_empty + [
             head + (last,) for head, last, *_ in integral_items(Fraction(24))
         ]
@@ -685,11 +700,76 @@ class TestFilterOncePerNode:
         assert len(raw) == 1399
         assert len(nodes) == len(set(nodes)) == 21711
 
+    @pytest.mark.parametrize(
+        "lo, hi, tested",
+        [(Fraction(1, 2), 3, (1914, 433)), (4, 24, (834, 256)), (23, 24, (0, 0))],
+        ids=["1/2-3", "4-24", "23-24"],
+    )
+    def test_no_walk_of_a_range_tests_a_node_below_its_floor(self, monkeypatch, lo, hi, tested):
+        # the weights walk tests the filter's window, and the l(2) walk it
+        # joins tests its own range, which each `_scan` call's ctx gets
+        # recorded; tested pins both counts, as the l(2) walk's sibling
+        # loops end and its subtrees are cut against the room above the floor
+        every = enumerate_index_multisets(EnumerationQuery(chi0=1))
+        scale = enumeration._frame(Fraction(24))[1]
+        weighed, scanned = [], []
+        record_windows(monkeypatch, [], weighed)
+        real = enumeration._scan
 
+        def scan(ctx, *args):
+            if not isinstance(ctx[5], RecordingWindow):
+                ctx = (*ctx[:5], RecordingWindow(ctx[5], scale, [], scanned), *ctx[6:])
+            real(ctx, *args)
+
+        monkeypatch.setattr(enumeration, "_scan", scan)
+        enumeration._walked.cache_clear()
+        records = enumerate_index_multisets(EnumerationQuery(chi0=1, filter=c1c2_in_range(lo, hi)))
+        assert all(value >= lo for value in weighed + scanned)
+        assert (len(weighed), len(scanned)) == tested
+        assert records == [rec for rec in every if lo <= rec.c1c2 <= hi]
+
+
+@lru_cache(maxsize=None)
 def integral_items(max_weight):
-    """The full walk's items that have a witness, in its order."""
-    raw, _ = _enumerate_raw(max_weight, ALL, jobs=1)
-    return [item for item in raw if item[4] is not None]
+    """The integral items (head, last, rem, lcm, witness) within max_weight, in canonical order.
+
+    The reference for the library's walks: a walk of its own over every
+    non-empty multiset, with no cut, memo or join, that carries each node's
+    per-prime l(2) masks, stepped by the library's rotation memos
+    (`TestRotationMemo` holds them to the shift formula), so a node has a
+    basket with integral l(2) iff every mask holds 0.  Each such node's
+    witness is rebuilt by `_witness_runs`; the items are sorted by rem
+    descending, then by the expanded index sequence.
+    """
+    rmax, _, budget, weights, rotations = enumeration._frame(max_weight)
+    found = []
+
+    def visit(groups, rmin, rem, r_x, masks):
+        for r in range(rmin, rmax + 1):
+            node_rem = rem - weights[r]
+            if node_rem < 0:
+                break
+            node_masks = masks[:]
+            for slot, rotation in rotations[r]:
+                node_masks[slot] = rotation[node_masks[slot]]
+            if groups and groups[-1][0] == r:
+                node = groups[:-1] + ((r, groups[-1][1] + 1),)
+            else:
+                node = groups + ((r, 1),)
+            node_r_x = lcm(r_x, r)
+            if all(mask & 1 for mask in node_masks):
+                witness = enumeration._witness_runs(node, rmax)
+                found.append((node[:-1], node[-1], node_rem, node_r_x, witness))
+            visit(node, r, node_rem, node_r_x, node_masks)
+
+    visit((), 2, budget, 1, [1] * len(enumeration._prime_moduli(rmax)))
+    found.sort(key=lambda item: (-item[2], IndexMultiset(item[0] + (item[1],)).indices()))
+    return found
+
+
+def witnessed(items):
+    """The items that have a witness, in their order."""
+    return [item for item in items if item[4] is not None]
 
 
 def brute_masks(movers, start, budget, weights, rmax):
@@ -725,7 +805,10 @@ RATIONAL_BUDGETS = st.integers(1, 12).flatmap(
 
 
 class TestCuts:
-    """The l2-integral walk's cuts skip only subtrees that keep no row."""
+    """The l(2) walk's cuts skip only subtrees that keep no row, and the weights walk joins its rows.
+
+    Both are held to the mask walk over every node (`integral_items`).
+    """
 
     @pytest.mark.parametrize("chi0", [0, 1, 2])
     def test_integral_walk_keeps_the_full_walks_integral_items(self, chi0):
@@ -733,6 +816,8 @@ class TestCuts:
         raw, _ = _enumerate_raw(Fraction(24 * chi0), INTEGRAL_L2, jobs=1)
         assert raw == integral_items(Fraction(24 * chi0))
         assert len(raw) == [0, 40, 1399][chi0]
+        joined, _ = _enumerate_raw(Fraction(24 * chi0), ALL, jobs=1)
+        assert witnessed(joined) == raw
 
     @settings(max_examples=12, deadline=None)
     @given(RATIONAL_BUDGETS)
@@ -740,9 +825,15 @@ class TestCuts:
     @example(Fraction(95, 2))
     @example(Fraction(143, 3))
     def test_rational_budgets(self, budget):
-        # each budget's walk fills its own memo and frees it as it ends
-        raw, _ = _enumerate_raw(budget, INTEGRAL_L2, jobs=1)
-        assert raw == integral_items(budget)
+        # each budget's walk fills its own memo and frees it as it ends; the
+        # range's l(2) walk cuts against the room above its floor
+        expected = integral_items(budget)
+        raw, scale = _enumerate_raw(budget, INTEGRAL_L2, jobs=1)
+        assert raw == expected
+        assert witnessed(_enumerate_raw(budget, ALL, jobs=1)[0]) == expected
+        lo = budget / 3
+        ranged, _ = _enumerate_raw(budget, c1c2_in_range(lo, budget), jobs=1)
+        assert witnessed(ranged) == [item for item in expected if item[2] >= lo * scale]
 
     def test_walks_free_their_memo(self, monkeypatch):
         # the memo lives while its walk runs and is empty once the walk ends,
@@ -860,6 +951,47 @@ class TestCuts:
         items, _ = _enumerate_raw(Fraction(48), ALL, jobs=1)
         assert raw == self.in_range(items, scale, lo, hi)
         assert len(raw) > 1000
+
+
+class HoledWindow:
+    """A filter's window without one rem: the weights walk keeps no node there."""
+
+    def __init__(self, window, hole):
+        self.window, self.start, self.stop, self.hole = window, window.start, window.stop, hole
+
+    def __contains__(self, rem):
+        return rem != self.hole and rem in self.window
+
+
+class TestJoin:
+    """Every l(2) row in the window must be met by the weights walk, by rem and runs."""
+
+    def test_row_the_weights_walk_drops_raises(self, monkeypatch):
+        # at χ = 1 the weights walk keeps no node at c1c2 = 0, among them
+        # 2^3,4,8^2 and 5^5, whose l(2) rows are in the window
+        real = RecordFilter.window
+        monkeypatch.setattr(
+            RecordFilter, "window", lambda self, scale, budget: HoledWindow(real(self, scale, budget), 0)
+        )
+        with pytest.raises(RuntimeError, match="never met a row of the l\\(2\\) walk"):
+            _enumerate_raw(Fraction(24), ALL, jobs=1)
+        assert enumeration._walked.cache_info().currsize == 0
+
+    def test_row_with_another_rem_raises(self, monkeypatch):
+        # the first l(2) row of each task that has one, one unit heavier in c1c2
+        real = enumeration._l2_rows
+
+        def shifted(*args):
+            rows = real(*args)
+            if rows:
+                head, last, rem, r_x = rows[0]
+                rows[0] = head, last, rem + 1, r_x
+            return rows
+
+        monkeypatch.setattr(enumeration, "_l2_rows", shifted)
+        with pytest.raises(RuntimeError, match="never met a row of the l\\(2\\) walk"):
+            _enumerate_raw(Fraction(24), ALL, jobs=1)
+        assert enumeration._walked.cache_info().currsize == 0
 
 
 class TestWitnessOverTheWalksRmax:
@@ -1546,6 +1678,17 @@ class TestExtremes:
         if chi0 == 2:
             assert count_candidates(2) == 216683
             assert count_candidates(2, include_empty=True) == 216684
+
+    def test_counts_skip_the_sort_and_free_the_memo(self, monkeypatch):
+        # a count sums the tasks' lengths: `_enumerate_raw`'s sort and gather never run
+        monkeypatch.setattr(enumeration, "_enumerate_raw", None)
+        assert count_candidates(1, INTEGRAL_L2) == 40
+        assert count_candidates(1, include_empty=True) == 2152
+        assert enumeration._walked.cache_info().currsize == 0
+        monkeypatch.setattr(enumeration, "_witness_runs", lambda groups, rmax: None)
+        with pytest.raises(RuntimeError):
+            count_candidates(1)
+        assert enumeration._walked.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
         "chi0, require_integral", [(1, False), (1, True), (2, True)]
