@@ -30,7 +30,8 @@ many multisets.  A run passes through these layers:
   A kept node with integral l(2) gets its witness rebuilt as integer
   ((r, b), k) runs (`_witness_runs`).  A kept node's item is (head, last,
   rem, lcm, witness): its runs as all but the last, a tuple the walk already holds
-  and shares among siblings, and the last run (r, k).  So a leaf builds no
+  and shares among siblings, and the last run (r, k), one object per run
+  for the process (`_frame`'s runs table).  So a leaf builds no
   runs tuple; head + (last,) is made only where a whole multiset is
   needed.  The empty multiset's item is ((), None, ...).
 - `_enumerate_raw`, the one driver: the tasks run in order or in a pool
@@ -40,10 +41,12 @@ many multisets.  A run passes through these layers:
   witness's (`_check_witness`) among them, which every row and every
   record passes: it steps each row from its head's state, which it looks
   up (`_Heads`) only when the head is not the previous row's head object,
-  and yields the row's flat record.  `check_record` is its one-item input,
-  which every `ChernRecord` passes.
+  with its last run's facts, made once per run (`_run`), and yields the
+  row's flat record.  `check_record` is its one-item input, which every
+  `ChernRecord` passes.
 - `enumerate_index_multisets` turns the rows into `ChernRecord`s with
-  `Basket` witnesses; `min_positive_c1c2` only for the attaining rows.
+  `Basket` witnesses; `min_positive_c1c2` folds over the tasks and builds
+  records only for the attaining rows.
   `checked_lines` has the driver check and render each task's rows in one
   pass inside the task, so a pool's workers send back text: `_checked_rows`
   makes each item a flat row, c1.c2's text reduced over the row's own
@@ -62,7 +65,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement, groupby, tee
+from operator import is_, itemgetter
 from typing import ClassVar, Iterator, Optional, Sequence
 
 from . import tables
@@ -194,41 +198,84 @@ def _basket(runs: _Runs) -> Basket:
 def _runs_state(groups: _Groups) -> tuple[int, int, int, str]:
     """(lcm, weight * lcm, last index, text) of canonical index runs, from scratch.
 
-    Raises ValueError, as `IndexMultiset` does, for runs that are not
-    canonical index runs.  The empty multiset's last index is 1, below
-    every index; its text is the empty-set sign.
+    Each run's k(r^2 - 1) and text are its facts (`_run_facts`).  Raises
+    ValueError, as `IndexMultiset` does, for runs that are not canonical
+    index runs.  The empty multiset's last index is 1, below every index;
+    its text is the empty-set sign.
     """
     if IndexMultiset.canonical_runs(groups) is not groups:
         raise ValueError(f"index runs {groups} are not ascending tuples")
     derived = math.lcm(*[r for r, _ in groups])
-    weight = 0  # the weight sum(r - 1/r) times derived
-    for r, k in groups:
-        weight += k * (r * r - 1) * (derived // r)
-    if not groups:
-        return derived, weight, 1, format_index_multiset(IndexMultiset())
-    return derived, weight, groups[-1][0], ",".join(map(_run_text, groups))
+    weight, texts = 0, []  # the weight sum(r - 1/r) times derived
+    for run in groups:
+        r, w, text = _RUN_FACTS.get(id(run)) or _run_facts(run)
+        weight += w * (derived // r)
+        texts.append(text)
+    return derived, weight, groups[-1][0] if groups else 1, (
+        ",".join(texts) or format_index_multiset(IndexMultiset()))
+
+
+# the index runs (r, k) that the walks hand the check (`_frame`), one object
+# per run, kept for the life of the process, so every budget's walk shares
+# them and a run's id names that object alone; and the facts
+# (r, k(r^2 - 1), text) of each, keyed by its id, so no other object, equal
+# or not, finds them
+_RUNS: dict = {}
+_RUN_FACTS: dict = {}
+_NO_FACTS = (0, 0, "")  # below every last index, so the step never takes the run
+
+
+def _run(r: int, k: int) -> tuple[int, int]:
+    """The process's one object of the index run (r, k) of ints, its facts made on first use.
+
+    Raises ValueError, as `IndexMultiset` does, for a run it rejects.
+    """
+    run = _RUNS.get((r, k))
+    if run is None:
+        run = (r, k)
+        _RUN_FACTS[id(run)] = (r, k * (r * r - 1), format_index_multiset(IndexMultiset((run,))))
+        _RUNS[run] = run
+    return run
+
+
+def _run_facts(run: tuple) -> tuple:
+    """(r, k(r^2 - 1), text) of an index run (r, k) that `IndexMultiset` takes, not one of `_run`'s.
+
+    A pair of ints gets the facts of `_run`'s equal run; any other run,
+    such as (9, 1.0), gets its own, made afresh.
+    """
+    r, k = run
+    if type(r) is int and type(k) is int:
+        return _RUN_FACTS[id(_run(r, k))]
+    return r, k * (r * r - 1), format_index_multiset(IndexMultiset((run,)))
 
 
 class _Heads(dict):
-    """`_checked_rows`' memo of one call's heads: head -> (lcm, weight, last index, text).
+    """`_checked_rows`' memo of one call's heads: head -> (head, lcm, weight, last index, text).
 
-    Its keys are tuples.  A head met first is checked as the runs of a row
-    of its own, one step from its own head's state, by `_checked_rows`
-    itself, when that state is here, as it is for most heads of a walk's
-    rows; else, as for a record's runs, it is derived from scratch
-    (`_runs_state`).  It lives and dies in one call, so no task shares or
-    pickles it.
+    An entry holds the head object it was made from, and so the run
+    objects it was derived from, and `_checked_rows` trusts it only for
+    that object: any other head, equal or not, is derived again (`derive`).
+    A new head whose runs but the last are the very run objects of its
+    parent's entry, found with one slice and one lookup, and whose last run
+    is one of `_run`'s, is stepped from that entry by `_checked_rows`' one
+    step; any other is derived from scratch (`_runs_state`), as
+    `check_record` derives it.  So a run such as (7, 1.0), equal to (7, 1)
+    and hashing alike, never takes another run's state.  The memo lives and
+    dies in one call, so no task shares or pickles it.
     """
 
     __slots__ = ()
 
-    def __missing__(self, head):
-        if self and head[:-1] in self:
-            [state] = _checked_rows(((head[:-1], head[-1], None, None, None),), 0, 1, self)
-        else:
-            state = _runs_state(head)
-        self[head] = state
-        return state
+    def derive(self, head) -> tuple[tuple, object]:
+        """(state, run): head's new entry and None, or its parent's entry and head's last run."""
+        if self and head and type(head) is tuple:
+            parent = self.get(head[:-1])
+            if (parent is not None and id(head[-1]) in _RUN_FACTS
+                    and all(map(is_, parent[0], head))):
+                return parent, head[-1]
+        state = self[head] = (head, *_runs_state(head))
+        return state, None
 
 
 def _whole(head: _Groups, last) -> _Groups:
@@ -404,13 +451,16 @@ def max_index(budget: Fraction) -> int:
 
 
 @lru_cache(maxsize=None)
-def _frame(max_weight: Fraction) -> tuple[int, int, int, tuple[int, ...], tuple]:
-    """The walk's integers for a budget: (rmax, scale, budget, weights, rotations).
+def _frame(max_weight: Fraction) -> tuple[int, int, int, tuple[int, ...], tuple, tuple]:
+    """The walk's integers for a budget: (rmax, scale, budget, weights, rotations, runs).
 
     The budget and weights[r] = r - 1/r are in units of 1/scale, with scale =
     lcm(1..rmax) * the budget's denominator; rotations[r] is index r's l(2)
     step over `_prime_moduli(rmax)`.  weights[rmax + 1] is budget + 1, more
-    than any node has left, so no node extends beyond rmax.
+    than any node has left, so no node extends beyond rmax.  runs[r][k] is
+    the run (r, k), for every k >= 1 that fits the budget, from the
+    process's one set (`_run`), so every walk hands the check the same
+    objects.
     """
     rmax = max_index(max_weight)
     lcm_all = math.lcm(*range(1, rmax + 1))
@@ -418,10 +468,12 @@ def _frame(max_weight: Fraction) -> tuple[int, int, int, tuple[int, ...], tuple]
     budget = max_weight.numerator * lcm_all
     weights = [0] * (rmax + 1) + [budget + 1]
     rotations = [()] * (rmax + 1)
+    runs = [()] * (rmax + 1)
     for r in range(2, rmax + 1):
         weights[r] = (r * lcm_all - lcm_all // r) * max_weight.denominator
         rotations[r] = _l2_rotations(r, rmax)
-    return rmax, scale, budget, tuple(weights), tuple(rotations)
+        runs[r] = (None, *(_run(r, k) for k in range(1, budget // weights[r] + 1)))
+    return rmax, scale, budget, tuple(weights), tuple(rotations), tuple(runs)
 
 
 @lru_cache(maxsize=None)
@@ -449,7 +501,7 @@ def _needs(max_weight: Fraction) -> tuple[dict, ...]:
     masks reached within the budget, so the least weight is exact wherever
     it fits.  Need at r is the one at the first mover >= r.
     """
-    rmax, _, budget, weights, rotations = _frame(max_weight)
+    rmax, _, budget, weights, rotations, _ = _frame(max_weight)
     never = budget + 1
     movers: list[list] = [[] for _ in _prime_moduli(rmax)]
     for r in range(2, rmax + 1):
@@ -566,21 +618,22 @@ def _suffixes(rows: list, node_head: _Groups, node_last: tuple[int, int], node_r
 
 def _replay(
     out: list, node_head: _Groups, node_last: tuple[int, int], node_rem: int, node_lcm: int,
-    suffixes: tuple, room: int,
+    suffixes: tuple, room: int, runs: tuple,
 ):
     """Append the rows of a node's walked subtree that fit its room, from `_walked`'s suffixes.
 
     A row is the node's runs followed by a suffix of weight <= room, its
-    first run merged into the node's last when they share an index; its
-    rem is node_rem less the suffix's weight and its lcm that of node_lcm
-    and the suffix's.  It is carried as (all runs but the last, the last).
+    first run merged into the node's last when they share an index, as
+    runs[last][k] (`_frame`); its rem is node_rem less the suffix's weight
+    and its lcm that of node_lcm and the suffix's.  It is carried as (all
+    runs but the last, the last).
     """
     last, k = node_last
     for suffix, weight, suffix_lcm in suffixes:
         if weight > room:
             continue
         if suffix[0][0] == last:
-            row = node_head + ((last, k + suffix[0][1]),) + suffix[1:]
+            row = node_head + (runs[last][k + suffix[0][1]],) + suffix[1:]
         else:
             row = node_head + (node_last,) + suffix
         out.append((row[:-1], row[-1], node_rem - weight, math.lcm(node_lcm, suffix_lcm)))
@@ -596,10 +649,11 @@ def _scan(
     once = 1 only the node + rmin is visited, and its extensions start at
     rmin + 1 (`_l2_rows`).  The node's runs are head + (last,), or head
     alone when last is None.  ctx is (out, masks, rmax, weights, rotations,
-    window, needs, walked): masks holds the node's per-prime l(2) masks and
-    bad counts those that lack 0.  A visited node looks up only the slots
-    its index moves, and writes them into masks only while its subtree is
-    scanned, so masks is as on entry when this returns.
+    window, needs, walked, runs), runs `_frame`'s table: masks holds the
+    node's per-prime l(2) masks and bad counts those that lack 0.  A
+    visited node looks up only the slots its index moves, and writes them
+    into masks only while its subtree is scanned, so masks is as on entry
+    when this returns.
 
     window runs from a floor up to the budget, so a node is kept iff its
     rem is at least the floor and it has integral l(2), as `_walked`
@@ -610,11 +664,11 @@ def _scan(
 
     A kept node's row (head, last, rem, lcm) goes to out: its runs as all
     but the last, a tuple shared with its siblings, and the last run
-    (r, k); rem is c1c2 in units of scale and lcm the Cartier index.  A
-    node repeating this node's last index has this node's head; any other
-    has this node's runs, built once here.
+    (r, k) from the runs table; rem is c1c2 in units of scale and lcm the
+    Cartier index.  A node repeating this node's last index has this
+    node's head; any other has this node's runs, built once here.
     """
-    out, masks, rmax, weights, rotations, window, needs, walked = ctx
+    out, masks, rmax, weights, rotations, window, needs, walked, runs = ctx
     floor = window.start
     if last is None:
         prefix, repeat, k = head, 0, 0
@@ -641,13 +695,13 @@ def _scan(
         if not (keep or key or replay):
             continue  # dropped before its last run is built
         if r == repeat:
-            node_head, node_last, node_lcm = head, (r, k + 1), lcm
+            node_head, node_last, node_lcm = head, runs[r][k + 1], lcm
         else:
-            node_head, node_last, node_lcm = prefix, (r, 1), math.lcm(lcm, r)
+            node_head, node_last, node_lcm = prefix, runs[r][1], math.lcm(lcm, r)
         if keep:
             out.append((node_head, node_last, node_rem, node_lcm))
         if replay:
-            _replay(out, node_head, node_last, node_rem, node_lcm, replay, room)
+            _replay(out, node_head, node_last, node_rem, node_lcm, replay, room, runs)
         if key:
             saved = [masks[slot] for slot, _ in moved]
             for slot, rotation in moved:
@@ -667,14 +721,15 @@ def _l2_rows(max_weight: Fraction, r0: int, k0: int, window: range) -> list:
     up to the budget.  The masks are the task's own; the rotation memos,
     the need table and `_walked` are shared.
     """
-    rmax, _, budget, weights, rotations = _frame(max_weight)
+    rmax, _, budget, weights, rotations, runs = _frame(max_weight)
     masks = [1] * len(_prime_moduli(rmax))  # the empty multiset reaches 0 only
     for slot, rotation in rotations[r0]:
         for _ in range(k0 - 1):
             masks[slot] = rotation[masks[slot]]
     out: list = []
-    ctx = (out, masks, rmax, weights, rotations, window, _needs(max_weight), _walked(max_weight))
-    last, lcm = ((r0, k0 - 1), r0) if k0 > 1 else (None, 1)
+    ctx = (out, masks, rmax, weights, rotations, window, _needs(max_weight), _walked(max_weight),
+           runs)
+    last, lcm = (runs[r0][k0 - 1], r0) if k0 > 1 else (None, 1)
     bad = sum(not mask & 1 for mask in masks)
     _scan(ctx, r0, budget - (k0 - 1) * weights[r0], (), last, lcm, bad, 1)
     return out
@@ -685,9 +740,10 @@ def _weigh(ctx, rmin: int, rem: int, head: _Groups, last, lcm: int, joins: int, 
 
     It visits every node whose rem is at least window.start, in the
     pre-order that `_scan` keeps its rows in, from weights alone: no l(2)
-    mask, rotation or memo.  ctx is (out, rmax, weights, window, integral),
-    and once is as in `_scan`.  A node is kept iff its rem is in window,
-    and the first sibling below window.start ends the loop.  integral is a
+    mask, rotation or memo.  ctx is (out, rmax, weights, window, integral,
+    runs), runs `_frame`'s table, and once is as in `_scan`.  A node is
+    kept iff its rem is in window, and the first sibling below
+    window.start ends the loop.  integral is a
     stack of the task's rows with integral l(2) in window, the next one on
     top, as `_l2_rows` gives them in the same pre-order, over a sentinel
     of rem -1, and joins is the top row's rem, which this returns as the
@@ -698,7 +754,7 @@ def _weigh(ctx, rmin: int, rem: int, head: _Groups, last, lcm: int, joins: int, 
     A kept node's item (head, last, rem, lcm, witness) goes to out, built
     as `_scan` builds its rows.
     """
-    out, rmax, weights, window, integral = ctx
+    out, rmax, weights, window, integral, runs = ctx
     floor = window.start
     if last is None:
         prefix, repeat, k = head, 0, 0
@@ -713,9 +769,9 @@ def _weigh(ctx, rmin: int, rem: int, head: _Groups, last, lcm: int, joins: int, 
         if not (keep or walk):
             continue
         if r == repeat:
-            node_head, node_last, node_lcm = head, (r, k + 1), lcm
+            node_head, node_last, node_lcm = head, runs[r][k + 1], lcm
         else:
-            node_head, node_last, node_lcm = prefix, (r, 1), math.lcm(lcm, r)
+            node_head, node_last, node_lcm = prefix, runs[r][1], math.lcm(lcm, r)
         if keep:
             if node_rem != joins or node_last != integral[-1][1] or node_head != integral[-1][0]:
                 out.append((node_head, node_last, node_rem, node_lcm, None))
@@ -760,7 +816,7 @@ def _run_task(args) -> list:
     lexicographic order, which `_enumerate_raw`'s stable sort keeps.
     """
     max_weight, flt, r0, k0 = args
-    rmax, scale, budget, weights, _ = _frame(max_weight)
+    rmax, scale, budget, weights, _, runs = _frame(max_weight)
     window = flt.window(scale, budget)
     if not k0:
         return [((), None, budget, 1, ())] if budget in window else []
@@ -776,9 +832,10 @@ def _run_task(args) -> list:
         if row[2] < window.stop
     ][::-1]
     out: list = []
-    last, lcm = ((r0, k0 - 1), r0) if k0 > 1 else (None, 1)
+    last, lcm = (runs[r0][k0 - 1], r0) if k0 > 1 else (None, 1)
     start = budget - (k0 - 1) * weights[r0]
-    _weigh((out, rmax, weights, window, integral), r0, start, (), last, lcm, integral[-1][2], 1)
+    _weigh((out, rmax, weights, window, integral, runs), r0, start, (), last, lcm,
+           integral[-1][2], 1)
     if len(integral) > 1:
         raise RuntimeError("the weights walk never met a row of the l(2) walk; this is a bug")
     return out
@@ -790,7 +847,7 @@ def _tasks(max_weight: Fraction, flt: RecordFilter, include_empty: bool = False)
     With include_empty the root's task (max_weight, flt, 1, 0) comes first;
     its one row has the largest rem, so it sorts first too.
     """
-    rmax, _, budget, weights, _ = _frame(max_weight)
+    rmax, _, budget, weights, *_ = _frame(max_weight)
     return [(max_weight, flt, 1, 0)] * include_empty + [
         (max_weight, flt, r, k)
         for r in range(2, rmax + 1)
@@ -829,7 +886,7 @@ def _part(finish, task) -> tuple[list[int], object]:
     `_checked_rows` loop, whose head memo lives for that one task.
     """
     items = _run_task(task)
-    return [item[2] for item in items], items if finish is None else finish(items)
+    return list(map(itemgetter(2), items)), items if finish is None else finish(items)
 
 
 def _enumerate_raw(
@@ -865,7 +922,7 @@ def _enumerate_raw(
         rows += part if finish is None else part.split("\n")[:-1]
     if len(rows) != len(order):
         raise RuntimeError("a rendered row is not one line; this is a bug")
-    return [rows[i] for i in order], _frame(max_weight)[1]
+    return list(map(rows.__getitem__, order)), _frame(max_weight)[1]
 
 
 @contextmanager
@@ -910,16 +967,8 @@ def _record(item: tuple, chi0: int, scale: int) -> ChernRecord:
     return ChernRecord(IndexMultiset(_whole(head, last)), chi0, Fraction(rem, scale), lcm, basket)
 
 
-def fraction_text(num: int, den: int) -> str:
-    """`str(Fraction(num, den))` for den > 0, from integers alone."""
-    g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
-
-
-# the text of each index run (r, k) and witness run ((r, b), k), kept for the
-# life of the process; a run that `IndexMultiset` or `Basket` rejects raises
-# and gets none
-_run_text = _Memo(lambda run: format_index_multiset(IndexMultiset((run,)))).__getitem__
+# the text of each witness run ((r, b), k), kept for the life of the
+# process; a run that `Basket` rejects raises and gets none
 _witness_run_text = _Memo(lambda run: format_basket(_basket((run,)))).__getitem__
 
 
@@ -939,52 +988,67 @@ def _checked_rows(items, chi0: int, den: int, heads: Optional[_Heads] = None) ->
     `_check_witness`.  c1.c2 is checked in integers scaled by the
     re-derived lcm, which every weight term r - 1/r has as a denominator.
 
-    A head's (lcm, weight, last index, text) comes from heads, a `_Heads`
-    memo, and is looked up only when the head is not the previous row's
-    head object, as it is for most of a walk's rows.  Then one step adds
-    last = (r, k): the runs are canonical iff the head is, last is a pair
-    with r above the head's last index, and last is a run `IndexMultiset`
-    takes (k >= 1), which `_run_text` checks as it makes the run's text,
-    once per process; lcm = lcm(head lcm, r), and the weight is the
-    head's rescaled plus k(r^2 - 1)/r.  So every rule still re-derives
-    from the runs alone.  Runs the step cannot take are derived whole from
-    scratch, which raises `IndexMultiset`'s error.  An item whose num is
-    None gives its runs' state instead of a row: that is how `_Heads`
-    checks a head.
+    A head's (head, lcm, weight, last index, text) comes from heads, a
+    `_Heads` memo, and is looked up only when the head is not the previous
+    row's head object, as it is for most of a walk's rows; an entry made
+    from another object is derived again (`_Heads.derive`).  Then the
+    loop's one step adds last = (r, k), a run of the process's one set
+    (`_run`) whose index is above the head's last index, from its facts
+    (r, k(r^2 - 1), text), made once per run: the runs are canonical iff
+    the head's are, lcm = lcm(head lcm, r), and c1.c2 * lcm is the head's
+    own, rescaled, less k(r^2 - 1) * (lcm / r).  A new head that `derive`
+    steps from its parent's entry takes the same step first, with its own
+    last run, and is kept.  So every rule still re-derives from the runs
+    alone.  Runs the step cannot take, any last run of another object
+    among them, are derived whole from scratch, as `check_record` derives
+    them, which raises `IndexMultiset`'s error.
 
     A row is (multiset, Cartier index, c1.c2, "true"/"false" for an
     integral basket, witness, scaled): texts as `chern3 enumerate` prints
     them, the witness "" when there is none, the Cartier index r_X an int
     and scaled = c1.c2 * r_X.  Once num/den = scaled/r_X is checked,
-    c1.c2's text is reduced from scaled/r_X, a gcd of small ints.  The text
-    of each index and witness run is made once per process.
+    c1.c2's text is scaled/r_X reduced by their gcd.  The text of each
+    index and witness run is made once per process.
     """
     heads = _Heads() if heads is None else heads
     base = 24 * chi0
+    facts_of, lcm_of, gcd = _RUN_FACTS.get, math.lcm, math.gcd
     previous = object()  # the previous row's head, at first none
+    stepped = None  # a new head's last run, stepped before the row's
     for head, last, num, lcm, witness in items:
+        run = last
         if head is not previous:
             try:
-                head_lcm, head_weight, head_r, head_text = (
-                    heads[head] if type(head) is tuple else _runs_state(head)
-                )
+                state = heads.get(head)
+                if state is None or state[0] is not head:
+                    state, stepped = heads.derive(head)
             except (TypeError, ValueError):  # not canonical runs, or unhashable
                 _runs_state(_whole(head, last))  # raises, naming the row's runs
                 raise
+            runs, head_lcm, head_weight, head_r, head_text = state
+            head_scaled = base * head_lcm - head_weight  # the head's own c1c2 * head_lcm
+            prefix = f"{head_text}," if runs else ""
             previous = head
-        if last is None:
-            derived, weight, r, text = head_lcm, head_weight, head_r, head_text
-        elif type(last) is tuple and len(last) == 2 and head_r < last[0]:
-            r, k = last
-            derived = math.lcm(head_lcm, r)
-            weight = head_weight * (derived // head_lcm) + k * (r * r - 1) * (derived // r)
-            text = f"{head_text},{_run_text(last)}" if head else _run_text(last)
-        else:
-            derived, weight, r, text = _runs_state(_whole(head, last))
-        if num is None:
-            yield derived, weight, r, text
-            continue
-        scaled = base * derived - weight  # c1c2 * derived, by 24*chi0 = c1c2 + weight
+            if stepped is not None:
+                run = stepped
+        while True:  # the one step: a new head's last run first, then the row's
+            r, w, run_text = facts_of(id(run), _NO_FACTS)
+            if head_r >= r:  # not one of `_run`'s runs above the head's last index
+                if run is None:  # the runs are the head alone
+                    derived, scaled, text = head_lcm, head_scaled, head_text
+                else:
+                    derived, weight, r, text = _runs_state(_whole(head, last))
+                    scaled = base * derived - weight  # c1c2 * derived, as 24*chi0 = c1c2 + weight
+                break
+            derived = lcm_of(head_lcm, r)
+            scaled = head_scaled * (derived // head_lcm) - w * (derived // r)
+            text = prefix + run_text
+            if stepped is None:
+                break
+            heads[head] = runs, head_lcm, head_weight, head_r, head_text = (
+                head, derived, base * derived - scaled, r, text)
+            head_scaled, prefix = scaled, f"{text},"
+            run, stepped = last, None
         if num * derived != scaled * den:
             raise ValueError(
                 f"c1c2 mismatch for {text}: "
@@ -994,7 +1058,8 @@ def _checked_rows(items, chi0: int, den: int, heads: Optional[_Heads] = None) ->
             raise ValueError(f"{text} has negative c1c2 {Fraction(num, den)}")
         if lcm != derived:
             raise ValueError(f"Cartier index mismatch for {text}")
-        c1c2 = fraction_text(scaled, lcm)
+        g = gcd(scaled, lcm)
+        c1c2 = str(scaled // g) if g == lcm else f"{scaled // g}/{lcm // g}"
         if witness is None:
             yield text, lcm, c1c2, "false", "", scaled
         else:
@@ -1079,7 +1144,7 @@ def _witness_runs(groups: _Groups, rmax: int) -> Optional[_Runs]:
     prefix = [0] * len(suffix[0])  # per-prime numerators of the points chosen so far
     for (r, mult), rest in zip(groups, suffix[1:]):
         slots, choices = _run_choices(r, mult, rmax)
-        for chosen, sums in choices:
+        for chosen, sums in choices.__copy__():
             # slots this run leaves alone keep -prefix reachable in rest
             if all(rest[slot] >> (-prefix[slot] - s) % n & 1 for s, (slot, n) in zip(sums, slots)):
                 for s, (slot, n) in zip(sums, slots):
@@ -1092,25 +1157,29 @@ def _witness_runs(groups: _Groups, rmax: int) -> Optional[_Runs]:
 
 
 @lru_cache(maxsize=None)
-def _run_choices(r: int, mult: int, rmax: int) -> tuple[tuple, tuple]:
+def _run_choices(r: int, mult: int, rmax: int) -> tuple[tuple, object]:
     """The b-choices for a run of mult points of index r <= rmax: (slots, choices).
 
-    slots is `_l2_parts`' list of (slot, n).  choices lists (runs, sums)
+    slots is `_l2_parts`' list of (slot, n).  choices yields (runs, sums)
     for the b-multisets in lexicographic order, skipping any whose sums
     equal an earlier one's, which the greedy rebuild would reject alike:
     runs are the multiset as witness runs and sums its numerators, one per
-    slot, each modulo its n.  They are made once per process.
+    slot, each modulo its n.  It is a `tee` that never advances, so each
+    reader iterates a copy of it: a choice is made when a rebuild first
+    reads that far, and kept for the life of the process.
     """
     slots, parts = _l2_parts(r, rmax)
     part = dict(parts)
-    first: dict = {}  # sums -> the first b-multiset with them
-    for combo in combinations_with_replacement(part, mult):
-        sums = tuple(sum(part[b][i] for b in combo) % n for i, (_, n) in enumerate(slots))
-        first.setdefault(sums, combo)
-    return slots, tuple(
-        (tuple(((r, b), len(list(same))) for b, same in groupby(combo)), sums)
-        for sums, combo in first.items()
-    )
+
+    def choices():
+        seen = set()
+        for combo in combinations_with_replacement(part, mult):
+            sums = tuple(sum(part[b][i] for b in combo) % n for i, (_, n) in enumerate(slots))
+            if sums not in seen:
+                seen.add(sums)
+                yield tuple(((r, b), len(list(same))) for b, same in groupby(combo)), sums
+
+    return slots, tee(choices(), 1)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -1155,22 +1224,31 @@ def min_positive_c1c2(
 ) -> tuple[Fraction, list[IndexMultiset]]:
     """Smallest positive c1.c2 over the enumerated records, with every attaining multiset.
 
-    The items come rem descending, so a scan from the end finds the
-    attaining ones; only they become records, in the records' order.
+    A fold over the walk tasks, as `count_candidates` counts them: it keeps
+    the least positive rem and the items attaining it, in task order, which
+    is canonical among equal rems (`_run_task`), so no rows are sorted or
+    gathered; only the attaining items become records.  The memo of walked
+    subtrees is freed as the walk ends.
     """
     query = EnumerationQuery(chi0=chi0, filter=INTEGRAL_L2 if require_integral else ALL)
+    max_weight = Fraction(24 * chi0)
+    least, attaining = None, []
     with collector_paused():
-        raw, scale = _enumerate_raw(Fraction(24 * chi0), query.filter, jobs=1)
-        end = len(raw)
-        while end and not raw[end - 1][2]:
-            end -= 1
-        if not end:
+        try:
+            for task in _tasks(max_weight, query.filter):
+                for item in _run_task(task):
+                    rem = item[2]
+                    if rem and (least is None or rem <= least):
+                        if rem != least:
+                            least, attaining = rem, []
+                        attaining.append(item)
+        finally:
+            _walked.cache_clear()
+        if least is None:
             under = " under the integral-basket filter" if require_integral else ""
             raise NoPositiveValueError(f"no positive c1c2 value for chi0={chi0}{under}")
-        start = end - 1
-        while start and raw[start - 1][2] == raw[end - 1][2]:
-            start -= 1
-        records = [_record(item, chi0, scale) for item in raw[start:end]]
+        scale = _frame(max_weight)[1]
+        records = [_record(item, chi0, scale) for item in attaining]
     return records[0].c1c2, [rec.indices for rec in records]
 
 

@@ -42,7 +42,7 @@ from chern3 import (
     reproduce_table,
 )
 from chern3 import cli, enumeration, tables
-from chern3.enumeration import _enumerate_raw, checked_lines, fraction_text, max_index
+from chern3.enumeration import _enumerate_raw, checked_lines, max_index
 from test_riemann_roch import first_fractional_l
 
 
@@ -222,6 +222,26 @@ class TestExistsIntegralBasket:
         ok, witness = exists_integral_basket(parse_index_multiset("2^3,4,7,9"))
         assert not ok and witness is None
         assert not brute_force_integral(parse_index_multiset("2^3,4,7,9"))
+
+    def test_run_choices_are_drawn_on_demand(self, monkeypatch):
+        # the greedy rebuild of 13^30 accepts its run's 6th b-multiset, of
+        # 324,632; each is drawn once, and a second rebuild draws none
+        drawn = []
+
+        def counting(*args):
+            for combo in combinations_with_replacement(*args):
+                drawn.append(combo)
+                yield combo
+
+        monkeypatch.setattr(enumeration, "combinations_with_replacement", counting)
+        enumeration._run_choices.cache_clear()
+        try:
+            for _ in range(2):
+                ok, witness = exists_integral_basket(parse_index_multiset("13^30"))
+                assert ok and witness == parse_basket("(1,13)^29,(6,13)")
+                assert len(drawn) == 6
+        finally:
+            enumeration._run_choices.cache_clear()
 
     def test_empty_multiset_has_empty_witness(self):
         ok, witness = exists_integral_basket(IndexMultiset())
@@ -741,7 +761,7 @@ def integral_items(max_weight):
     witness is rebuilt by `_witness_runs`; the items are sorted by rem
     descending, then by the expanded index sequence.
     """
-    rmax, _, budget, weights, rotations = enumeration._frame(max_weight)
+    rmax, _, budget, weights, rotations, _ = enumeration._frame(max_weight)
     found = []
 
     def visit(groups, rmin, rem, r_x, masks):
@@ -865,7 +885,7 @@ class TestCuts:
         # anything up to the budget left after the least weight reaching mask,
         # and there the table must agree with the least weight of the indices
         # >= r that move the slot and bring 0 into the mask
-        rmax, _, full, weights, _ = enumeration._frame(budget)
+        rmax, _, full, weights, *_ = enumeration._frame(budget)
         needs = enumeration._needs(budget)
         assert len(needs) == len(enumeration._prime_moduli(rmax))
         # `_stop` bisects each slot's needs over r, which must not fall as r grows
@@ -1231,6 +1251,34 @@ class TestCheckedRowMutants:
             with pytest.raises(ValueError, match=message):
                 self.rows(monkeypatch, mutate(*item), warm)
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda h, last: (h, (9, 1.0)),
+            lambda h, last: (h, (9.0, 1)),
+            lambda h, last: (h[:-1] + ((7, 1.0),), last),
+            lambda h, last: (h[:-1] + ((7.0, 1),), last),
+            lambda h, last: (((2, 3.0),) + h[1:], last),
+            lambda h, last: (((2.0, 3),) + h[1:], last),
+        ],
+        ids=["float-k-last", "float-r-last", "float-k-head", "float-r-head", "float-k-deep",
+             "float-r-deep"],
+    )
+    def test_float_run_raises_as_check_record(self, monkeypatch, mutate):
+        # a run equal to an int run, and hashing alike, right after the
+        # walked row whose runs it equals: no memo may take it for that run,
+        # neither the head's entry nor, deeper in the head, its parent's
+        item, scale = self.walked("2^3,4,7,9")
+        raw, _ = self.chi1_raw()
+        head, last, rem, lcm, witness = item
+        head, last = mutate(head, last)
+        assert head + (last,) == item[0] + (item[1],)
+        expected = outcome(enumeration.check_record, head + (last,), 1, rem, scale, lcm, witness)
+        assert expected[0] is TypeError
+        with pytest.raises(expected[0]) as raised:
+            self.rows(monkeypatch, (head, last, rem, lcm, witness), raw[: raw.index(item) + 1])
+        assert str(raised.value) == expected[1]
+
     def test_negative_c1c2_raises(self, monkeypatch):
         # 2^16,3 weighs more than 24: consistent, but c1c2 < 0
         (head, last, _, _, _), scale = self.walked("2^16")
@@ -1370,7 +1418,8 @@ runs_strategy = st.lists(st.integers(2, 48), max_size=8, unique=True).flatmap(
 
 
 MUTATIONS = [
-    "none", "rem+1", "rem-1", "lcm*2", "swap", "repeat", "k=0", "index-1", "list", "sole-1"
+    "none", "rem+1", "rem-1", "lcm*2", "swap", "repeat", "k=0", "index-1", "list", "sole-1",
+    "float-k", "float-r",
 ]
 
 
@@ -1423,9 +1472,15 @@ class TestPrefixMemoOracle:
             groups = groups[:j] + ([r, k],) + groups[j + 1:]
         elif mutation == "sole-1":
             groups = ((1, k),)
+        elif mutation == "float-k" and groups:  # equal to run j, and hashing alike
+            groups = groups[:j] + ((r, float(k)),) + groups[j + 1:]
+        elif mutation == "float-r" and groups:
+            groups = groups[:j] + ((float(r), k),) + groups[j + 1:]
         item = split(groups, rem, r_x, witness)
-        if original[1] is not None and item[0] == original[0]:
-            item = (original[0], *item[1:])  # the original row's head object
+        # the original row's head object, where the mutation left the head
+        # alone: repr tells a float run from the int run it equals
+        if original[1] is not None and repr(item[0]) == repr(original[0]):
+            item = (original[0], *item[1:])
 
         args = (groups, chi0, rem, CENSUS_SCALE, r_x, witness)
         expected = outcome(reference_check, *args)
@@ -1521,18 +1576,6 @@ class TestWitnessRuleOracle:
         result = outcome(enumeration.check_record, *args)
         assert result == outcome(reference_check, *args)
         assert (result[0] == "ok") == (first_fractional_l(basket) is None)
-
-
-@settings(max_examples=500, deadline=None)
-@given(rem=st.integers(min_value=0, max_value=10**30), scale=st.integers(1, 10**25))
-@example(rem=0, scale=1)
-@example(rem=0, scale=lcm(*range(1, 49)))
-@example(rem=7 * lcm(*range(1, 49)), scale=lcm(*range(1, 49)))
-@example(rem=3 * 5040, scale=32 * 5040)
-def test_fraction_text_matches_fraction(rem, scale):
-    assert fraction_text(rem, scale) == str(Fraction(rem, scale))
-    # rem * scale is divisible by scale
-    assert fraction_text(rem * scale, scale) == str(Fraction(rem * scale, scale))
 
 
 @settings(max_examples=12, deadline=None)
@@ -1688,6 +1731,16 @@ class TestExtremes:
         monkeypatch.setattr(enumeration, "_witness_runs", lambda groups, rmax: None)
         with pytest.raises(RuntimeError):
             count_candidates(1)
+        assert enumeration._walked.cache_info().currsize == 0
+
+    def test_minimum_skips_the_sort_and_frees_the_memo(self, monkeypatch):
+        # a fold over the tasks: `_enumerate_raw`'s sort and gather never run
+        monkeypatch.setattr(enumeration, "_enumerate_raw", None)
+        assert min_positive_c1c2(1) == (Fraction(1, 252), [parse_index_multiset("2^3,4,7,9")])
+        assert enumeration._walked.cache_info().currsize == 0
+        monkeypatch.setattr(enumeration, "_witness_runs", lambda groups, rmax: None)
+        with pytest.raises(RuntimeError):
+            min_positive_c1c2(1, require_integral=True)
         assert enumeration._walked.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
