@@ -8,9 +8,11 @@ many multisets.  A run passes through these layers:
   and no `Fraction`.
 - `_run_task` and its two walks, depth first over non-decreasing index
   sequences, one task per head r0^k0 and its extensions by larger indices
-  (`_tasks`), each in the same pre-order.  Every node the filter's walk
-  visits meets one integer range of rems (`RecordFilter.window`) once; the
-  empty multiset is a task of its own, which `_run_task` tests.
+  (`_tasks`), each in the same pre-order.  The tasks are joined in task
+  order, r0 ascending, then k0 descending, and run in its reverse
+  (`_map_tasks`).  Every node the filter's walk visits meets one integer
+  range of rems (`RecordFilter.window`) once; the empty multiset is a task
+  of its own, which `_run_task` tests.
   - The l(2) walk (`_l2_rows`, `_scan`) finds the task's rows with a
     basket with integral l(2).  A node carries its rem, its Cartier index
     and one l(2) bitmask per prime (`_prime_moduli`, `_l2_parts`,
@@ -34,9 +36,10 @@ many multisets.  A run passes through these layers:
   for the process (`_frame`'s runs table).  So a leaf builds no
   runs tuple; head + (last,) is made only where a whole multiset is
   needed.  The empty multiset's item is ((), None, ...).
-- `_enumerate_raw`, the one driver: the tasks run in order or in a pool
-  (`_map_tasks`), and one stable sort on rem puts their rows in canonical
-  order.
+- `_enumerate_raw`, the one driver: the tasks run, serially or in a pool,
+  last first, so the l(2) walk's memo is filled at its largest rooms, and
+  come back in task order (`_map_tasks`); one stable sort on rem puts
+  their rows in canonical order.
 - `_checked_rows`, the one generator that owns the record rules, the
   witness's (`_check_witness`) among them, which every row and every
   record passes: it steps each row from its head's state, which it looks
@@ -45,7 +48,8 @@ many multisets.  A run passes through these layers:
   row's flat record.  `check_record` is its one-item input, which every
   `ChernRecord` passes.
 - `enumerate_index_multisets` turns the rows into `ChernRecord`s with
-  `Basket` witnesses; `min_positive_c1c2` folds over the tasks and builds
+  `Basket` witnesses; `min_positive_c1c2` and `count_candidates` fold over
+  the tasks, run as the driver runs them, and `min_positive_c1c2` builds
   records only for the attaining rows.
   `checked_lines` has the driver check and render each task's rows in one
   pass inside the task, so a pool's workers send back text: `_checked_rows`
@@ -307,9 +311,11 @@ def check_record(
 def _check_witness(runs: _Runs, groups: _Groups, r_x: int) -> None:
     """Raise ValueError unless the runs are a basket over groups with integral l(m) at every m.
 
-    Every run ((r, b), k) is a point that `check_point` accepts with k >= 1,
-    the runs strictly ascend by (r, b), their indices project onto the
-    canonical index runs groups, whose lcm is r_X, and l(2) is integral:
+    Every run ((r, b), k) is a point that `check_point` accepts, so r and b
+    are ints, with an int k >= 1 (a bool is none), checked before any text
+    of the run is made or kept (`_witness_run_text`); the runs strictly
+    ascend by (r, b), their indices project onto the canonical index runs
+    groups, whose lcm is r_X, and l(2) is integral:
     sum k * b(r - b) * (r_X / r) = 0 (mod 2 r_X), which is 2 r_X * l(2).
 
     That settles every m.  For a point (b, r), j >= 1 and t = jb mod r, say
@@ -329,6 +335,8 @@ def _check_witness(runs: _Runs, groups: _Groups, r_x: int) -> None:
     for point, k in runs:
         r, b = point
         check_point(b, r)
+        if type(k) is not int:
+            raise ValueError(f"multiplicity of point ({b},{r}) must be an int, got {k!r}")
         if k < 1:
             raise ValueError(f"multiplicity must be >= 1, got {k}")
         if not last < point:
@@ -556,8 +564,10 @@ def _walked(max_weight: Fraction) -> dict:
     floor, keeps exactly the stored suffixes of weight <= its room, and the
     walk replays them (`_replay`) instead of walking the subtree (`_cut`).
     The memo and the need table are per budget, and what they record does
-    not depend on which tasks ran before, so neither does a task's items.
-    The memo lives until the walk that filled it ends: `_enumerate_raw`
+    not depend on which tasks ran before, so neither does a task's items;
+    the order decides only how often a key is walked again, at a larger
+    room, which is why the tasks run last first (`_map_tasks`).  The memo
+    lives until the walk that filled it ends: `_enumerate_raw`
     clears it then, whether the walk ran in this process or in a pool whose
     workers each kept their own.
     """
@@ -808,7 +818,8 @@ def _run_task(args) -> list:
     its Cartier index 1 and its witness the empty basket, with l(2) = 0,
     and it meets the task's one window of the filter here.
 
-    The tasks run r0 ascending, then k0 descending, so a row past its
+    The tasks join in task order, r0 ascending, then k0 descending
+    (`_tasks`), whatever order they run in (`_map_tasks`), so a row past its
     task's head sorts after every row of the earlier tasks and before every
     row of the later ones.  A head r0^k0 sorts before the rows of the
     earlier tasks (r0, k > k0) too, but those, like its own extensions, are
@@ -842,10 +853,12 @@ def _run_task(args) -> list:
 
 
 def _tasks(max_weight: Fraction, flt: RecordFilter, include_empty: bool = False) -> list:
-    """The walk's tasks (max_weight, flt, r0, k0), r0 ascending, then k0 descending.
+    """The walk's tasks (max_weight, flt, r0, k0) in task order: r0 ascending, then k0 descending.
 
-    With include_empty the root's task (max_weight, flt, 1, 0) comes first;
-    its one row has the largest rem, so it sorts first too.
+    Their rows are joined, or folded, in this order (`_run_task`); they run
+    in its reverse (`_map_tasks`).  With include_empty the root's task
+    (max_weight, flt, 1, 0) comes first; its one row has the largest rem,
+    so it sorts first too.
     """
     rmax, _, budget, weights, *_ = _frame(max_weight)
     return [(max_weight, flt, 1, 0)] * include_empty + [
@@ -856,24 +869,37 @@ def _tasks(max_weight: Fraction, flt: RecordFilter, include_empty: bool = False)
 
 
 def _map_tasks(fn, tasks: list, jobs: int) -> list:
-    """fn over the tasks, results in task order, with `jobs` processes.
+    """fn over the tasks, run last first, with `jobs` processes; results in task order.
+
+    Every walk runs its tasks here, and last first, for the l(2) walk's memo
+    of walked subtrees (`_walked`): a key is walked again whenever a node
+    meets it with more room than it was stored with, and when the tasks run
+    last first a key is usually met first near the top of a light task,
+    where it has the most room it will get.  At chi = 2 that walks 1,936
+    subtrees for the 1,238 keys, where task order walks 3,097.  What a task
+    returns does not depend on the order (`_walked`), so the results are
+    put back in task order, which is what the callers join or fold.
 
     A pool hands the tasks out one at a time: the (2, k0) tasks hold 78 %
     of the chi = 2 census's rows, and the default chunking (21 tasks each)
-    gave most of them to one worker.  Every worker has exited before this
-    returns.  fn and the tasks are pickled, fn by name (a partial by its
-    function's name).
+    gave most of them to one worker.  Run last first, the r0 >= 3 tasks go
+    out first, then (2, 1), (2, 2), ... from the largest to the smallest.
+    Every worker has exited before this returns.  fn and the tasks are
+    pickled, fn by name (a partial by its function's name).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    tasks = tasks[::-1]
     if jobs == 1 or len(tasks) < 2:
-        return [fn(task) for task in tasks]
-    import multiprocessing  # only a pool needs it, so a serial run never imports it
+        results = [fn(task) for task in tasks]
+    else:
+        import multiprocessing  # only a pool needs it, so a serial run never imports it
 
-    with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-        results = pool.map(fn, tasks, chunksize=1)
-        pool.close()
-        pool.join()
+        with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
+            results = pool.map(fn, tasks, chunksize=1)
+            pool.close()
+            pool.join()
+    results.reverse()
     return results
 
 
@@ -968,7 +994,9 @@ def _record(item: tuple, chi0: int, scale: int) -> ChernRecord:
 
 
 # the text of each witness run ((r, b), k), kept for the life of the
-# process; a run that `Basket` rejects raises and gets none
+# process and keyed by value; only runs of ints that `_check_witness` has
+# passed reach it, so a run such as ((2, 1), 4.0), equal to ((2, 1), 4),
+# never makes or takes its text
 _witness_run_text = _Memo(lambda run: format_basket(_basket((run,)))).__getitem__
 
 
@@ -1224,46 +1252,55 @@ def min_positive_c1c2(
 ) -> tuple[Fraction, list[IndexMultiset]]:
     """Smallest positive c1.c2 over the enumerated records, with every attaining multiset.
 
-    A fold over the walk tasks, as `count_candidates` counts them: it keeps
-    the least positive rem and the items attaining it, in task order, which
-    is canonical among equal rems (`_run_task`), so no rows are sorted or
-    gathered; only the attaining items become records.  The memo of walked
-    subtrees is freed as the walk ends.
+    A fold over the walk tasks, run as `_enumerate_raw` runs them
+    (`_map_tasks`): each task keeps its least positive rem and the items
+    attaining it, in walk order, and their results come back in task
+    order, which is canonical among equal rems (`_run_task`), so no rows
+    are sorted or gathered; only the attaining items become records.  The
+    memo of walked subtrees is freed as the walk ends.
     """
     query = EnumerationQuery(chi0=chi0, filter=INTEGRAL_L2 if require_integral else ALL)
     max_weight = Fraction(24 * chi0)
-    least, attaining = None, []
+
+    def least_of(task) -> tuple[Optional[int], list]:
+        least, attaining = None, []
+        for item in _run_task(task):
+            rem = item[2]
+            if rem and (least is None or rem <= least):
+                if rem != least:
+                    least, attaining = rem, []
+                attaining.append(item)
+        return least, attaining
+
     with collector_paused():
         try:
-            for task in _tasks(max_weight, query.filter):
-                for item in _run_task(task):
-                    rem = item[2]
-                    if rem and (least is None or rem <= least):
-                        if rem != least:
-                            least, attaining = rem, []
-                        attaining.append(item)
+            parts = _map_tasks(least_of, _tasks(max_weight, query.filter), 1)
         finally:
             _walked.cache_clear()
+        least = min((rem for rem, _ in parts if rem is not None), default=None)
         if least is None:
             under = " under the integral-basket filter" if require_integral else ""
             raise NoPositiveValueError(f"no positive c1c2 value for chi0={chi0}{under}")
         scale = _frame(max_weight)[1]
-        records = [_record(item, chi0, scale) for item in attaining]
+        records = [
+            _record(item, chi0, scale) for rem, items in parts if rem == least for item in items
+        ]
     return records[0].c1c2, [rec.indices for rec in records]
 
 
 def count_candidates(chi0: int, flt: RecordFilter = ALL, include_empty: bool = False) -> int:
     """Number of records the corresponding enumeration emits, counted without building them.
 
-    It sums the walk tasks' lengths, so no rows are sorted or gathered;
-    the memo of walked subtrees is freed as the walk ends, as
-    `_enumerate_raw` frees it.
+    It sums the walk tasks' lengths, the tasks run as `_enumerate_raw`
+    runs them (`_map_tasks`), so no rows are sorted or gathered; the memo
+    of walked subtrees is freed as the walk ends, as `_enumerate_raw`
+    frees it.
     """
     query = EnumerationQuery(chi0=chi0, filter=flt, include_empty=include_empty)
     tasks = _tasks(Fraction(24 * chi0), query.filter, query.include_empty)
     with collector_paused():
         try:
-            return sum(len(_run_task(task)) for task in tasks)
+            return sum(_map_tasks(lambda task: len(_run_task(task)), tasks, 1))
         finally:
             _walked.cache_clear()
 

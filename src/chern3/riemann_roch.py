@@ -37,7 +37,12 @@ EMPTY_SYMBOL = "∅"
 
 
 def check_point(b: int, r: int) -> None:
-    """Raise ValueError unless (b, r) is a basket point: r >= 2, 0 < 2b <= r, gcd(b, r) = 1."""
+    """Raise ValueError unless (b, r) is a basket point: ints, r >= 2, 0 < 2b <= r, gcd(b, r) = 1.
+
+    A bool or a float is no int here, even where it equals one.
+    """
+    if type(b) is not int or type(r) is not int:
+        raise ValueError(f"b and r must be ints, got ({b!r},{r!r})")
     if r < 2:
         raise ValueError(f"local index must be >= 2, got r={r}")
     if b < 1:

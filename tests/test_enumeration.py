@@ -547,23 +547,27 @@ class TestEnumerate:
         "max_weight, tied", [(Fraction(24), 375), (Fraction(37, 3), 8), (Fraction(48), 29300)]
     )
     def test_chunks_join_in_order_among_equal_rems(self, monkeypatch, max_weight, tied):
-        # the stable sort on rem keeps the joined chunks' order among rows of
-        # equal rem, so there it must be lexicographic on the expanded index
-        # sequence; tied counts the rems that more than one row has.  Only the
-        # tasks' chunks are recorded, not the l(2) walks they join
+        # the tasks run last first, and their chunks are joined in task
+        # order; the stable sort on rem keeps the joined chunks' order among
+        # rows of equal rem, so there it must be lexicographic on the
+        # expanded index sequence; tied counts the rems that more than one
+        # row has.  Only the tasks' chunks are recorded, not the l(2) walks
+        # they join
         chunks = []
         real = enumeration._run_task
 
         def recording(task):
-            chunks.append(real(task))
-            return chunks[-1]
+            chunks.append((task, real(task)))
+            return chunks[-1][1]
 
         monkeypatch.setattr(enumeration, "_run_task", recording)
         raw, _ = _enumerate_raw(max_weight, ALL, jobs=1)
-        assert len(chunks) == len(enumeration._tasks(max_weight, ALL))
+        tasks = enumeration._tasks(max_weight, ALL)
+        assert [task for task, _ in chunks] == tasks[::-1]
+        by_task = dict(chunks)
         by_rem = {}
-        for chunk in chunks:
-            for head, last, rem, *_ in chunk:
+        for task in tasks:
+            for head, last, rem, *_ in by_task[task]:
                 by_rem.setdefault(rem, []).append(IndexMultiset(head + (last,)).indices())
         assert sum(map(len, by_rem.values())) == len(raw)
         ties = [joined for joined in by_rem.values() if len(joined) > 1]
@@ -681,7 +685,7 @@ class TestFilterOncePerNode:
     # filter's own walk tests its window: the l(2) walk that every other
     # filter's weights walk joins tests a range of its own.
     FILTERS = EVERY_FILTER_KIND + [c1c2_in_range(-1, Fraction(-1, 3))]
-    WALKED = dict(zip(FILTERS, [2151, 2151, 491, 2151, 0, 0, 2151]))
+    WALKED = dict(zip(FILTERS, [2151, 2151, 434, 2151, 0, 0, 2151]))
 
     @pytest.mark.parametrize("include_empty", [False, True], ids=["", "include-empty"])
     @pytest.mark.parametrize(
@@ -712,17 +716,27 @@ class TestFilterOncePerNode:
                 assert records == []
 
     def test_chi2_integral_walk(self, monkeypatch):
-        # 21,711 of the 216,683 nodes, against 1,399 kept
-        nodes = []
-        enumeration._walked.cache_clear()
+        # 14,647 of the 216,683 nodes, against 1,399 kept, and 1,936 subtrees
+        # walked and stored (`_suffixes`) for 1,238 memo keys; with the
+        # tasks run in task order, not last first, they are 21,711 and 3,097
+        nodes, stored, memo = [], [], {}
+        real = enumeration._suffixes
+
+        def suffixes(rows, *node):
+            stored.append(node)
+            return real(rows, *node)
+
         record_windows(monkeypatch, nodes, [])
+        monkeypatch.setattr(enumeration, "_suffixes", suffixes)
+        monkeypatch.setattr(enumeration, "_walked", lru_cache(maxsize=None)(lambda _: memo))
         raw, _ = _enumerate_raw(Fraction(48), INTEGRAL_L2, jobs=1)
         assert len(raw) == 1399
-        assert len(nodes) == len(set(nodes)) == 21711
+        assert len(nodes) == len(set(nodes)) == 14647
+        assert (len(stored), len(memo)) == (1936, 1238)
 
     @pytest.mark.parametrize(
         "lo, hi, tested",
-        [(Fraction(1, 2), 3, (1914, 433)), (4, 24, (834, 256)), (23, 24, (0, 0))],
+        [(Fraction(1, 2), 3, (1914, 380)), (4, 24, (834, 229)), (23, 24, (0, 0))],
         ids=["1/2-3", "4-24", "23-24"],
     )
     def test_no_walk_of_a_range_tests_a_node_below_its_floor(self, monkeypatch, lo, hi, tested):
@@ -1326,6 +1340,13 @@ WITNESS_MUTANTS = {
     "2b-above-r": (lambda w: w[:3] + (((8, 5), 1),), "point (5,8) violates 2b <= r"),
     "out-of-order": (lambda w: w[:2] + w[3:] + w[2:3], None),
     "k=0": (lambda w: w[:1] + (((4, 1), 0),) + w[2:], "multiplicity must be >= 1, got 0"),
+    "float-k": (lambda w: w[:3] + (((8, 3), 1.0),),
+                "multiplicity of point (3,8) must be an int, got 1.0"),
+    "bool-k": (lambda w: w[:3] + (((8, 3), True),),
+               "multiplicity of point (3,8) must be an int, got True"),
+    "bool-b": (lambda w: w[:2] + (((8, True), 1),) + w[3:], "b and r must be ints, got (True,8)"),
+    "float-b": (lambda w: w[:2] + (((8, 1.0), 1),) + w[3:], "b and r must be ints, got (1.0,8)"),
+    "float-r": (lambda w: w[:2] + (((8.0, 1), 1),) + w[3:], "b and r must be ints, got (1,8.0)"),
 }
 
 
@@ -1363,6 +1384,21 @@ class TestWitnessMutants:
         else:
             with pytest.raises(ValueError, match=re.escape(message)):
                 record()
+
+    def test_rejected_run_makes_no_text(self, monkeypatch):
+        # ((2, 1), 4.0) equals ((2, 1), 4) and hashes alike, and the witness
+        # run texts are kept by value, so it must raise before its text is
+        # made, or the int run would render as (1,2)^4.0 after it
+        texts = enumeration._Memo(enumeration._witness_run_text.__self__._compute)
+        monkeypatch.setattr(enumeration, "_witness_run_text", texts.__getitem__)
+        head = parse_index_multiset("2^4").groups
+        message = re.escape("multiplicity of point (1,2) must be an int, got 4.0")
+        with pytest.raises(ValueError, match=message):
+            enumeration.check_record(head, 2, 84, 2, 2, (((2, 1), 4.0),))
+        with pytest.raises(ValueError, match=message):
+            list(enumeration._checked_rows([(head, None, 84, 2, (((2, 1), 4.0),))], 2, 2))
+        [row] = enumeration._checked_rows([(head, None, 84, 2, (((2, 1), 4),))], 2, 2)
+        assert row[3:5] == ("true", "(1,2)^4")
 
 
 def reference_check(groups, chi0, num, den, r_x, witness):
@@ -1732,6 +1768,33 @@ class TestExtremes:
         with pytest.raises(RuntimeError):
             count_candidates(1)
         assert enumeration._walked.cache_info().currsize == 0
+
+    @pytest.mark.parametrize(
+        "chi0, flt, include_empty",
+        [(1, ALL, False), (1, ALL, True), (1, INTEGRAL_L2, False), (2, INTEGRAL_L2, False)],
+    )
+    def test_folds_run_the_tasks_as_the_driver_does(self, monkeypatch, chi0, flt, include_empty):
+        # the count and the minimum run the tasks last first, as
+        # `_enumerate_raw` does, so the l(2) walk's memo is filled alike
+        ran = []
+        real = enumeration._run_task
+
+        def recording(task):
+            ran.append(task)
+            return real(task)
+
+        monkeypatch.setattr(enumeration, "_run_task", recording)
+        max_weight = Fraction(24 * chi0)
+        _enumerate_raw(max_weight, flt, 1, include_empty)
+        assert ran == enumeration._tasks(max_weight, flt, include_empty)[::-1]
+        driven = ran[:]
+        ran.clear()
+        count_candidates(chi0, flt, include_empty)
+        assert ran == driven
+        if not include_empty:
+            ran.clear()
+            min_positive_c1c2(chi0, require_integral=flt is INTEGRAL_L2)
+            assert ran == driven
 
     def test_minimum_skips_the_sort_and_frees_the_memo(self, monkeypatch):
         # a fold over the tasks: `_enumerate_raw`'s sort and gather never run
