@@ -4,6 +4,10 @@ The package enumerates the index multisets a terminal projective 3-fold
 with nef anticanonical divisor can carry, evaluates Reid's orbifold
 Riemann-Roch series exactly, and re-derives the shipped classification
 tables from first principles.  Everything is exact rational arithmetic.
+
+The quotient-table names are imported on first use (`__getattr__`), so
+`import chern3` and the `enumerate` command never load `chern3.quotient`
+or `chern3.tables`.
 """
 
 from .enumeration import (
@@ -23,18 +27,6 @@ from .enumeration import (
     feasible_index_multisets,
     min_positive_c1c2,
     reproduce_table,
-)
-from .quotient import (
-    CoverType,
-    QuotientScenario,
-    ScenarioCheck,
-    SingularityProfile,
-    check_scenario,
-    derive_enriques,
-    format_profile,
-    indices_from_profile,
-    parse_profile,
-    quotient_c1c2,
 )
 from .riemann_roch import (
     Basket,
@@ -56,6 +48,31 @@ from .riemann_roch import (
 )
 
 __version__ = "0.1.0"
+
+# the public names of `chern3.quotient`, imported by `__getattr__`
+_QUOTIENT_NAMES = frozenset({
+    "CoverType",
+    "QuotientScenario",
+    "ScenarioCheck",
+    "SingularityProfile",
+    "check_scenario",
+    "derive_enriques",
+    "format_profile",
+    "indices_from_profile",
+    "parse_profile",
+    "quotient_c1c2",
+})
+
+
+def __getattr__(name: str):
+    """A `chern3.quotient` name, imported on its first use; any other name is missing."""
+    if name not in _QUOTIENT_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import quotient
+
+    value = globals()[name] = getattr(quotient, name)
+    return value
+
 
 __all__ = [
     "ALL",

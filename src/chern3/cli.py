@@ -14,7 +14,8 @@ lines in the order the driver gives them.  `_emit_records` puts the
 library's records through the same renderers and writer, and gives the
 same bytes.  One writer, `_write_lines`, prints the tables of both
 `enumerate` and `chi-series` in every format, and one helper,
-`_write_output`, owns `--output` for both.
+`_write_output`, owns `--output` for both.  The table and quotient modules
+are imported where their commands run, so `enumerate` never loads them.
 """
 
 from __future__ import annotations
@@ -27,18 +28,12 @@ from contextlib import nullcontext, suppress
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from . import enumeration, quotient, tables
+from . import enumeration
 from .enumeration import (
     ChernRecord,
     EnumerationQuery,
     NoPositiveValueError,
     RecordFilter,
-)
-from .quotient import (
-    CoverType,
-    check_scenario,
-    derive_enriques,
-    format_profile,
 )
 from .riemann_roch import (
     EMPTY_SYMBOL,
@@ -272,12 +267,17 @@ def _cmd_bound(args) -> int:
 
 
 def _load_table_fixture(path: Optional[str], table: int):
+    from . import tables
+
     if path is None:
         return tables.table_rows(table)
     return tables.parse_enumeration_fixture(_read_fixture(path))
 
 
 def _load_quotient_fixture(path: Optional[str], table: int):
+    from . import tables
+    from .quotient import CoverType
+
     if path is None:
         return tables.quotient_scenarios(table)
     cover = CoverType.K3 if table == 4 else CoverType.ENRIQUES
@@ -312,6 +312,8 @@ def _scenario_lines(result) -> list[str]:
 
 def _derive_diff(derived, expected) -> tuple[bool, tuple, tuple]:
     """Whether derived matches expected, then the keys only derived and only expected."""
+    from . import tables
+
     extra, missing = tables.set_diff(
         (row.key() for row in derived),
         (row.key() for row in expected),
@@ -322,6 +324,8 @@ def _derive_diff(derived, expected) -> tuple[bool, tuple, tuple]:
 
 
 def _cmd_verify_tables(args) -> int:
+    from .quotient import check_scenario, derive_enriques, format_profile
+
     failures = 0
 
     def report(name: str, ok: bool, detail: list[str]) -> None:
@@ -379,6 +383,8 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_quotient_check(args) -> int:
+    from .quotient import check_scenario, format_profile
+
     rows = _load_quotient_fixture(args.fixture, args.table)
     failures = 0
     for row in rows:
@@ -396,6 +402,8 @@ def _cmd_quotient_check(args) -> int:
 
 
 def _cmd_quotient_derive(args) -> int:
+    from .quotient import derive_enriques, format_profile
+
     k3_rows = _load_quotient_fixture(args.k3, 4)
     expected = _load_quotient_fixture(args.expected, 5)
     derived = derive_enriques(k3_rows)

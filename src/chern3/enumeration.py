@@ -11,13 +11,16 @@ many multisets.  A run passes through these layers:
   (`_tasks`), each in the same pre-order.  The tasks are joined in task
   order, r0 ascending, then k0 descending, and run in its reverse
   (`_map_tasks`).  Every node the filter's walk visits meets one integer
-  range of rems (`RecordFilter.window`) once; the empty multiset is a task
-  of its own, which `_run_task` tests.
+  range of rems (`RecordFilter.window`) once: a sibling loop ends below the
+  range's start, so a node tests its stop alone.  The empty multiset is a
+  task of its own, which `_run_task` tests.
   - The l(2) walk (`_l2_rows`, `_scan`) finds the task's rows with a
     basket with integral l(2).  A node carries its rem, its Cartier index
     and one l(2) bitmask per prime (`_prime_moduli`, `_l2_parts`,
-    `_l2_rotations`); it has such a basket iff every mask holds 0.  It
-    tests only nodes that can still lead to a row at or above the window's
+    `_l2_rotations`); it has such a basket iff every mask holds 0.  A
+    node whose subtree is walked hands it its own masks, the copy that
+    `_cut` makes as it decides the subtree's cut.  The walk tests only
+    nodes that can still lead to a row at or above the window's
     floor: a sibling loop ends where a slot lacking 0 needs more than the
     room above the floor (`_needs`, `_stop`), a subtree is cut on the same
     rule (`_cut`), and a subtree already walked with at least the room is
@@ -30,12 +33,13 @@ many multisets.  A run passes through these layers:
     its witness rebuilt (`_witness`), so witnesses are rebuilt for kept
     rows alone.  An l(2) row the join never meets raises.
   A kept node with integral l(2) gets its witness rebuilt as integer
-  ((r, b), k) runs (`_witness_runs`).  A kept node's item is (head, last,
-  rem, lcm, witness): its runs as all but the last, a tuple the walk already holds
-  and shares among siblings, and the last run (r, k), one object per run
-  for the process (`_frame`'s runs table).  So a leaf builds no
-  runs tuple; head + (last,) is made only where a whole multiset is
-  needed.  The empty multiset's item is ((), None, ...).
+  ((r, b), k) runs (`_witness_runs`), each run's rotations and b-choices
+  read from one step of its index (`_Step`).  A kept node's item is
+  (head, last, rem, lcm, witness): its runs as all but the last, a tuple
+  the walk already holds and shares among siblings, and the last run
+  (r, k), one object per run for the process (`_frame`'s runs table).  So
+  a leaf builds no runs tuple; head + (last,) is made only where a whole
+  multiset is needed.  The empty multiset's item is ((), None, ...).
 - `_enumerate_raw`, the one driver: the tasks run, serially or in a pool,
   last first, so the l(2) walk's memo is filled at its largest rooms, and
   come back in task order (`_map_tasks`); one stable sort on rem puts
@@ -71,9 +75,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, groupby, tee
 from operator import is_, itemgetter
-from typing import ClassVar, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, ClassVar, Iterator, Optional, Sequence
 
-from . import tables
 from .riemann_roch import (
     Basket,
     BasketPoint,
@@ -85,6 +88,9 @@ from .riemann_roch import (
     format_index_multiset,
     l_value,
 )
+
+if TYPE_CHECKING:
+    from . import tables
 
 DEFAULT_CHI_DOMAIN = (0, 1, 2)
 
@@ -202,17 +208,18 @@ def _basket(runs: _Runs) -> Basket:
 def _runs_state(groups: _Groups) -> tuple[int, int, int, str]:
     """(lcm, weight * lcm, last index, text) of canonical index runs, from scratch.
 
-    Each run's k(r^2 - 1) and text are its facts (`_run_facts`).  Raises
-    ValueError, as `IndexMultiset` does, for runs that are not canonical
-    index runs.  The empty multiset's last index is 1, below every index;
-    its text is the empty-set sign.
+    Each run's k(r^2 - 1) and text are the facts of `_run`'s equal run.
+    Raises ValueError, as `IndexMultiset` does, for runs that are not
+    canonical index runs, which are runs of ints alone.  The empty
+    multiset's last index is 1, below every index; its text is the
+    empty-set sign.
     """
     if IndexMultiset.canonical_runs(groups) is not groups:
         raise ValueError(f"index runs {groups} are not ascending tuples")
     derived = math.lcm(*[r for r, _ in groups])
     weight, texts = 0, []  # the weight sum(r - 1/r) times derived
     for run in groups:
-        r, w, text = _RUN_FACTS.get(id(run)) or _run_facts(run)
+        r, w, text = _RUN_FACTS.get(id(run)) or _RUN_FACTS[id(_run(*run))]
         weight += w * (derived // r)
         texts.append(text)
     return derived, weight, groups[-1][0] if groups else 1, (
@@ -240,18 +247,6 @@ def _run(r: int, k: int) -> tuple[int, int]:
         _RUN_FACTS[id(run)] = (r, k * (r * r - 1), format_index_multiset(IndexMultiset((run,))))
         _RUNS[run] = run
     return run
-
-
-def _run_facts(run: tuple) -> tuple:
-    """(r, k(r^2 - 1), text) of an index run (r, k) that `IndexMultiset` takes, not one of `_run`'s.
-
-    A pair of ints gets the facts of `_run`'s equal run; any other run,
-    such as (9, 1.0), gets its own, made afresh.
-    """
-    r, k = run
-    if type(r) is int and type(k) is int:
-        return _RUN_FACTS[id(_run(r, k))]
-    return r, k * (r * r - 1), format_index_multiset(IndexMultiset((run,)))
 
 
 class _Heads(dict):
@@ -430,8 +425,16 @@ def _rotate(n: int, shifts: frozenset[int], mask: int) -> int:
     return acc & ((1 << n) - 1)
 
 
+class _Step(tuple):
+    """Index r's l(2) step over rmax: a tuple of (slot, rotation), and `runs`, its runs' b-choices.
+
+    runs[mult] is `_run_choices(r, mult, rmax)`, made on first use and kept
+    on the step, so the choices live and die with the rotations beside them.
+    """
+
+
 @lru_cache(maxsize=None)
-def _l2_rotations(r: int, rmax: int) -> tuple[tuple[int, _Memo], ...]:
+def _l2_rotations(r: int, rmax: int) -> _Step:
     """The l(2) step of index r <= rmax: (slot, rotation) for each slot it moves.
 
     A slot's reachable numerators are an n-bit mask, and rotation[mask] is
@@ -439,13 +442,16 @@ def _l2_rotations(r: int, rmax: int) -> tuple[tuple[int, _Memo], ...]:
     by the point's parts.  Each rotation is computed once per process and
     shared by every walk task and the witness rebuild (`_witness_runs`);
     over the chi = 2 census there are a few hundred distinct (mask, result)
-    pairs.
+    pairs.  The step also holds the b-choices of each run of index r that
+    the rebuild has met (`_Step`).
     """
     slots, parts = _l2_parts(r, rmax)
-    return tuple(
+    step = _Step(
         (slot, _Memo(partial(_rotate, n, frozenset(part[i] for _, part in parts))))
         for i, (slot, n) in enumerate(slots)
     )
+    step.runs = _Memo(lambda mult: _run_choices(r, mult, rmax))
+    return step
 
 
 def max_index(budget: Fraction) -> int:
@@ -575,13 +581,14 @@ def _walked(max_weight: Fraction) -> dict:
 
 
 def _cut(masks: list[int], moved: tuple, needs: tuple, walked: dict, r: int, room: int):
-    """(key, suffixes) for a subtree: its memo key (r, *masks) if the walk must walk it.
+    """(key, below) for a subtree: its memo key (r, *masks) and its masks if the walk must walk it.
 
     The subtree is the extensions by indices >= r, weighing at most room,
-    of the node whose masks are masks after the rotations moved.  A slot
-    lacking 0 whose need exceeds room cuts it, (None, ()); a memo entry
-    walked with at least room gives (None, its suffixes) to replay; else it
-    is (key, ()).
+    of the node whose masks are masks after the rotations moved, which
+    this makes as a copy.  A slot lacking 0 whose need exceeds room cuts
+    it, (None, ()); a memo entry walked with at least room gives (None, its
+    suffixes) to replay; else it is (key, the copy), the node's own masks,
+    which the walk hands down to the subtree's walk (`_scan`).
     """
     masks = masks[:]
     for slot, rotation in moved:
@@ -593,7 +600,7 @@ def _cut(masks: list[int], moved: tuple, needs: tuple, walked: dict, r: int, roo
     stored = walked.get(key)
     if stored is not None and stored[0] >= room:
         return None, stored[1]
-    return key, ()
+    return key, masks
 
 
 def _stop(masks: list[int], needs: tuple, r: int, room: int) -> int:
@@ -650,7 +657,8 @@ def _replay(
 
 
 def _scan(
-    ctx, rmin: int, rem: int, head: _Groups, last, lcm: int, bad: int, once: int = 0
+    ctx, masks: list[int], rmin: int, rem: int, head: _Groups, last, lcm: int, bad: int,
+    once: int = 0,
 ) -> None:
     """The l(2) walk: the rows with integral l(2) among the extensions of (head, last), in pre-order.
 
@@ -658,19 +666,20 @@ def _scan(
     extensions repeating its last index, then by larger indices, and with
     once = 1 only the node + rmin is visited, and its extensions start at
     rmin + 1 (`_l2_rows`).  The node's runs are head + (last,), or head
-    alone when last is None.  ctx is (out, masks, rmax, weights, rotations,
-    window, needs, walked, runs), runs `_frame`'s table: masks holds the
-    node's per-prime l(2) masks and bad counts those that lack 0.  A
-    visited node looks up only the slots its index moves, and writes them
-    into masks only while its subtree is scanned, so masks is as on entry
-    when this returns.
+    alone when last is None.  masks holds the node's per-prime l(2) masks
+    and bad counts those that lack 0; ctx is (out, rmax, weights,
+    rotations, window, needs, walked, runs), runs `_frame`'s table.  A
+    visited node looks up only the slots its index moves, and a walked
+    subtree gets its node's own masks, the copy `_cut` made, so no call
+    writes into masks.
 
-    window runs from a floor up to the budget, so a node is kept iff its
-    rem is at least the floor and it has integral l(2), as `_walked`
-    needs.  A node's room is its rem less the floor: a sibling loop ends at
-    `_stop`, or where the rem falls below the floor, as weights grow with
-    the index; a node's subtree is cut or replayed as `_cut` says against
-    the room, and a walked one is stored with its room.
+    window runs from a floor up to the budget, so a node is kept iff it has
+    integral l(2) and its rem is at least the floor, as `_walked` needs,
+    and below window.stop, the one bound a node meets once the sibling loop
+    has passed the floor.  A node's room is its rem less the floor: a
+    sibling loop ends at `_stop`, or where the rem falls below the floor,
+    as weights grow with the index; a node's subtree is cut or replayed as
+    `_cut` says against the room, and a walked one is stored with its room.
 
     A kept node's row (head, last, rem, lcm) goes to out: its runs as all
     but the last, a tuple shared with its siblings, and the last run
@@ -678,8 +687,8 @@ def _scan(
     Cartier index.  A node repeating this node's last index has this
     node's head; any other has this node's runs, built once here.
     """
-    out, masks, rmax, weights, rotations, window, needs, walked, runs = ctx
-    floor = window.start
+    out, rmax, weights, rotations, window, needs, walked, runs = ctx
+    floor, stop_rem = window.start, window.stop
     if last is None:
         prefix, repeat, k = head, 0, 0
     else:
@@ -696,13 +705,13 @@ def _scan(
         for slot, rotation in moved:
             mask = masks[slot]
             node_bad += (mask & 1) - (rotation[mask] & 1)
-        keep = node_rem in window and not node_bad
+        keep = node_rem < stop_rem and not node_bad
         rnext = r + once  # its extensions start here
         room = node_rem - floor
-        key, replay = None, ()
+        key, below = None, ()
         if room >= weights[rnext]:
-            key, replay = _cut(masks, moved, needs, walked, rnext, room)
-        if not (keep or key or replay):
+            key, below = _cut(masks, moved, needs, walked, rnext, room)
+        if not (keep or key or below):
             continue  # dropped before its last run is built
         if r == repeat:
             node_head, node_last, node_lcm = head, runs[r][k + 1], lcm
@@ -710,17 +719,12 @@ def _scan(
             node_head, node_last, node_lcm = prefix, runs[r][1], math.lcm(lcm, r)
         if keep:
             out.append((node_head, node_last, node_rem, node_lcm))
-        if replay:
-            _replay(out, node_head, node_last, node_rem, node_lcm, replay, room, runs)
         if key:
-            saved = [masks[slot] for slot, _ in moved]
-            for slot, rotation in moved:
-                masks[slot] = rotation[masks[slot]]
             kept = len(out)
-            _scan(ctx, rnext, node_rem, node_head, node_last, node_lcm, node_bad)
+            _scan(ctx, below, rnext, node_rem, node_head, node_last, node_lcm, node_bad)
             walked[key] = (room, _suffixes(out[kept:], node_head, node_last, node_rem))
-            for (slot, _), mask in zip(moved, saved):
-                masks[slot] = mask
+        elif below:
+            _replay(out, node_head, node_last, node_rem, node_lcm, below, room, runs)
 
 
 def _l2_rows(max_weight: Fraction, r0: int, k0: int, window: range) -> list:
@@ -737,11 +741,10 @@ def _l2_rows(max_weight: Fraction, r0: int, k0: int, window: range) -> list:
         for _ in range(k0 - 1):
             masks[slot] = rotation[masks[slot]]
     out: list = []
-    ctx = (out, masks, rmax, weights, rotations, window, _needs(max_weight), _walked(max_weight),
-           runs)
+    ctx = (out, rmax, weights, rotations, window, _needs(max_weight), _walked(max_weight), runs)
     last, lcm = (runs[r0][k0 - 1], r0) if k0 > 1 else (None, 1)
     bad = sum(not mask & 1 for mask in masks)
-    _scan(ctx, r0, budget - (k0 - 1) * weights[r0], (), last, lcm, bad, 1)
+    _scan(ctx, masks, r0, budget - (k0 - 1) * weights[r0], (), last, lcm, bad, 1)
     return out
 
 
@@ -752,8 +755,8 @@ def _weigh(ctx, rmin: int, rem: int, head: _Groups, last, lcm: int, joins: int, 
     pre-order that `_scan` keeps its rows in, from weights alone: no l(2)
     mask, rotation or memo.  ctx is (out, rmax, weights, window, integral,
     runs), runs `_frame`'s table, and once is as in `_scan`.  A node is
-    kept iff its rem is in window, and the first sibling below
-    window.start ends the loop.  integral is a
+    kept iff its rem is in window: the first sibling below window.start
+    ends the loop, so a node tests window.stop alone.  integral is a
     stack of the task's rows with integral l(2) in window, the next one on
     top, as `_l2_rows` gives them in the same pre-order, over a sentinel
     of rem -1, and joins is the top row's rem, which this returns as the
@@ -765,7 +768,7 @@ def _weigh(ctx, rmin: int, rem: int, head: _Groups, last, lcm: int, joins: int, 
     as `_scan` builds its rows.
     """
     out, rmax, weights, window, integral, runs = ctx
-    floor = window.start
+    floor, stop = window.start, window.stop
     if last is None:
         prefix, repeat, k = head, 0, 0
     else:
@@ -774,7 +777,7 @@ def _weigh(ctx, rmin: int, rem: int, head: _Groups, last, lcm: int, joins: int, 
         node_rem = rem - weights[r]
         if node_rem < floor:
             break  # weights grow with r, so no later sibling is kept either
-        keep = node_rem in window
+        keep = node_rem < stop
         walk = node_rem >= weights[r + once]  # its extensions start at r + once
         if not (keep or walk):
             continue
@@ -1150,31 +1153,42 @@ def _witness_runs(groups: _Groups, rmax: int) -> Optional[_Runs]:
     tries each run's b-combinations in lexicographic order, so the witness
     is the lexicographically smallest by its (r, b) point sequence.
 
-    rmax bounds the primes the masks cover.  Any rmax at least the largest
-    index gives the same answer and witness: no index moves a prime above
-    it, and a higher power of a prime only rescales that prime's mask.  The
-    walk passes its own, so the rebuild reads the walk's rotation memos.
+    Each run takes its rotations, and then its slots and b-choices, from
+    one step of index r (`_l2_rotations`, `_Step`), and folds a slot's mult
+    rotations in a local.  rmax bounds the primes the masks cover.  Any
+    rmax at least the largest index gives the same answer and witness: no
+    index moves a prime above it, and a higher power of a prime only
+    rescales that prime's mask.  The walk passes its own, so the rebuild
+    reads the walk's rotation memos.
     """
-    # suffix[i] = per-prime masks reachable using groups i..end
-    suffix = [[1] * len(_prime_moduli(rmax))]
+    # suffix[-1 - i] = per-prime masks reachable using runs i..end, and
+    # steps[-1 - i] run i's step
+    masks = [1] * len(_prime_moduli(rmax))
+    suffix, steps = [masks], []
     for r, mult in reversed(groups):
-        masks = suffix[-1][:]
-        for slot, rotation in _l2_rotations(r, rmax):
+        step = _l2_rotations(r, rmax)
+        masks = masks[:]
+        for slot, rotation in step:
+            mask = masks[slot]
             for _ in range(mult):
-                masks[slot] = rotation[masks[slot]]
+                mask = rotation[mask]
+            masks[slot] = mask
         suffix.append(masks)
-    suffix.reverse()
-
-    if not all(mask & 1 for mask in suffix[0]):
-        return None
+        steps.append(step)
+    for mask in masks:
+        if not mask & 1:
+            return None
 
     runs: tuple = ()
-    prefix = [0] * len(suffix[0])  # per-prime numerators of the points chosen so far
-    for (r, mult), rest in zip(groups, suffix[1:]):
-        slots, choices = _run_choices(r, mult, rmax)
+    prefix = [0] * len(masks)  # per-prime numerators of the points chosen so far
+    for (_, mult), step, rest in zip(groups, reversed(steps), suffix[-2::-1]):
+        slots, choices = step.runs[mult]
         for chosen, sums in choices.__copy__():
             # slots this run leaves alone keep -prefix reachable in rest
-            if all(rest[slot] >> (-prefix[slot] - s) % n & 1 for s, (slot, n) in zip(sums, slots)):
+            for s, (slot, n) in zip(sums, slots):
+                if not rest[slot] >> (-prefix[slot] - s) % n & 1:
+                    break
+            else:
                 for s, (slot, n) in zip(sums, slots):
                     prefix[slot] = (prefix[slot] + s) % n
                 runs += chosen
@@ -1184,7 +1198,6 @@ def _witness_runs(groups: _Groups, rmax: int) -> Optional[_Runs]:
     return runs
 
 
-@lru_cache(maxsize=None)
 def _run_choices(r: int, mult: int, rmax: int) -> tuple[tuple, object]:
     """The b-choices for a run of mult points of index r <= rmax: (slots, choices).
 
@@ -1194,7 +1207,8 @@ def _run_choices(r: int, mult: int, rmax: int) -> tuple[tuple, object]:
     runs are the multiset as witness runs and sums its numerators, one per
     slot, each modulo its n.  It is a `tee` that never advances, so each
     reader iterates a copy of it: a choice is made when a rebuild first
-    reads that far, and kept for the life of the process.
+    reads that far.  Index r's step keeps the pair (`_Step`), so a choice
+    is made once for as long as the step lives.
     """
     slots, parts = _l2_parts(r, rmax)
     part = dict(parts)
@@ -1238,6 +1252,8 @@ def reproduce_table(
         flt = INTEGRAL_L2
     else:
         raise ValueError(f"reproduce_table supports tables 1 and 2, got {table}")
+    from . import tables  # only a table check needs the fixtures
+
     if fixture is None:
         fixture = tables.table_rows(table)
 

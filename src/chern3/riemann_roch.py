@@ -88,10 +88,11 @@ class RunMultiset:
     One pass validates every run and keeps an already canonical tuple of
     tuples as it is; anything else is merged and sorted into that form, so
     equal multisets compare and hash alike.  Subclasses add only empty slots
-    and may bound their items below by `_floor`, named `_item` in the error.
+    and may bound their items below by `_floor`, named `_item` in the error,
+    and with `_ints` take only runs of an int item and an int multiplicity.
     """
 
-    _item, _floor = "item", None
+    _item, _floor, _ints = "item", None, False
 
     groups: tuple = ()
 
@@ -106,12 +107,16 @@ class RunMultiset:
 
         An already canonical tuple of tuples comes back as the same object,
         so `canonical_runs(groups) is groups` says the runs needed no merge.
+        With `_ints`, a run whose item or multiplicity is not an int, such
+        as (5, 5.0) or (5, True), raises before any merge could hide it.
         """
         keep = type(groups) is tuple
         runs = groups if keep else tuple(groups)
-        last = None
+        last, ints = None, cls._ints
         for run in runs:
             item, mult = run
+            if ints and (type(item) is not int or type(mult) is not int):
+                raise ValueError(f"{cls._item} and multiplicity must be ints, got the run {run!r}")
             if mult < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {mult}")
             if keep and (type(run) is not tuple or (last is not None and not last < item)):
@@ -150,7 +155,7 @@ class IndexMultiset(RunMultiset):
     """Multiset of local indices r >= 2, stored as (r, multiplicity) runs."""
 
     __slots__ = ()
-    _item, _floor = "local index", 2
+    _item, _floor, _ints = "local index", 2, True
 
     @classmethod
     def from_indices(cls, indices: Iterable[int]) -> "IndexMultiset":

@@ -867,6 +867,35 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
+    def test_enumerate_leaves_the_table_modules_unimported(self):
+        # the CLI's set-up and an enumerate run load neither chern3.quotient
+        # nor chern3.tables; the package's quotient names still resolve, on
+        # first use, and so does every name `from chern3 import *` takes
+        code = "\n".join([
+            "import io, sys, contextlib, chern3.cli",
+            "chern3.cli.build_parser()",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    code = chern3.cli.main(['enumerate', '--chi', '1', '--filter', 'l2-integral'])",
+            "TABLES = ('chern3.quotient', 'chern3.tables')",
+            "print(code, [name for name in TABLES if name in sys.modules])",
+            "import chern3",
+            "print(chern3.CoverType.K3.name, 'chern3.quotient' in sys.modules)",
+            "names = {}",
+            "exec('from chern3 import *', names)",
+            "print(sorted(set(chern3.__all__) - set(names)), names['parse_profile'].__module__)",
+        ])
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["0 []", "K3 True", "[] chern3.quotient"]
+
+    def test_unknown_package_name_raises_attribute_error(self):
+        import chern3
+
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            chern3.no_such_name  # noqa: B018
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("fmt", ["csv", "jsonl", "md"])
     def test_closed_stdout_exits_2_without_a_traceback(self, fmt, jobs):

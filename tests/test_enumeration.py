@@ -9,7 +9,7 @@ from collections import Counter
 from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement, product, zip_longest
+from itertools import combinations_with_replacement, groupby, product, zip_longest
 from math import gcd, lcm
 
 import pytest
@@ -234,14 +234,14 @@ class TestExistsIntegralBasket:
                 yield combo
 
         monkeypatch.setattr(enumeration, "combinations_with_replacement", counting)
-        enumeration._run_choices.cache_clear()
+        enumeration._l2_rotations.cache_clear()  # each step holds its runs' choices
         try:
             for _ in range(2):
                 ok, witness = exists_integral_basket(parse_index_multiset("13^30"))
                 assert ok and witness == parse_basket("(1,13)^29,(6,13)")
                 assert len(drawn) == 6
         finally:
-            enumeration._run_choices.cache_clear()
+            enumeration._l2_rotations.cache_clear()
 
     def test_empty_multiset_has_empty_witness(self):
         ok, witness = exists_integral_basket(IndexMultiset())
@@ -341,8 +341,8 @@ class TestRotationMemo:
 
 
 def test_tasks_share_no_walk_state():
-    # each task's l(2) masks are its own and restored as its walk returns, and
-    # the shared rotation memos and the l(2) walk's cuts hold no walk state,
+    # each task's l(2) masks are its own, each walked subtree gets a copy of
+    # its node's, and the shared rotation memos and the l(2) walk's cuts hold no walk state,
     # so a task's chunk does not depend on which tasks ran before it.  At
     # chi = 2, l2-integral keeps exactly the nodes whose masks all reach 0.
     # The range's l(2) walk, at the same budget, keeps only the rows at or
@@ -653,16 +653,45 @@ def walked_node(frame):
     return ()
 
 
+WALK_FRAMES = ("_weigh", "_scan")
+
+
+class RecordingStop:
+    """A window's stop that records the node and c1c2 of each rem a walk tests against it.
+
+    A walk tests a node's rem as rem < window.stop, which for an int rem
+    falls to this bound's reflected `__gt__`; only the tests made in a
+    walk's own frame are a node's, and are recorded.
+    """
+
+    def __init__(self, stop, record):
+        self.stop, self.record = stop, record
+
+    def __gt__(self, rem):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name in WALK_FRAMES:
+            self.record(frame, rem)
+        return rem < self.stop
+
+
 class RecordingWindow:
-    """A filter's window that records the node and c1c2 of each rem tested against it."""
+    """A filter's window that records the node and c1c2 of each rem tested against it.
+
+    The walks test its stop (`RecordingStop`), and `_run_task` tests the
+    root's rem for membership.
+    """
 
     def __init__(self, window, scale, nodes, values):
-        self.window, self.start, self.stop, self.scale = window, window.start, window.stop, scale
+        self.window, self.start, self.scale = window, window.start, scale
+        self.stop = RecordingStop(window.stop, self.record)
         self.nodes, self.values = nodes, values
 
-    def __contains__(self, rem):
-        self.nodes.append(walked_node(sys._getframe(1)))
+    def record(self, frame, rem):
+        self.nodes.append(walked_node(frame))
         self.values.append(Fraction(rem, self.scale))
+
+    def __contains__(self, rem):
+        self.record(sys._getframe(1), rem)
         return rem in self.window
 
 
@@ -742,7 +771,7 @@ class TestFilterOncePerNode:
     def test_no_walk_of_a_range_tests_a_node_below_its_floor(self, monkeypatch, lo, hi, tested):
         # the weights walk tests the filter's window, and the l(2) walk it
         # joins tests its own range, which each `_scan` call's ctx gets
-        # recorded; tested pins both counts, as the l(2) walk's sibling
+        # recorded in; tested pins both counts, as the l(2) walk's sibling
         # loops end and its subtrees are cut against the room above the floor
         every = enumerate_index_multisets(EnumerationQuery(chi0=1))
         scale = enumeration._frame(Fraction(24))[1]
@@ -751,8 +780,8 @@ class TestFilterOncePerNode:
         real = enumeration._scan
 
         def scan(ctx, *args):
-            if not isinstance(ctx[5], RecordingWindow):
-                ctx = (*ctx[:5], RecordingWindow(ctx[5], scale, [], scanned), *ctx[6:])
+            if not isinstance(ctx[4], RecordingWindow):
+                ctx = (*ctx[:4], RecordingWindow(ctx[4], scale, [], scanned), *ctx[5:])
             real(ctx, *args)
 
         monkeypatch.setattr(enumeration, "_scan", scan)
@@ -987,11 +1016,24 @@ class TestCuts:
         assert len(raw) > 1000
 
 
+class HoledStop:
+    """A window's stop that a walk's node at one rem fails (`RecordingStop`)."""
+
+    def __init__(self, stop, hole):
+        self.stop, self.hole = stop, hole
+
+    def __gt__(self, rem):
+        if rem == self.hole and sys._getframe(1).f_code.co_name in WALK_FRAMES:
+            return False
+        return rem < self.stop
+
+
 class HoledWindow:
     """A filter's window without one rem: the weights walk keeps no node there."""
 
     def __init__(self, window, hole):
-        self.window, self.start, self.stop, self.hole = window, window.start, window.stop, hole
+        self.window, self.start, self.stop, self.hole = (
+            window, window.start, HoledStop(window.stop, hole), hole)
 
     def __contains__(self, rem):
         return rem != self.hole and rem in self.window
@@ -1026,6 +1068,129 @@ class TestJoin:
         with pytest.raises(RuntimeError, match="never met a row of the l\\(2\\) walk"):
             _enumerate_raw(Fraction(24), ALL, jobs=1)
         assert enumeration._walked.cache_info().currsize == 0
+
+
+@lru_cache(maxsize=None)
+def reference_run_choices(r, mult, rmax):
+    """(slots, choices) for a run of mult points of index r, every choice made up front.
+
+    choices lists (runs, sums) for the b-multisets in lexicographic order,
+    skipping any whose sums equal an earlier one's.
+    """
+    slots, parts = enumeration._l2_parts(r, rmax)
+    part = dict(parts)
+    choices, seen = [], set()
+    for combo in combinations_with_replacement(part, mult):
+        sums = tuple(sum(part[b][i] for b in combo) % n for i, (_, n) in enumerate(slots))
+        if sums not in seen:
+            seen.add(sums)
+            choices.append((tuple(((r, b), len(list(same))) for b, same in groupby(combo)), sums))
+    return slots, choices
+
+
+def reference_witness_runs(groups, rmax):
+    """The smallest witness runs over canonical index runs, or None: the rebuild as first written.
+
+    Per-prime suffix masks, each run's rotation applied mult times in
+    place, guide a greedy pass that takes each run's first b-choice whose
+    sums keep every slot's -prefix reachable in the rest; the rotations
+    are the library's memos (`TestRotationMemo` holds them to the shift
+    formula), the choices this module's own.
+    """
+    suffix = [[1] * len(enumeration._prime_moduli(rmax))]
+    for r, mult in reversed(groups):
+        masks = suffix[-1][:]
+        for slot, rotation in enumeration._l2_rotations(r, rmax):
+            for _ in range(mult):
+                masks[slot] = rotation[masks[slot]]
+        suffix.append(masks)
+    suffix.reverse()
+    if not all(mask & 1 for mask in suffix[0]):
+        return None
+    runs = ()
+    prefix = [0] * len(suffix[0])
+    for (r, mult), rest in zip(groups, suffix[1:]):
+        slots, choices = reference_run_choices(r, mult, rmax)
+        for chosen, sums in choices:
+            if all(rest[slot] >> (-prefix[slot] - s) % n & 1 for s, (slot, n) in zip(sums, slots)):
+                for s, (slot, n) in zip(sums, slots):
+                    prefix[slot] = (prefix[slot] + s) % n
+                runs += chosen
+                break
+        else:
+            raise AssertionError("reachability and reconstruction disagree")
+    return runs
+
+
+def assert_rebuilds_match_reference(raw, rmax):
+    """Each raw item's witness is the reference rebuild's, and so is `_witness_runs`' own."""
+    for head, last, *_, witness in raw:
+        groups = head if last is None else head + (last,)
+        expected = reference_witness_runs(groups, rmax)
+        assert witness == expected, groups
+        assert enumeration._witness_runs(groups, rmax) == expected, groups
+
+
+class TestWitnessRebuildOracle:
+    """`_witness_runs` equals the rebuild as first written (`reference_witness_runs`)."""
+
+    @pytest.mark.parametrize("chi0", [0, 1, 2])
+    def test_every_integral_row(self, chi0):
+        rmax = max_index(Fraction(24 * chi0))
+        raw, _ = _enumerate_raw(Fraction(24 * chi0), INTEGRAL_L2, jobs=1, include_empty=True)
+        assert len(raw) == [1, 41, 1400][chi0]
+        assert_rebuilds_match_reference(raw, rmax)
+
+    def test_every_chi1_node(self):
+        # the rows without integral l(2) too, where both give None
+        rmax = max_index(Fraction(24))
+        raw, _ = _enumerate_raw(Fraction(24), ALL, jobs=1)
+        assert sum(witness is None for *_, witness in raw) == 2151 - 40
+        assert_rebuilds_match_reference(raw, rmax)
+
+    @settings(max_examples=12, deadline=None)
+    @given(RATIONAL_BUDGETS)
+    @example(Fraction(47))
+    @example(Fraction(95, 2))
+    @example(Fraction(143, 3))
+    def test_rational_budgets(self, budget):
+        raw, _ = _enumerate_raw(budget, INTEGRAL_L2, jobs=1)
+        assert_rebuilds_match_reference(raw, max_index(budget))
+
+    def test_chi3_rows(self):
+        # every 7th of the 28,972 χ = 3 rows, from the walk's own rebuild
+        raw, _ = _enumerate_raw(Fraction(72), INTEGRAL_L2, jobs=1)
+        assert len(raw) == 28972
+        assert_rebuilds_match_reference(raw[::7], 72)
+
+    def test_no_run_table_outlives_the_rotations(self, monkeypatch):
+        # a run's b-choices live on its index's step, so clearing the steps
+        # drops them: the next rebuild draws them again and reads the new
+        # steps' rotation memos
+        drawn = []
+
+        def counting(*args):
+            for combo in combinations_with_replacement(*args):
+                drawn.append(combo)
+                yield combo
+
+        monkeypatch.setattr(enumeration, "combinations_with_replacement", counting)
+        groups = parse_index_multiset("2^3,4,8^2").groups
+        counts = []
+        try:
+            for _ in range(2):
+                enumeration._l2_rotations.cache_clear()
+                assert enumeration._witness_runs(groups, 48) == reference_witness_runs(groups, 48)
+                steps = [enumeration._l2_rotations(r, 48) for r, _ in groups]
+                assert [sorted(step.runs) for step in steps] == [[3], [1], [2]]
+                assert all(rotation for step in steps for _, rotation in step)
+                counts.append(len(drawn))
+                assert enumeration._witness_runs(groups, 48) is not None
+                assert len(drawn) == counts[-1]  # the steps kept their choices
+        finally:
+            enumeration._l2_rotations.cache_clear()
+            enumeration._frame.cache_clear()
+        assert counts[0] > 0 and counts[1] == 2 * counts[0]
 
 
 class TestWitnessOverTheWalksRmax:
@@ -1274,21 +1439,24 @@ class TestCheckedRowMutants:
             lambda h, last: (h[:-1] + ((7.0, 1),), last),
             lambda h, last: (((2, 3.0),) + h[1:], last),
             lambda h, last: (((2.0, 3),) + h[1:], last),
+            lambda h, last: (h, (9, True)),
+            lambda h, last: (h[:-1] + ((7, True),), last),
         ],
         ids=["float-k-last", "float-r-last", "float-k-head", "float-r-head", "float-k-deep",
-             "float-r-deep"],
+             "float-r-deep", "bool-k-last", "bool-k-head"],
     )
     def test_float_run_raises_as_check_record(self, monkeypatch, mutate):
         # a run equal to an int run, and hashing alike, right after the
         # walked row whose runs it equals: no memo may take it for that run,
-        # neither the head's entry nor, deeper in the head, its parent's
+        # neither the head's entry nor, deeper in the head, its parent's;
+        # `IndexMultiset` rejects it, naming the run
         item, scale = self.walked("2^3,4,7,9")
         raw, _ = self.chi1_raw()
         head, last, rem, lcm, witness = item
         head, last = mutate(head, last)
         assert head + (last,) == item[0] + (item[1],)
         expected = outcome(enumeration.check_record, head + (last,), 1, rem, scale, lcm, witness)
-        assert expected[0] is TypeError
+        assert expected[0] is ValueError and "must be ints" in expected[1]
         with pytest.raises(expected[0]) as raised:
             self.rows(monkeypatch, (head, last, rem, lcm, witness), raw[: raw.index(item) + 1])
         assert str(raised.value) == expected[1]
@@ -1455,7 +1623,7 @@ runs_strategy = st.lists(st.integers(2, 48), max_size=8, unique=True).flatmap(
 
 MUTATIONS = [
     "none", "rem+1", "rem-1", "lcm*2", "swap", "repeat", "k=0", "index-1", "list", "sole-1",
-    "float-k", "float-r",
+    "float-k", "float-r", "bool-k", "bool-r",
 ]
 
 
@@ -1477,6 +1645,18 @@ class TestPrefixMemoOracle:
         position=st.integers(0, 7),
         with_witness=st.booleans(),
     )
+    # float-k on a row with c1c2 = 0, whose stated 0 the float weight
+    # matches; bool-k on a run of multiplicity 1, which True equals
+    @example(chi0=1, groups=((5, 5),), warm=[], mutation="float-k", position=0,
+             with_witness=False)
+    @example(chi0=1, groups=((2, 3), (4, 1), (8, 2)), warm=[], mutation="float-k", position=2,
+             with_witness=True)
+    @example(chi0=1, groups=((5, 1),), warm=[], mutation="bool-k", position=0,
+             with_witness=False)
+    @example(chi0=2, groups=((2, 3), (4, 1), (7, 1)), warm=[((2, 3), (4, 1))],
+             mutation="bool-k", position=1, with_witness=True)
+    @example(chi0=1, groups=((2, 1), (3, 1)), warm=[], mutation="bool-r", position=0,
+             with_witness=False)
     def test_memo_matches_memo_less_and_full_pass(
         self, chi0, groups, warm, mutation, position, with_witness
     ):
@@ -1512,6 +1692,10 @@ class TestPrefixMemoOracle:
             groups = groups[:j] + ((r, float(k)),) + groups[j + 1:]
         elif mutation == "float-r" and groups:
             groups = groups[:j] + ((float(r), k),) + groups[j + 1:]
+        elif mutation == "bool-k" and groups:  # equal to run j where k = 1
+            groups = groups[:j] + ((r, k == 1),) + groups[j + 1:]
+        elif mutation == "bool-r" and groups:
+            groups = groups[:j] + ((True, k),) + groups[j + 1:]
         item = split(groups, rem, r_x, witness)
         # the original row's head object, where the mutation left the head
         # alone: repr tells a float run from the int run it equals

@@ -1,6 +1,8 @@
 """The run-length form shared by index multisets, baskets and Du Val profiles."""
 
+import re
 from collections import Counter
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -97,6 +99,21 @@ class TestCanonicaliser:
         at = data.draw(st.integers(0, len(runs)))
         with pytest.raises(ValueError):
             cls(tuple(runs[:at]) + ((below_bound(k), 1),) + tuple(runs[at:]))
+
+
+class TestIndexRunTypes:
+    @pytest.mark.parametrize(
+        "run",
+        [(5, 5.0), (5.0, 5), (5, True), (True, 5), (2, False), (5, "5"), (Fraction(5), 1)],
+    )
+    @pytest.mark.parametrize("before", [(), ((2, 1),)], ids=["alone", "after-2"])
+    def test_index_run_of_no_ints_raises_naming_it(self, run, before):
+        # a float or bool equals an int and hashes alike, so the runs would
+        # otherwise pass as the int runs they equal, or fail in gcd or lcm
+        with pytest.raises(ValueError, match=re.escape(f"got the run {run!r}")):
+            IndexMultiset(before + (run,))
+        with pytest.raises(ValueError, match=re.escape(f"got the run {run!r}")):
+            IndexMultiset.canonical_runs([*before, run])
 
 
 class TestGrammar:
