@@ -5,9 +5,9 @@ with nef anticanonical divisor can carry, evaluates Reid's orbifold
 Riemann-Roch series exactly, and re-derives the shipped classification
 tables from first principles.  Everything is exact rational arithmetic.
 
-The quotient-table names are imported on first use (`__getattr__`), so
-`import chern3` and the `enumerate` command never load `chern3.quotient`
-or `chern3.tables`.
+The quotient and table-check names are imported on first use
+(`__getattr__`), so `import chern3` and the `enumerate` command never load
+`chern3.quotient` or `chern3.tables`.
 """
 
 from .enumeration import (
@@ -18,7 +18,6 @@ from .enumeration import (
     EnumerationQuery,
     NoPositiveValueError,
     RecordFilter,
-    TableCheck,
     c1c2_in_range,
     count_candidates,
     effective_bound,
@@ -26,7 +25,6 @@ from .enumeration import (
     exists_integral_basket,
     feasible_index_multisets,
     min_positive_c1c2,
-    reproduce_table,
 )
 from .riemann_roch import (
     Basket,
@@ -49,28 +47,24 @@ from .riemann_roch import (
 
 __version__ = "0.1.0"
 
-# the public names of `chern3.quotient`, imported by `__getattr__`
-_QUOTIENT_NAMES = frozenset({
-    "CoverType",
-    "QuotientScenario",
-    "ScenarioCheck",
-    "SingularityProfile",
-    "check_scenario",
-    "derive_enriques",
-    "format_profile",
-    "indices_from_profile",
-    "parse_profile",
-    "quotient_c1c2",
-})
+# the public names that `__getattr__` imports on first use, each with its module
+_LAZY_NAMES = {
+    **dict.fromkeys((
+        "CoverType", "QuotientScenario", "ScenarioCheck", "SingularityProfile", "check_scenario",
+        "derive_enriques", "format_profile", "indices_from_profile", "parse_profile",
+        "quotient_c1c2",
+    ), "quotient"),
+    **dict.fromkeys(("TableCheck", "reproduce_table"), "tables"),
+}
 
 
 def __getattr__(name: str):
-    """A `chern3.quotient` name, imported on its first use; any other name is missing."""
-    if name not in _QUOTIENT_NAMES:
+    """A `_LAZY_NAMES` name, imported from its module on first use; any other name is missing."""
+    if name not in _LAZY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import quotient
+    from importlib import import_module
 
-    value = globals()[name] = getattr(quotient, name)
+    value = globals()[name] = getattr(import_module(f".{_LAZY_NAMES[name]}", __name__), name)
     return value
 
 

@@ -80,7 +80,10 @@ def _open_output(path: Optional[str]):
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _read_fixture(path: str) -> str:
+def _read_fixture(path: Optional[str]) -> Optional[str]:
+    """The text of the fixture file at path, or None for the shipped fixture if path is None."""
+    if path is None:
+        return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -266,25 +269,7 @@ def _cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _load_table_fixture(path: Optional[str], table: int):
-    from . import tables
-
-    if path is None:
-        return tables.table_rows(table)
-    return tables.parse_enumeration_fixture(_read_fixture(path))
-
-
-def _load_quotient_fixture(path: Optional[str], table: int):
-    from . import tables
-    from .quotient import CoverType
-
-    if path is None:
-        return tables.quotient_scenarios(table)
-    cover = CoverType.K3 if table == 4 else CoverType.ENRIQUES
-    return tables.parse_quotient_fixture(_read_fixture(path), cover)
-
-
-def _table_check_lines(check: enumeration.TableCheck) -> list[str]:
+def _table_check_lines(check) -> list[str]:
     lines = []
     for row in check.missing:
         lines.append(
@@ -310,20 +295,8 @@ def _scenario_lines(result) -> list[str]:
     return lines
 
 
-def _derive_diff(derived, expected) -> tuple[bool, tuple, tuple]:
-    """Whether derived matches expected, then the keys only derived and only expected."""
-    from . import tables
-
-    extra, missing = tables.set_diff(
-        (row.key() for row in derived),
-        (row.key() for row in expected),
-        # a total order, so the lines never follow the hash-seeded set order
-        key=lambda key: (key[0], key[1].groups, key[2].value),
-    )
-    return not extra and not missing and len(derived) == len(expected), extra, missing
-
-
 def _cmd_verify_tables(args) -> int:
+    from . import tables
     from .quotient import check_scenario, derive_enriques, format_profile
 
     failures = 0
@@ -337,16 +310,16 @@ def _cmd_verify_tables(args) -> int:
             failures += 1
 
     for table in (1, 2):
-        fixture = _load_table_fixture(getattr(args, f"table{table}"), table)
-        check = enumeration.reproduce_table(table, fixture=fixture)
+        fixture = tables.table_rows(table, _read_fixture(getattr(args, f"table{table}")))
+        check = tables.reproduce_table(table, fixture=fixture)
         report(
             f"table {table}: {len(check.records)} records vs {len(fixture)} fixture rows",
             check.ok,
             _table_check_lines(check),
         )
 
-    k3_rows = _load_quotient_fixture(args.table4, 4)
-    enriques_rows = _load_quotient_fixture(args.table5, 5)
+    k3_rows = tables.table_rows(4, _read_fixture(args.table4))
+    enriques_rows = tables.table_rows(5, _read_fixture(args.table5))
     for table, rows in ((4, k3_rows), (5, enriques_rows)):
         results = [check_scenario(row) for row in rows]
         detail = [line for res in results for line in _scenario_lines(res)]
@@ -357,7 +330,7 @@ def _cmd_verify_tables(args) -> int:
         )
 
     derived = derive_enriques(k3_rows)
-    ok, extra, missing = _derive_diff(derived, enriques_rows)
+    ok, extra, missing = tables.derive_diff(derived, enriques_rows)
     detail = [f"  derived but not in fixture: order {k[0]}, {format_profile(k[1])}" for k in extra]
     detail += [f"  in fixture but not derived: order {k[0]}, {format_profile(k[1])}" for k in missing]
     title = f"derive-enriques: {len(derived)} derived rows vs {len(enriques_rows)} fixture rows"
@@ -383,9 +356,10 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_quotient_check(args) -> int:
+    from . import tables
     from .quotient import check_scenario, format_profile
 
-    rows = _load_quotient_fixture(args.fixture, args.table)
+    rows = tables.table_rows(args.table, _read_fixture(args.fixture))
     failures = 0
     for row in rows:
         result = check_scenario(row)
@@ -402,17 +376,18 @@ def _cmd_quotient_check(args) -> int:
 
 
 def _cmd_quotient_derive(args) -> int:
+    from . import tables
     from .quotient import derive_enriques, format_profile
 
-    k3_rows = _load_quotient_fixture(args.k3, 4)
-    expected = _load_quotient_fixture(args.expected, 5)
+    k3_rows = tables.table_rows(4, _read_fixture(args.k3))
+    expected = tables.table_rows(5, _read_fixture(args.expected))
     derived = derive_enriques(k3_rows)
     for row in derived:
         print(
             f"{row.group_label} {row.group_order} {format_profile(row.profile)} "
             f"{format_index_multiset(row.expected_indices)} {row.expected_c1c2}"
         )
-    ok, extra, missing = _derive_diff(derived, expected)
+    ok, extra, missing = tables.derive_diff(derived, expected)
     if ok:
         return EXIT_OK
     for key in extra:

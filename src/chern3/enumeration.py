@@ -33,13 +33,14 @@ many multisets.  A run passes through these layers:
     its witness rebuilt (`_witness`), so witnesses are rebuilt for kept
     rows alone.  An l(2) row the join never meets raises.
   A kept node with integral l(2) gets its witness rebuilt as integer
-  ((r, b), k) runs (`_witness_runs`), each run's rotations and b-choices
-  read from one step of its index (`_Step`).  A kept node's item is
-  (head, last, rem, lcm, witness): its runs as all but the last, a tuple
-  the walk already holds and shares among siblings, and the last run
-  (r, k), one object per run for the process (`_frame`'s runs table).  So
-  a leaf builds no runs tuple; head + (last,) is made only where a whole
-  multiset is needed.  The empty multiset's item is ((), None, ...).
+  ((r, b), k) runs (`_witness_runs`), each run's rotations read from its
+  index's step (`_l2_rotations`) and its b-choices from one memo per run
+  (`_run_choices`).  A kept node's item is (head, last, rem, lcm,
+  witness): its runs as all but the last, a tuple the walk already holds
+  and shares among siblings, and the last run (r, k), one object per run
+  for the process (`_frame`'s runs table).  So a leaf builds no runs
+  tuple; head + (last,) is made only where a whole multiset is needed.
+  The empty multiset's item is ((), None, ...).
 - `_enumerate_raw`, the one driver: the tasks run, serially or in a pool,
   last first, so the l(2) walk's memo is filled at its largest rooms, and
   come back in task order (`_map_tasks`); one stable sort on rem puts
@@ -75,7 +76,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, groupby, tee
 from operator import is_, itemgetter
-from typing import TYPE_CHECKING, ClassVar, Iterator, Optional, Sequence
+from typing import ClassVar, Iterator, Optional
 
 from .riemann_roch import (
     Basket,
@@ -88,9 +89,6 @@ from .riemann_roch import (
     format_index_multiset,
     l_value,
 )
-
-if TYPE_CHECKING:
-    from . import tables
 
 DEFAULT_CHI_DOMAIN = (0, 1, 2)
 
@@ -425,16 +423,8 @@ def _rotate(n: int, shifts: frozenset[int], mask: int) -> int:
     return acc & ((1 << n) - 1)
 
 
-class _Step(tuple):
-    """Index r's l(2) step over rmax: a tuple of (slot, rotation), and `runs`, its runs' b-choices.
-
-    runs[mult] is `_run_choices(r, mult, rmax)`, made on first use and kept
-    on the step, so the choices live and die with the rotations beside them.
-    """
-
-
 @lru_cache(maxsize=None)
-def _l2_rotations(r: int, rmax: int) -> _Step:
+def _l2_rotations(r: int, rmax: int) -> tuple:
     """The l(2) step of index r <= rmax: (slot, rotation) for each slot it moves.
 
     A slot's reachable numerators are an n-bit mask, and rotation[mask] is
@@ -442,16 +432,13 @@ def _l2_rotations(r: int, rmax: int) -> _Step:
     by the point's parts.  Each rotation is computed once per process and
     shared by every walk task and the witness rebuild (`_witness_runs`);
     over the chi = 2 census there are a few hundred distinct (mask, result)
-    pairs.  The step also holds the b-choices of each run of index r that
-    the rebuild has met (`_Step`).
+    pairs.
     """
     slots, parts = _l2_parts(r, rmax)
-    step = _Step(
+    return tuple(
         (slot, _Memo(partial(_rotate, n, frozenset(part[i] for _, part in parts))))
         for i, (slot, n) in enumerate(slots)
     )
-    step.runs = _Memo(lambda mult: _run_choices(r, mult, rmax))
-    return step
 
 
 def max_index(budget: Fraction) -> int:
@@ -573,9 +560,9 @@ def _walked(max_weight: Fraction) -> dict:
     not depend on which tasks ran before, so neither does a task's items;
     the order decides only how often a key is walked again, at a larger
     room, which is why the tasks run last first (`_map_tasks`).  The memo
-    lives until the walk that filled it ends: `_enumerate_raw`
-    clears it then, whether the walk ran in this process or in a pool whose
-    workers each kept their own.
+    lives until the walk that filled it ends: `_map_tasks`, which runs
+    every walk, clears it then, whether the walk ran in this process or in
+    a pool whose workers each kept their own.
     """
     return {}
 
@@ -887,21 +874,25 @@ def _map_tasks(fn, tasks: list, jobs: int) -> list:
     of the chi = 2 census's rows, and the default chunking (21 tasks each)
     gave most of them to one worker.  Run last first, the r0 >= 3 tasks go
     out first, then (2, 1), (2, 2), ... from the largest to the smallest.
-    Every worker has exited before this returns.  fn and the tasks are
-    pickled, fn by name (a partial by its function's name).
+    Every worker has exited before this returns, and the memo of walked
+    subtrees is freed, whether the tasks ran or raised.  fn and the tasks
+    are pickled, fn by name (a partial by its function's name).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = tasks[::-1]
-    if jobs == 1 or len(tasks) < 2:
-        results = [fn(task) for task in tasks]
-    else:
-        import multiprocessing  # only a pool needs it, so a serial run never imports it
+    try:
+        if jobs == 1 or len(tasks) < 2:
+            results = [fn(task) for task in tasks]
+        else:
+            import multiprocessing  # only a pool needs it, so a serial run never imports it
 
-        with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-            results = pool.map(fn, tasks, chunksize=1)
-            pool.close()
-            pool.join()
+            with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
+                results = pool.map(fn, tasks, chunksize=1)
+                pool.close()
+                pool.join()
+    finally:
+        _walked.cache_clear()
     results.reverse()
     return results
 
@@ -934,10 +925,7 @@ def _enumerate_raw(
     parts have among equal rems (`_run_task`) and the stable sort keeps; so
     it never depends on task scheduling.
     """
-    try:
-        parts = _map_tasks(partial(_part, finish), _tasks(max_weight, flt, include_empty), jobs)
-    finally:
-        _walked.cache_clear()
+    parts = _map_tasks(partial(_part, finish), _tasks(max_weight, flt, include_empty), jobs)
     # the order is made while each task's part is whole; then the rems are
     # freed and the parts gathered one at a time, each freed once gathered,
     # so the rems and every row are never alive together
@@ -1153,36 +1141,33 @@ def _witness_runs(groups: _Groups, rmax: int) -> Optional[_Runs]:
     tries each run's b-combinations in lexicographic order, so the witness
     is the lexicographically smallest by its (r, b) point sequence.
 
-    Each run takes its rotations, and then its slots and b-choices, from
-    one step of index r (`_l2_rotations`, `_Step`), and folds a slot's mult
-    rotations in a local.  rmax bounds the primes the masks cover.  Any
-    rmax at least the largest index gives the same answer and witness: no
-    index moves a prime above it, and a higher power of a prime only
-    rescales that prime's mask.  The walk passes its own, so the rebuild
-    reads the walk's rotation memos.
+    Each run takes its rotations from the step of index r (`_l2_rotations`)
+    and then its slots and b-choices from `_run_choices`, and folds a
+    slot's mult rotations in a local.  rmax bounds the primes the masks
+    cover.  Any rmax at least the largest index gives the same answer and
+    witness: no index moves a prime above it, and a higher power of a
+    prime only rescales that prime's mask.  The walk passes its own, so the
+    rebuild reads the walk's rotation memos.
     """
-    # suffix[-1 - i] = per-prime masks reachable using runs i..end, and
-    # steps[-1 - i] run i's step
+    # suffix[-1 - i] = per-prime masks reachable using runs i..end
     masks = [1] * len(_prime_moduli(rmax))
-    suffix, steps = [masks], []
+    suffix = [masks]
     for r, mult in reversed(groups):
-        step = _l2_rotations(r, rmax)
         masks = masks[:]
-        for slot, rotation in step:
+        for slot, rotation in _l2_rotations(r, rmax):
             mask = masks[slot]
             for _ in range(mult):
                 mask = rotation[mask]
             masks[slot] = mask
         suffix.append(masks)
-        steps.append(step)
     for mask in masks:
         if not mask & 1:
             return None
 
     runs: tuple = ()
     prefix = [0] * len(masks)  # per-prime numerators of the points chosen so far
-    for (_, mult), step, rest in zip(groups, reversed(steps), suffix[-2::-1]):
-        slots, choices = step.runs[mult]
+    for (r, mult), rest in zip(groups, suffix[-2::-1]):
+        slots, choices = _run_choices(r, mult, rmax)
         for chosen, sums in choices.__copy__():
             # slots this run leaves alone keep -prefix reachable in rest
             for s, (slot, n) in zip(sums, slots):
@@ -1198,6 +1183,7 @@ def _witness_runs(groups: _Groups, rmax: int) -> Optional[_Runs]:
     return runs
 
 
+@lru_cache(maxsize=None)
 def _run_choices(r: int, mult: int, rmax: int) -> tuple[tuple, object]:
     """The b-choices for a run of mult points of index r <= rmax: (slots, choices).
 
@@ -1207,8 +1193,8 @@ def _run_choices(r: int, mult: int, rmax: int) -> tuple[tuple, object]:
     runs are the multiset as witness runs and sums its numerators, one per
     slot, each modulo its n.  It is a `tee` that never advances, so each
     reader iterates a copy of it: a choice is made when a rebuild first
-    reads that far.  Index r's step keeps the pair (`_Step`), so a choice
-    is made once for as long as the step lives.
+    reads that far.  The pair is kept for the process, so a choice is made
+    once.
     """
     slots, parts = _l2_parts(r, rmax)
     part = dict(parts)
@@ -1224,45 +1210,6 @@ def _run_choices(r: int, mult: int, rmax: int) -> tuple[tuple, object]:
     return slots, tee(choices(), 1)[0]
 
 
-@dataclass(frozen=True, slots=True)
-class TableCheck:
-    """Outcome of re-deriving a classification table from scratch."""
-
-    table: int
-    records: tuple[ChernRecord, ...]
-    missing: tuple[tables.TableRow, ...]  # in the fixture, not reproduced
-    extra: tuple[tables.TableRow, ...]  # reproduced, not in the fixture
-
-    @property
-    def ok(self) -> bool:
-        return not self.missing and not self.extra
-
-
-def _row_key(row: tables.TableRow):
-    return (row.indices.weight, row.indices.indices())
-
-
-def reproduce_table(
-    table: int, fixture: Optional[Sequence[tables.TableRow]] = None
-) -> TableCheck:
-    """Re-enumerate table 1 or 2 and diff the result against the fixture."""
-    if table == 1:
-        flt = C1C2_ZERO
-    elif table == 2:
-        flt = INTEGRAL_L2
-    else:
-        raise ValueError(f"reproduce_table supports tables 1 and 2, got {table}")
-    from . import tables  # only a table check needs the fixtures
-
-    if fixture is None:
-        fixture = tables.table_rows(table)
-
-    records = enumerate_index_multisets(EnumerationQuery(chi0=1, filter=flt))
-    produced = (tables.TableRow(rec.indices, rec.cartier_index, rec.c1c2) for rec in records)
-    extra, missing = tables.set_diff(produced, fixture, key=_row_key)
-    return TableCheck(table=table, records=tuple(records), missing=missing, extra=extra)
-
-
 def min_positive_c1c2(
     chi0: int, require_integral: bool = False
 ) -> tuple[Fraction, list[IndexMultiset]]:
@@ -1273,7 +1220,7 @@ def min_positive_c1c2(
     attaining it, in walk order, and their results come back in task
     order, which is canonical among equal rems (`_run_task`), so no rows
     are sorted or gathered; only the attaining items become records.  The
-    memo of walked subtrees is freed as the walk ends.
+    memo of walked subtrees is freed as the walk ends (`_map_tasks`).
     """
     query = EnumerationQuery(chi0=chi0, filter=INTEGRAL_L2 if require_integral else ALL)
     max_weight = Fraction(24 * chi0)
@@ -1289,10 +1236,7 @@ def min_positive_c1c2(
         return least, attaining
 
     with collector_paused():
-        try:
-            parts = _map_tasks(least_of, _tasks(max_weight, query.filter), 1)
-        finally:
-            _walked.cache_clear()
+        parts = _map_tasks(least_of, _tasks(max_weight, query.filter), 1)
         least = min((rem for rem, _ in parts if rem is not None), default=None)
         if least is None:
             under = " under the integral-basket filter" if require_integral else ""
@@ -1309,16 +1253,13 @@ def count_candidates(chi0: int, flt: RecordFilter = ALL, include_empty: bool = F
 
     It sums the walk tasks' lengths, the tasks run as `_enumerate_raw`
     runs them (`_map_tasks`), so no rows are sorted or gathered; the memo
-    of walked subtrees is freed as the walk ends, as `_enumerate_raw`
-    frees it.
+    of walked subtrees is freed as the walk ends, as `_map_tasks` frees it
+    for every walk.
     """
     query = EnumerationQuery(chi0=chi0, filter=flt, include_empty=include_empty)
     tasks = _tasks(Fraction(24 * chi0), query.filter, query.include_empty)
     with collector_paused():
-        try:
-            return sum(_map_tasks(lambda task: len(_run_task(task)), tasks, 1))
-        finally:
-            _walked.cache_clear()
+        return sum(_map_tasks(lambda task: len(_run_task(task)), tasks, 1))
 
 
 def effective_bound(

@@ -14,13 +14,21 @@ Four tables are shipped as structured text, one record per line:
 
 The texts are the comparison targets for the enumeration and quotient
 checks; `verify-tables` reproduces every line from first principles.
+This module owns those checks' rules: `table_rows` loads any table's
+rows, from its shipped text or from an override, `reproduce_table`
+re-enumerates tables 1 and 2 and `derive_diff` compares the Enriques rows
+derived from table 4 with table 5.  `enumerate` never imports it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from .enumeration import (
+    C1C2_ZERO, INTEGRAL_L2, ChernRecord, EnumerationQuery, enumerate_index_multisets,
+)
 from .quotient import CoverType, QuotientScenario, parse_profile
 from .riemann_roch import IndexMultiset, parse_index_multiset, parse_rational
 
@@ -154,19 +162,63 @@ def set_diff(produced: Iterable, expected: Iterable, key: Callable) -> tuple[tup
     return tuple(sorted(produced - expected, key=key)), tuple(sorted(expected - produced, key=key))
 
 
-def table_rows(table: int) -> tuple[TableRow, ...]:
-    """Fixture rows for the enumeration tables (1 or 2)."""
+_FIXTURES = {1: CHI1_C1C2_ZERO, 2: CHI1_L2_INTEGRAL, 4: K3_QUOTIENTS, 5: ENRIQUES_QUOTIENTS}
+
+
+def table_rows(table: int, text: Optional[str] = None) -> tuple:
+    """The rows of table 1, 2, 4 or 5, parsed from text, or from the shipped fixture if it is None.
+
+    Tables 1 and 2 give `TableRow`s, tables 4 and 5 `QuotientScenario`s.
+    """
+    if table not in _FIXTURES:
+        raise ValueError(f"no fixture for table {table}")
+    text = _FIXTURES[table] if text is None else text
+    if table < 4:
+        return parse_enumeration_fixture(text)
+    return parse_quotient_fixture(text, CoverType.K3 if table == 4 else CoverType.ENRIQUES)
+
+
+@dataclass(frozen=True, slots=True)
+class TableCheck:
+    """Outcome of re-deriving a classification table from scratch."""
+
+    table: int
+    records: tuple[ChernRecord, ...]
+    missing: tuple[TableRow, ...]  # in the fixture, not reproduced
+    extra: tuple[TableRow, ...]  # reproduced, not in the fixture
+
+    @property
+    def ok(self) -> bool:
+        return not self.missing and not self.extra
+
+
+def _row_key(row: TableRow):
+    return (row.indices.weight, row.indices.indices())
+
+
+def reproduce_table(table: int, fixture: Optional[Sequence[TableRow]] = None) -> TableCheck:
+    """Re-enumerate table 1 or 2 and diff the result against the fixture."""
     if table == 1:
-        return parse_enumeration_fixture(CHI1_C1C2_ZERO)
-    if table == 2:
-        return parse_enumeration_fixture(CHI1_L2_INTEGRAL)
-    raise ValueError(f"no enumeration fixture for table {table}")
+        flt = C1C2_ZERO
+    elif table == 2:
+        flt = INTEGRAL_L2
+    else:
+        raise ValueError(f"reproduce_table supports tables 1 and 2, got {table}")
+    if fixture is None:
+        fixture = table_rows(table)
+
+    records = enumerate_index_multisets(EnumerationQuery(chi0=1, filter=flt))
+    produced = (TableRow(rec.indices, rec.cartier_index, rec.c1c2) for rec in records)
+    extra, missing = set_diff(produced, fixture, key=_row_key)
+    return TableCheck(table=table, records=tuple(records), missing=missing, extra=extra)
 
 
-def quotient_scenarios(table: int) -> tuple[QuotientScenario, ...]:
-    """Fixture rows for the quotient tables (4 or 5)."""
-    if table == 4:
-        return parse_quotient_fixture(K3_QUOTIENTS, CoverType.K3)
-    if table == 5:
-        return parse_quotient_fixture(ENRIQUES_QUOTIENTS, CoverType.ENRIQUES)
-    raise ValueError(f"no quotient fixture for table {table}")
+def derive_diff(derived, expected) -> tuple[bool, tuple, tuple]:
+    """Whether derived matches expected, then the keys only derived and only expected."""
+    extra, missing = set_diff(
+        (row.key() for row in derived),
+        (row.key() for row in expected),
+        # a total order, so the lines never follow the hash-seeded set order
+        key=lambda key: (key[0], key[1].groups, key[2].value),
+    )
+    return not extra and not missing and len(derived) == len(expected), extra, missing

@@ -36,7 +36,7 @@ from chern3 import (
     point_correction,
 )
 from chern3.cli import _factorization
-from chern3.tables import quotient_scenarios, table_rows
+from chern3.tables import table_rows
 
 
 # sha256 of the chi = 2 census csv, the same bytes the benchmark pins
@@ -123,8 +123,8 @@ def test_criterion_4_chi_two_census():
 
 
 def test_criterion_5_quotient_tables():
-    k3 = quotient_scenarios(4)
-    enriques = quotient_scenarios(5)
+    k3 = table_rows(4)
+    enriques = table_rows(5)
     checks = [check_scenario(row) for row in k3 + enriques]
     derived = derive_enriques(k3)
     derived_keys = {row.key() for row in derived}

@@ -673,6 +673,18 @@ class TestFixtureColumns:
         assert code == 2
         assert err == f"error: expected {columns} columns, got {line!r}\n"
 
+    @pytest.mark.parametrize("table", [1, 2, 3, 4, 5])
+    def test_table_rows_parse_override_text(self, table):
+        # an override is parsed as its table's shipped text is; table 3 has none
+        if table == 3:
+            with pytest.raises(ValueError, match="^no fixture for table 3$"):
+                tables.table_rows(3, "5^5 5 0\n")
+            return
+        shipped = {1: tables.CHI1_C1C2_ZERO, 2: tables.CHI1_L2_INTEGRAL,
+                   4: tables.K3_QUOTIENTS, 5: tables.ENRIQUES_QUOTIENTS}[table]
+        override = "\n".join(shipped.splitlines()[-2:]) + "\n"
+        assert tables.table_rows(table, override) == tables.table_rows(table)[-2:]
+
     def test_parsers_name_the_expected_count(self):
         with pytest.raises(ValueError, match="^expected 3 columns, got '2\\^16 2'$"):
             tables.parse_enumeration_fixture("2^16 2\n")
@@ -768,7 +780,7 @@ class TestVerifyTables:
         def broken(*args, **kwargs):
             raise RuntimeError("internal fault")
 
-        monkeypatch.setattr(enumeration, "reproduce_table", broken)
+        monkeypatch.setattr(tables, "reproduce_table", broken)
         with pytest.raises(RuntimeError, match="internal fault"):
             cli.main(["verify-tables"])
 
@@ -869,8 +881,9 @@ class TestEntryPoint:
 
     def test_enumerate_leaves_the_table_modules_unimported(self):
         # the CLI's set-up and an enumerate run load neither chern3.quotient
-        # nor chern3.tables; the package's quotient names still resolve, on
-        # first use, and so does every name `from chern3 import *` takes
+        # nor chern3.tables; the package's quotient and table-check names
+        # still resolve, on first use, each from its own module, and so does
+        # every name `from chern3 import *` takes
         code = "\n".join([
             "import io, sys, contextlib, chern3.cli",
             "chern3.cli.build_parser()",
@@ -879,7 +892,8 @@ class TestEntryPoint:
             "TABLES = ('chern3.quotient', 'chern3.tables')",
             "print(code, [name for name in TABLES if name in sys.modules])",
             "import chern3",
-            "print(chern3.CoverType.K3.name, 'chern3.quotient' in sys.modules)",
+            "print(chern3.CoverType.K3.name, [name for name in TABLES if name in sys.modules])",
+            "print(chern3.TableCheck.__module__, chern3.reproduce_table.__module__)",
             "names = {}",
             "exec('from chern3 import *', names)",
             "print(sorted(set(chern3.__all__) - set(names)), names['parse_profile'].__module__)",
@@ -888,7 +902,12 @@ class TestEntryPoint:
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == ["0 []", "K3 True", "[] chern3.quotient"]
+        assert result.stdout.splitlines() == [
+            "0 []",
+            "K3 ['chern3.quotient']",
+            "chern3.tables chern3.tables",
+            "[] chern3.quotient",
+        ]
 
     def test_unknown_package_name_raises_attribute_error(self):
         import chern3

@@ -234,14 +234,14 @@ class TestExistsIntegralBasket:
                 yield combo
 
         monkeypatch.setattr(enumeration, "combinations_with_replacement", counting)
-        enumeration._l2_rotations.cache_clear()  # each step holds its runs' choices
+        enumeration._run_choices.cache_clear()
         try:
             for _ in range(2):
                 ok, witness = exists_integral_basket(parse_index_multiset("13^30"))
                 assert ok and witness == parse_basket("(1,13)^29,(6,13)")
                 assert len(drawn) == 6
         finally:
-            enumeration._l2_rotations.cache_clear()
+            enumeration._run_choices.cache_clear()
 
     def test_empty_multiset_has_empty_witness(self):
         ok, witness = exists_integral_basket(IndexMultiset())
@@ -1162,35 +1162,6 @@ class TestWitnessRebuildOracle:
         raw, _ = _enumerate_raw(Fraction(72), INTEGRAL_L2, jobs=1)
         assert len(raw) == 28972
         assert_rebuilds_match_reference(raw[::7], 72)
-
-    def test_no_run_table_outlives_the_rotations(self, monkeypatch):
-        # a run's b-choices live on its index's step, so clearing the steps
-        # drops them: the next rebuild draws them again and reads the new
-        # steps' rotation memos
-        drawn = []
-
-        def counting(*args):
-            for combo in combinations_with_replacement(*args):
-                drawn.append(combo)
-                yield combo
-
-        monkeypatch.setattr(enumeration, "combinations_with_replacement", counting)
-        groups = parse_index_multiset("2^3,4,8^2").groups
-        counts = []
-        try:
-            for _ in range(2):
-                enumeration._l2_rotations.cache_clear()
-                assert enumeration._witness_runs(groups, 48) == reference_witness_runs(groups, 48)
-                steps = [enumeration._l2_rotations(r, 48) for r, _ in groups]
-                assert [sorted(step.runs) for step in steps] == [[3], [1], [2]]
-                assert all(rotation for step in steps for _, rotation in step)
-                counts.append(len(drawn))
-                assert enumeration._witness_runs(groups, 48) is not None
-                assert len(drawn) == counts[-1]  # the steps kept their choices
-        finally:
-            enumeration._l2_rotations.cache_clear()
-            enumeration._frame.cache_clear()
-        assert counts[0] > 0 and counts[1] == 2 * counts[0]
 
 
 class TestWitnessOverTheWalksRmax:

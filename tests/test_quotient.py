@@ -19,7 +19,7 @@ from chern3 import (
     quotient_c1c2,
 )
 from chern3.quotient import P1_BUNDLE_OVER_ABELIAN_C1C2
-from chern3.tables import quotient_scenarios
+from chern3.tables import table_rows
 
 profiles = st.lists(st.tuples(st.integers(1, 30), st.integers(1, 12)), max_size=6).map(
     SingularityProfile
@@ -64,7 +64,7 @@ class TestIndicesFromProfile:
         assert indices_from_profile(parse_profile("8A_1")) == parse_index_multiset("2^16")
 
     def test_multiplicities_always_even(self):
-        for row in quotient_scenarios(4):
+        for row in table_rows(4):
             derived = indices_from_profile(row.profile)
             assert all(mult % 2 == 0 for _, mult in derived.groups)
             assert derived.size == 2 * row.profile.size
@@ -136,36 +136,36 @@ class TestCheckScenario:
 
     def test_all_fixture_rows_pass(self):
         for table in (4, 5):
-            for row in quotient_scenarios(table):
+            for row in table_rows(table):
                 result = check_scenario(row)
                 assert result.ok, (table, row.group_label, result.failed_checks)
 
 
 class TestFixtureInvariants:
     def test_k3_rows_multiply_to_48(self):
-        for row in quotient_scenarios(4):
+        for row in table_rows(4):
             assert row.expected_c1c2 * row.group_order == 48
 
     def test_euler_sums(self):
-        for row in quotient_scenarios(4):
+        for row in table_rows(4):
             assert row.expected_c1c2 + row.expected_indices.weight == 48
-        for row in quotient_scenarios(5):
+        for row in table_rows(5):
             assert row.expected_c1c2 + row.expected_indices.weight == 24
 
     def test_weights_respect_global_bound(self):
         for table in (4, 5):
-            for row in quotient_scenarios(table):
+            for row in table_rows(table):
                 assert row.expected_indices.weight <= 48
 
     def test_row_counts(self):
-        assert len(quotient_scenarios(4)) == 15
-        assert len(quotient_scenarios(5)) == 8
+        assert len(table_rows(4)) == 15
+        assert len(table_rows(5)) == 8
 
 
 class TestDeriveEnriques:
     def test_full_derivation_matches_fixture(self):
-        derived = derive_enriques(quotient_scenarios(4))
-        expected = quotient_scenarios(5)
+        derived = derive_enriques(table_rows(4))
+        expected = table_rows(5)
         assert len(derived) == 8
         assert {row.key() for row in derived} == {row.key() for row in expected}
         # the derived rows agree on the label and the halved columns too
@@ -177,7 +177,7 @@ class TestDeriveEnriques:
             assert row.expected_c1c2 == other.expected_c1c2
 
     def test_first_row_halves(self):
-        source = next(r for r in quotient_scenarios(4) if r.group_label == "C_2")
+        source = next(r for r in table_rows(4) if r.group_label == "C_2")
         [derived] = derive_enriques([source])
         assert derived.group_order == 4
         assert derived.profile == parse_profile("4A_1")
@@ -186,7 +186,7 @@ class TestDeriveEnriques:
         assert derived.cover is CoverType.ENRIQUES
 
     def test_odd_multiplicity_rows_are_excluded(self):
-        rows = quotient_scenarios(4)
+        rows = table_rows(4)
         c7 = next(r for r in rows if r.group_label == "C_7")  # profile 3A_6
         c8 = next(r for r in rows if r.group_label == "C_8")  # profile 2A_7,A_3,A_1
         assert derive_enriques([c7]) == []
@@ -194,7 +194,7 @@ class TestDeriveEnriques:
 
     def test_rejects_non_k3_input(self):
         with pytest.raises(ValueError):
-            derive_enriques(quotient_scenarios(5))
+            derive_enriques(table_rows(5))
 
     def test_rejects_inconsistent_indices(self):
         row = QuotientScenario(
