@@ -270,18 +270,12 @@ def _cmd_bound(args) -> int:
 
 
 def _table_check_lines(check) -> list[str]:
-    lines = []
-    for row in check.missing:
-        lines.append(
-            f"  missing from enumeration: {format_index_multiset(row.indices)} "
-            f"(r_X={row.cartier_index}, c1c2={row.c1c2})"
-        )
-    for row in check.extra:
-        lines.append(
-            f"  not in fixture: {format_index_multiset(row.indices)} "
-            f"(r_X={row.cartier_index}, c1c2={row.c1c2})"
-        )
-    return lines
+    sides = (("missing from enumeration", check.missing), ("not in fixture", check.extra))
+    return [
+        f"  {side}: {format_index_multiset(row.indices)} (r_X={row.cartier_index}, c1c2={row.c1c2})"
+        for side, rows in sides
+        for row in rows
+    ]
 
 
 def _scenario_lines(result) -> list[str]:
@@ -414,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "that its witness has integral l(2), which settles l(m) at "
                         "every m; must be >= 2 (default 2)")
     p.add_argument("--include-empty", action="store_true", help="also emit the empty multiset")
-    p.add_argument("--format", choices=["csv", "jsonl", "md"], default="csv")
+    p.add_argument("--format", choices=RENDERERS, default="csv")
     p.add_argument("--output", default=None, help="write to a file instead of stdout")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers (output is identical)")
     p.add_argument("--unsafe-chi", action="store_true",
@@ -434,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kcube", type=parse_rational, default=Fraction(0),
                    help="(-K)^3 as an exact fraction (default 0)")
     p.add_argument("--n-max", type=int, default=10, help="largest n to evaluate")
-    p.add_argument("--format", choices=["csv", "jsonl", "md"], default="csv")
+    p.add_argument("--format", choices=SERIES_LINES, default="csv")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_chi_series)
 

@@ -135,27 +135,6 @@ def _fixture_fields(text: str, columns: int) -> Iterator[list[str]]:
         yield fields
 
 
-def parse_enumeration_fixture(text: str) -> tuple[TableRow, ...]:
-    return tuple(
-        TableRow(parse_index_multiset(indices), int(r_x), parse_rational(c1c2))
-        for indices, r_x, c1c2 in _fixture_fields(text, 3)
-    )
-
-
-def parse_quotient_fixture(text: str, cover: CoverType) -> tuple[QuotientScenario, ...]:
-    return tuple(
-        QuotientScenario(
-            group_label=label,
-            group_order=int(order),
-            profile=parse_profile(profile),
-            cover=cover,
-            expected_indices=parse_index_multiset(indices),
-            expected_c1c2=parse_rational(c1c2),
-        )
-        for label, order, profile, indices, c1c2 in _fixture_fields(text, 5)
-    )
-
-
 def set_diff(produced: Iterable, expected: Iterable, key: Callable) -> tuple[tuple, tuple]:
     """Items produced but not expected, and expected but not produced, each sorted by key."""
     produced, expected = set(produced), set(expected)
@@ -174,8 +153,22 @@ def table_rows(table: int, text: Optional[str] = None) -> tuple:
         raise ValueError(f"no fixture for table {table}")
     text = _FIXTURES[table] if text is None else text
     if table < 4:
-        return parse_enumeration_fixture(text)
-    return parse_quotient_fixture(text, CoverType.K3 if table == 4 else CoverType.ENRIQUES)
+        return tuple(
+            TableRow(parse_index_multiset(indices), int(r_x), parse_rational(c1c2))
+            for indices, r_x, c1c2 in _fixture_fields(text, 3)
+        )
+    cover = CoverType.K3 if table == 4 else CoverType.ENRIQUES
+    return tuple(
+        QuotientScenario(
+            group_label=label,
+            group_order=int(order),
+            profile=parse_profile(profile),
+            cover=cover,
+            expected_indices=parse_index_multiset(indices),
+            expected_c1c2=parse_rational(c1c2),
+        )
+        for label, order, profile, indices, c1c2 in _fixture_fields(text, 5)
+    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, formats, determinism, fault injection."""
 
+import argparse
 import csv
 import gc
 import hashlib
@@ -19,7 +20,6 @@ from chern3 import (
     INTEGRAL_L2,
     ChernContext,
     ChernRecord,
-    CoverType,
     EnumerationQuery,
     RecordFilter,
     c1c2_in_range,
@@ -601,7 +601,7 @@ def rational_options(parser):
     for action in parser._actions:
         if action.type is parse_rational:
             yield from action.option_strings
-        if isinstance(action.choices, dict):  # a subcommand's parsers
+        if isinstance(action, argparse._SubParsersAction):  # a subcommand's parsers
             for sub in action.choices.values():
                 yield from rational_options(sub)
 
@@ -687,9 +687,9 @@ class TestFixtureColumns:
 
     def test_parsers_name_the_expected_count(self):
         with pytest.raises(ValueError, match="^expected 3 columns, got '2\\^16 2'$"):
-            tables.parse_enumeration_fixture("2^16 2\n")
+            tables.table_rows(1, "2^16 2\n")
         with pytest.raises(ValueError, match="^expected 5 columns, got "):
-            tables.parse_quotient_fixture("C_2 2 8A_1 2^16\n", CoverType.K3)
+            tables.table_rows(4, "C_2 2 8A_1 2^16\n")
 
 
 class TestUnopenablePaths:
@@ -914,6 +914,24 @@ class TestEntryPoint:
 
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             chern3.no_such_name  # noqa: B018
+
+    def test_package_import_loads_no_module_and_lists_every_name(self):
+        # `import chern3` loads none of its modules, nor `dataclasses`; `dir`
+        # lists every public name, and `__all__` is the sorted table of them
+        code = "\n".join([
+            "import sys, chern3",
+            "print(sorted(m for m in sys.modules if m.startswith('chern3.')), 'dataclasses' in sys.modules)",
+            "print(sorted(set(chern3.__all__) - set(dir(chern3))))",
+            "names = chern3.__all__",
+            "print(names == sorted(set(names)), len(names))",
+            "from chern3 import enumeration",
+            "print(enumeration is sys.modules['chern3.enumeration'])",
+        ])
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["[] False", "[]", "True 42", "True"]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("fmt", ["csv", "jsonl", "md"])
