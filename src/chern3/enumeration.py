@@ -71,16 +71,16 @@ import gc
 import math
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, groupby, tee
-from operator import is_, itemgetter
-from typing import ClassVar, Iterator, Optional
+from operator import attrgetter, is_, itemgetter
+from typing import Iterator, Optional
 
 from .riemann_roch import (
     Basket,
     BasketPoint,
+    Frozen,
     IndexMultiset,
     c1c2_from_indices,  # noqa: F401  (perfbench/trace_cli.py times it here)
     cartier_index,  # noqa: F401  (perfbench/trace_cli.py times it here)
@@ -102,26 +102,26 @@ class NoPositiveValueError(ValueError):
     """Raised when a minimum over positive c1.c2 values is requested but none exist."""
 
 
-@dataclass(frozen=True, slots=True)
-class RecordFilter:
-    """Which enumerated records are emitted: its kind, bounds and `window` live here alone."""
+class RecordFilter(Frozen):
+    """Which enumerated records are emitted: its kind, exact bounds and `window` live here alone."""
 
-    KINDS: ClassVar[tuple[str, ...]] = ("all", "c1c2-zero", "l2-integral", "c1c2-range")
+    __slots__ = _fields = ("kind", "lo", "hi")
+    KINDS = ("all", "c1c2-zero", "l2-integral", "c1c2-range")
 
-    kind: str
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown filter kind {self.kind!r}")
-        if self.kind == "c1c2-range":
-            if self.lo is None or self.hi is None:
+    def __init__(self, kind: str, lo: Optional[Fraction] = None, hi: Optional[Fraction] = None) -> None:
+        if kind not in self.KINDS:
+            raise ValueError(f"unknown filter kind {kind!r}")
+        if kind == "c1c2-range":
+            if lo is None or hi is None:
                 raise ValueError("c1c2-range filter needs both bounds")
-            if self.lo > self.hi:
-                raise ValueError(f"empty range: {self.lo} > {self.hi}")
-        elif self.lo is not None or self.hi is not None:
-            raise ValueError(f"bounds are only meaningful for c1c2-range, not {self.kind!r}")
+            if type(lo) not in (int, Fraction) or type(hi) not in (int, Fraction):
+                raise ValueError(f"c1c2-range bounds must be ints or Fractions, got ({lo!r}, {hi!r})")
+            lo, hi = Fraction(lo), Fraction(hi)
+            if lo > hi:
+                raise ValueError(f"empty range: {lo} > {hi}")
+        elif lo is not None or hi is not None:
+            raise ValueError(f"bounds are only meaningful for c1c2-range, not {kind!r}")
+        self._set(kind, lo, hi)
 
     def window(self, scale: int, budget: int) -> range:
         """The rems in 0..budget, c1.c2 * scale as ints, that this filter keeps.
@@ -142,28 +142,25 @@ INTEGRAL_L2 = RecordFilter("l2-integral")
 
 
 def c1c2_in_range(lo: Fraction, hi: Fraction) -> RecordFilter:
-    return RecordFilter("c1c2-range", Fraction(lo), Fraction(hi))
+    return RecordFilter("c1c2-range", lo, hi)
 
 
-@dataclass(frozen=True, slots=True)
-class EnumerationQuery:
-    chi0: int
-    filter: RecordFilter = ALL
-    include_empty: bool = False
-    allow_any_chi: bool = False
+class EnumerationQuery(Frozen):
+    __slots__ = _fields = ("chi0", "filter", "include_empty", "allow_any_chi")
 
-    def __post_init__(self) -> None:
-        if self.chi0 < 0:
-            raise ValueError(f"chi0 must be non-negative, got {self.chi0}")
-        if not self.allow_any_chi and self.chi0 not in DEFAULT_CHI_DOMAIN:
-            raise ValueError(
-                f"chi0={self.chi0} is outside {{0, 1, 2}}; "
-                "set allow_any_chi to explore anyway"
-            )
+    def __init__(
+        self, chi0: int, filter: RecordFilter = ALL, include_empty=False, allow_any_chi=False
+    ) -> None:
+        if type(chi0) is not int:
+            raise ValueError(f"chi0 must be an int, got {chi0!r}")
+        if chi0 < 0:
+            raise ValueError(f"chi0 must be non-negative, got {chi0}")
+        if not allow_any_chi and chi0 not in DEFAULT_CHI_DOMAIN:
+            raise ValueError(f"chi0={chi0} is outside {{0, 1, 2}}; set allow_any_chi to explore anyway")
+        self._set(chi0, filter, include_empty, allow_any_chi)
 
 
-@dataclass(frozen=True, slots=True)
-class ChernRecord:
+class ChernRecord(Frozen):
     """One admissible index multiset together with its exact Chern data.
 
     Construction passes the fields through `check_record`, the one-item
@@ -176,21 +173,23 @@ class ChernRecord:
     until its command has freed them.
     """
 
-    indices: IndexMultiset
-    chi0: int
-    c1c2: Fraction
-    cartier_index: int
-    witness: Optional[Basket] = None
+    __slots__ = _fields = ("indices", "chi0", "c1c2", "cartier_index", "witness")
+    # `check_record` derives c1.c2 and the Cartier index from indices and chi0, so these fix it
+    _key = staticmethod(attrgetter("indices", "chi0", "witness"))
+
+    def __init__(
+        self, indices: IndexMultiset, chi0: int, c1c2: Fraction,
+        cartier_index: int, witness: Optional[Basket] = None,
+    ) -> None:
+        check_record(
+            indices.groups, chi0, c1c2.numerator, c1c2.denominator,
+            cartier_index, None if witness is None else _runs(witness),
+        )
+        self._set(indices, chi0, c1c2, cartier_index, witness)
 
     @property
     def has_integral_basket(self) -> bool:
         return self.witness is not None
-
-    def __post_init__(self) -> None:
-        check_record(
-            self.indices.groups, self.chi0, self.c1c2.numerator, self.c1c2.denominator,
-            self.cartier_index, None if self.witness is None else _runs(self.witness),
-        )
 
 
 def _runs(basket: Basket) -> _Runs:

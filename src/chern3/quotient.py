@@ -19,12 +19,11 @@ nothing verifies that the listed groups actually act on a K3 surface.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .riemann_roch import EMPTY_SYMBOL, IndexMultiset, RunMultiset
+from .riemann_roch import EMPTY_SYMBOL, Frozen, IndexMultiset, RunMultiset
 from .riemann_roch import format_index_multiset, parse_terms
 
 
@@ -49,42 +48,41 @@ class SingularityProfile(RunMultiset):
     _item, _floor = "A_n type n", 1
 
 
-@dataclass(frozen=True, slots=True)
-class QuotientScenario:
+class QuotientScenario(Frozen):
     """One classification-table row: a group with its quotient data.
 
     `group_label` is carried for display only; scenario identity is the
     arithmetic content (order, profile, cover type), see `key()`.
     """
 
-    group_label: str
-    group_order: int
-    profile: SingularityProfile
-    cover: CoverType
-    expected_indices: IndexMultiset
-    expected_c1c2: Fraction
+    __slots__ = _fields = (
+        "group_label", "group_order", "profile", "cover", "expected_indices", "expected_c1c2",
+    )
 
-    def __post_init__(self) -> None:
-        if self.group_order < 2:
-            raise ValueError(f"group order must be >= 2, got {self.group_order}")
-        object.__setattr__(self, "expected_c1c2", Fraction(self.expected_c1c2))
+    def __init__(
+        self, group_label: str, group_order: int, profile: SingularityProfile,
+        cover: CoverType, expected_indices: IndexMultiset, expected_c1c2: Fraction,
+    ) -> None:
+        if group_order < 2:
+            raise ValueError(f"group order must be >= 2, got {group_order}")
+        self._set(group_label, group_order, profile, cover, expected_indices, Fraction(expected_c1c2))
 
     def key(self) -> tuple[int, SingularityProfile, CoverType]:
         return (self.group_order, self.profile, self.cover)
 
 
-@dataclass(frozen=True, slots=True)
-class Finding:
-    check: str
-    passed: bool
-    expected: str
-    actual: str
+class Finding(Frozen):
+    __slots__ = _fields = ("check", "passed", "expected", "actual")
+
+    def __init__(self, check: str, passed: bool, expected: str, actual: str) -> None:
+        self._set(check, passed, expected, actual)
 
 
-@dataclass(frozen=True, slots=True)
-class ScenarioCheck:
-    scenario: QuotientScenario
-    findings: tuple[Finding, ...]
+class ScenarioCheck(Frozen):
+    __slots__ = _fields = ("scenario", "findings")
+
+    def __init__(self, scenario: QuotientScenario, findings: tuple[Finding, ...]) -> None:
+        self._set(scenario, findings)
 
     @property
     def ok(self) -> bool:
@@ -114,40 +112,17 @@ def check_scenario(scenario: QuotientScenario) -> ScenarioCheck:
     (b) c1.c2 = 48/|G|;
     (c) the Euler identity gives chi = 2 for a K3 cover, 1 for Enriques.
     """
-    findings = []
-
     derived = indices_from_profile(scenario.profile)
-    findings.append(
-        Finding(
-            check="indices",
-            passed=derived == scenario.expected_indices,
-            expected=format_index_multiset(scenario.expected_indices),
-            actual=format_index_multiset(derived),
-        )
-    )
-
     ratio = quotient_c1c2(scenario.group_order)
-    findings.append(
-        Finding(
-            check="c1c2",
-            passed=ratio == scenario.expected_c1c2,
-            expected=str(scenario.expected_c1c2),
-            actual=f"48/{scenario.group_order} = {ratio}",
-        )
-    )
-
     chi = (scenario.expected_c1c2 + scenario.expected_indices.weight) / 24
     wanted = EXPECTED_CHI[scenario.cover]
-    findings.append(
-        Finding(
-            check="euler",
-            passed=chi == wanted,
-            expected=str(wanted),
-            actual=str(chi),
-        )
-    )
-
-    return ScenarioCheck(scenario=scenario, findings=tuple(findings))
+    return ScenarioCheck(scenario, (
+        Finding("indices", derived == scenario.expected_indices,
+                format_index_multiset(scenario.expected_indices), format_index_multiset(derived)),
+        Finding("c1c2", ratio == scenario.expected_c1c2,
+                str(scenario.expected_c1c2), f"48/{scenario.group_order} = {ratio}"),
+        Finding("euler", chi == wanted, str(wanted), str(chi)),
+    ))
 
 
 def derive_enriques(k3_rows: Iterable[QuotientScenario]) -> list[QuotientScenario]:

@@ -22,15 +22,17 @@ drive everything downstream:
 
 Baskets, index multisets and the Du Val profiles of `chern3.quotient` share
 one run-length model, `RunMultiset`, and one text scanner, `parse_terms`.
+Every value class of the package is a `Frozen`, its one value idiom: an
+immutable record of slots whose `__init__` checks the fields it sets.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 EMPTY_SYMBOL = "∅"
@@ -56,15 +58,54 @@ def check_point(b: int, r: int) -> None:
         raise ValueError(f"b and r must be coprime, got ({b},{r})")
 
 
-@dataclass(frozen=True, slots=True)
-class BasketPoint:
+class Frozen:
+    """An immutable value of slots, equal only to values of its own class.
+
+    A subclass sets `__slots__ = _fields = (...)` and an `__init__` that checks
+    its arguments, then hands them to `_set` in field order; a pickle or a copy
+    runs that `__init__` again.  `==` and the hash read `_key`: every field, or
+    the fields a class names as fixing the rest.
+    """
+
+    __slots__ = _fields = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = cls.__dict__.get("_key") or staticmethod(attrgetter(*cls._fields))
+        cls._puts = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def _set(self, *values) -> None:
+        for put, value in zip(self._puts, values):
+            put(self, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        same = other.__class__ is self.__class__
+        return self._key(self) == other._key(other) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class BasketPoint(Frozen):
     """A virtual orbifold point of type 1/r(1, -1, b)."""
 
-    b: int
-    r: int
+    __slots__ = _fields = ("b", "r")
 
-    def __post_init__(self) -> None:
-        check_point(self.b, self.r)
+    def __init__(self, b: int, r: int) -> None:
+        check_point(b, r)
+        self._set(b, r)
 
     @classmethod
     def normalized(cls, b: int, r: int) -> "BasketPoint":
@@ -81,8 +122,7 @@ class BasketPoint:
         return (self.r, self.b) < (other.r, other.b)
 
 
-@dataclass(frozen=True, slots=True)
-class RunMultiset:
+class RunMultiset(Frozen):
     """A multiset stored as (item, multiplicity) runs, strictly ascending by item.
 
     One pass validates every run and keeps an already canonical tuple of
@@ -92,14 +132,11 @@ class RunMultiset:
     and with `_ints` take only runs of an int item and an int multiplicity.
     """
 
+    __slots__ = _fields = ("groups",)
     _item, _floor, _ints = "item", None, False
 
-    groups: tuple = ()
-
-    def __post_init__(self) -> None:
-        runs = self.canonical_runs(self.groups)
-        if runs is not self.groups:
-            object.__setattr__(self, "groups", runs)
+    def __init__(self, groups: tuple = ()) -> None:
+        self._set(self.canonical_runs(groups))
 
     @classmethod
     def canonical_runs(cls, groups) -> tuple:
@@ -176,21 +213,20 @@ class IndexMultiset(RunMultiset):
         return tuple(r for r, mult in self.groups for _ in range(mult))
 
 
-@dataclass(frozen=True, slots=True)
-class ChernContext:
+class ChernContext(Frozen):
     """chi(O_X) together with the anticanonical self-intersection (-K)^3.
 
     Neither value is checked for geometric realizability; the context is
-    just the pair of inputs Riemann-Roch needs besides the basket.
+    just the pair of inputs Riemann-Roch needs besides the basket.  chi0
+    must be an int (a bool is none), so Riemann-Roch stays exact.
     """
 
-    chi0: int
-    anticanonical_cube: Fraction = Fraction(0)
+    __slots__ = _fields = ("chi0", "anticanonical_cube")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "anticanonical_cube", Fraction(self.anticanonical_cube)
-        )
+    def __init__(self, chi0: int, anticanonical_cube: Fraction = Fraction(0)) -> None:
+        if type(chi0) is not int:
+            raise ValueError(f"chi0 must be an int, got {chi0!r}")
+        self._set(chi0, Fraction(anticanonical_cube))
 
 
 def residue(j: int, b: int, r: int) -> int:

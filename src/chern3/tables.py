@@ -22,15 +22,14 @@ derived from table 4 with table 5.  `enumerate` never imports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .enumeration import (
-    C1C2_ZERO, INTEGRAL_L2, ChernRecord, EnumerationQuery, enumerate_index_multisets,
+    C1C2_ZERO, INTEGRAL_L2, EnumerationQuery, enumerate_index_multisets,
 )
 from .quotient import CoverType, QuotientScenario, parse_profile
-from .riemann_roch import IndexMultiset, parse_index_multiset, parse_rational
+from .riemann_roch import Frozen, IndexMultiset, parse_index_multiset, parse_rational
 
 
 class TableRow(NamedTuple):
@@ -171,14 +170,14 @@ def table_rows(table: int, text: Optional[str] = None) -> tuple:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class TableCheck:
-    """Outcome of re-deriving a classification table from scratch."""
+class TableCheck(Frozen):
+    """Outcome of re-deriving a classification table from scratch: the `ChernRecord`s,
+    the fixture `TableRow`s `missing` from them and the `extra` rows not in the fixture."""
 
-    table: int
-    records: tuple[ChernRecord, ...]
-    missing: tuple[TableRow, ...]  # in the fixture, not reproduced
-    extra: tuple[TableRow, ...]  # reproduced, not in the fixture
+    __slots__ = _fields = ("table", "records", "missing", "extra")
+
+    def __init__(self, table: int, records: tuple, missing: tuple, extra: tuple) -> None:
+        self._set(table, records, missing, extra)
 
     @property
     def ok(self) -> bool:

@@ -879,6 +879,28 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
+    def test_enumerate_leaves_dataclasses_and_inspect_unimported(self):
+        # the CLI's set-up and an enumerate run load neither module, unless the
+        # stdlib modules chern3 imports load it themselves, as a baseline shows
+        code = "\n".join([
+            "import io, sys, contextlib",
+            "import argparse, bisect, fractions, functools, gc, itertools, math, operator, os, re",
+            "import stat, typing",
+            "HEAVY = {'dataclasses', 'inspect'}",
+            "base = HEAVY & set(sys.modules)",
+            "import chern3.cli",
+            "chern3.cli.build_parser()",
+            "print(sorted(HEAVY & set(sys.modules) - base))",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    code = chern3.cli.main(['enumerate', '--chi', '1', '--filter', 'l2-integral'])",
+            "print(code, sorted(HEAVY & set(sys.modules) - base))",
+        ])
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["[]", "0 []"]
+
     def test_enumerate_leaves_the_table_modules_unimported(self):
         # the CLI's set-up and an enumerate run load neither chern3.quotient
         # nor chern3.tables; the package's quotient and table-check names
