@@ -50,8 +50,12 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
 
-def _factorization(n: int) -> str:
-    """Prime factorization as '2^4 * 3^6 * 7'; '1' for n = 1."""
+def _factorization(n: int) -> Optional[str]:
+    """Prime factorization as '2^4 * 3^6 * 7'; '1' for n = 1.
+
+    Trial division stops at 10^6, so a cofactor with no factor up to there
+    is prime only below (10^6 + 1)^2; for a larger one it is None.
+    """
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
     if n == 1:
@@ -59,6 +63,8 @@ def _factorization(n: int) -> str:
     parts = []
     p = 2
     while p * p <= n:
+        if p > 10**6:
+            return None  # the cofactor n may be composite
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -263,7 +269,7 @@ def _cmd_bound(args) -> int:
     line = f"{args.max_cube} / ({args.min_positive}) = {value}"
     if value.denominator == 1:
         factors = _factorization(int(value))
-        if factors != str(value):
+        if factors not in (None, str(value)):
             line += f" = {factors}"
     print(line)
     return EXIT_OK

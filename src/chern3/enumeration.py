@@ -11,36 +11,37 @@ many multisets.  A run passes through these layers:
   (`_tasks`), each in the same pre-order.  The tasks are joined in task
   order, r0 ascending, then k0 descending, and run in its reverse
   (`_map_tasks`).  Every node the filter's walk visits meets one integer
-  range of rems (`RecordFilter.window`) once: a sibling loop ends below the
-  range's start, so a node tests its stop alone.  The empty multiset is a
-  task of its own, which `_run_task` tests.
+  range of rems (`RecordFilter.window`) once: a sibling loop ends below its
+  start, so a node, or an l(2) row, tests its stop alone.  The empty
+  multiset is a task of its own, which `_run_task` tests.
   - The l(2) walk (`_l2_rows`, `_scan`) finds the task's rows with a
-    basket with integral l(2).  A node carries its rem, its Cartier index
+    basket with integral l(2) at or above the window's start, its floor,
+    with no bound above.  A node carries its rem, its Cartier index
     and one l(2) bitmask per prime (`_prime_moduli`, `_l2_parts`,
     `_l2_rotations`); it has such a basket iff every mask holds 0.  A
     node whose subtree is walked hands it its own masks, the copy that
     `_cut` makes as it decides the subtree's cut.  The walk tests only
-    nodes that can still lead to a row at or above the window's
-    floor: a sibling loop ends where a slot lacking 0 needs more than the
-    room above the floor (`_needs`, `_stop`), a subtree is cut on the same
-    rule (`_cut`), and a subtree already walked with at least the room is
-    replayed from one memo of its rows per budget, empty for a barren one
-    (`_walked`, freed as the walk ends, and `_replay`).  It is the
-    l2-integral filter's walk.
+    nodes that can still lead to a row at or above the floor: a sibling
+    loop ends where a slot lacking 0 needs more than the room above the
+    floor (`_needs`, `_stop`), a subtree is cut on the same rule (`_cut`),
+    and a subtree already walked with at least the room is replayed from
+    one memo of its rows per budget, empty for a barren one (`_walked`,
+    freed as the walk ends, and `_replay`).  `_run_task` keeps its rows
+    in the window and rebuilds their witnesses at one site, before either
+    hand-off: they are the l2-integral filter's items.
   - The weights walk (`_weigh`) serves every other filter.  A node carries
-    its rem and Cartier index alone, with no l(2) mask; it joins the l(2)
-    walk's rows in order, by rem and then by runs, and a joined row gets
-    its witness rebuilt (`_witness`), so witnesses are rebuilt for kept
-    rows alone.  An l(2) row the join never meets raises.
-  A kept node with integral l(2) gets its witness rebuilt as integer
-  ((r, b), k) runs (`_witness_runs`), each run's rotations read from its
-  index's step (`_l2_rotations`) and its b-choices from one memo per run
-  (`_run_choices`).  A kept node's item is (head, last, rem, lcm,
-  witness): its runs as all but the last, a tuple the walk already holds
-  and shares among siblings, and the last run (r, k), one object per run
-  for the process (`_frame`'s runs table).  So a leaf builds no runs
-  tuple; head + (last,) is made only where a whole multiset is needed.
-  The empty multiset's item is ((), None, ...).
+    its rem and Cartier index alone, with no l(2) mask; it joins the kept
+    l(2) rows and their witnesses in order, by rem and then by runs, and
+    raises if it never meets one.
+  A witness is rebuilt as integer ((r, b), k) runs (`_witness_runs`),
+  each run's rotations read from its index's step (`_l2_rotations`) and
+  its b-choices from one memo per run (`_run_choices`).  A kept node's
+  item is (head, last, rem, lcm, witness): its runs as all but the last,
+  a tuple the walk already holds and shares among siblings, and the last
+  run (r, k), one object per run for the process (`_frame`'s runs
+  table).  So a leaf builds no runs tuple; head + (last,) is made only
+  where a whole multiset is needed.  The empty multiset's item is
+  ((), None, ...).
 - `_enumerate_raw`, the one driver: the tasks run, serially or in a pool,
   last first, so the l(2) walk's memo is filled at its largest rooms, and
   come back in task order (`_map_tasks`); one stable sort on rem puts
@@ -546,10 +547,11 @@ def _walked(max_weight: Fraction) -> dict:
     largest room at which the extensions of a node with those masks by
     indices >= next index were walked, and the suffixes of the rows kept
     there, in pre-order, each as (runs, weight, lcm).  A node's room is its
-    rem less the walk's floor, so a row below it is kept iff its suffix
-    weighs at most the room.  A barren subtree's suffixes are empty.  Every
-    cut is exact, so they are all the subtree's suffixes of weight <= room
-    with integral l(2).  Whether a row has integral l(2) depends on its
+    rem less the walk's floor, and the walk keeps every row with integral
+    l(2) at or above its floor, so no stop leaves a stored subtree partial:
+    a row below the node is kept iff its suffix weighs at most the room.
+    A barren subtree's suffixes are empty, and every cut is exact, so they
+    are all the subtree's suffixes of weight <= room with integral l(2).  Whether a row has integral l(2) depends on its
     masks alone, which are the key's after the suffix, and a smaller room
     walks, in the same order, the extensions of the larger one that fit it;
     so a later node with that key and no larger room, whatever its walk's
@@ -654,18 +656,18 @@ def _scan(
     rmin + 1 (`_l2_rows`).  The node's runs are head + (last,), or head
     alone when last is None.  masks holds the node's per-prime l(2) masks
     and bad counts those that lack 0; ctx is (out, rmax, weights,
-    rotations, window, needs, walked, runs), runs `_frame`'s table.  A
+    rotations, floor, needs, walked, runs), runs `_frame`'s table.  A
     visited node looks up only the slots its index moves, and a walked
     subtree gets its node's own masks, the copy `_cut` made, so no call
     writes into masks.
 
-    window runs from a floor up to the budget, so a node is kept iff it has
-    integral l(2) and its rem is at least the floor, as `_walked` needs,
-    and below window.stop, the one bound a node meets once the sibling loop
-    has passed the floor.  A node's room is its rem less the floor: a
-    sibling loop ends at `_stop`, or where the rem falls below the floor,
-    as weights grow with the index; a node's subtree is cut or replayed as
-    `_cut` says against the room, and a walked one is stored with its room.
+    A node is kept iff it has integral l(2) and its rem is at least the
+    floor, an int: the walk is bounded below only, so it keeps every such
+    row of a walked subtree, as `_walked` needs.  A node's room is its rem
+    less the floor: a sibling loop ends at `_stop`, or where the rem falls
+    below the floor, as weights grow with the index; a node's subtree is
+    cut or replayed as `_cut` says against the room, and a walked one is
+    stored with its room.
 
     A kept node's row (head, last, rem, lcm) goes to out: its runs as all
     but the last, a tuple shared with its siblings, and the last run
@@ -673,8 +675,7 @@ def _scan(
     Cartier index.  A node repeating this node's last index has this
     node's head; any other has this node's runs, built once here.
     """
-    out, rmax, weights, rotations, window, needs, walked, runs = ctx
-    floor, stop_rem = window.start, window.stop
+    out, rmax, weights, rotations, floor, needs, walked, runs = ctx
     if last is None:
         prefix, repeat, k = head, 0, 0
     else:
@@ -691,7 +692,7 @@ def _scan(
         for slot, rotation in moved:
             mask = masks[slot]
             node_bad += (mask & 1) - (rotation[mask] & 1)
-        keep = node_rem < stop_rem and not node_bad
+        keep = not node_bad
         rnext = r + once  # its extensions start here
         room = node_rem - floor
         key, below = None, ()
@@ -713,13 +714,13 @@ def _scan(
             _replay(out, node_head, node_last, node_rem, node_lcm, below, room, runs)
 
 
-def _l2_rows(max_weight: Fraction, r0: int, k0: int, window: range) -> list:
-    """The task (r0, k0)'s rows (head, last, rem, lcm) with integral l(2) and rem in window.
+def _l2_rows(max_weight: Fraction, r0: int, k0: int, floor: int) -> list:
+    """The task (r0, k0)'s rows (head, last, rem, lcm) with integral l(2) and rem >= floor.
 
     They come in the task's pre-order (`_run_task`), from `_scan` entered at
-    the head r0^k0 with the masks of r0^(k0 - 1); window runs from a floor
-    up to the budget.  The masks are the task's own; the rotation memos,
-    the need table and `_walked` are shared.
+    the head r0^k0 with the masks of r0^(k0 - 1); with no bound above, a
+    subtree stored in `_walked` is whole.  The masks are the task's own;
+    the rotation memos, the need table and `_walked` are shared.
     """
     rmax, _, budget, weights, rotations, runs = _frame(max_weight)
     masks = [1] * len(_prime_moduli(rmax))  # the empty multiset reaches 0 only
@@ -727,7 +728,7 @@ def _l2_rows(max_weight: Fraction, r0: int, k0: int, window: range) -> list:
         for _ in range(k0 - 1):
             masks[slot] = rotation[masks[slot]]
     out: list = []
-    ctx = (out, rmax, weights, rotations, window, _needs(max_weight), _walked(max_weight), runs)
+    ctx = (out, rmax, weights, rotations, floor, _needs(max_weight), _walked(max_weight), runs)
     last, lcm = (runs[r0][k0 - 1], r0) if k0 > 1 else (None, 1)
     bad = sum(not mask & 1 for mask in masks)
     _scan(ctx, masks, r0, budget - (k0 - 1) * weights[r0], (), last, lcm, bad, 1)
@@ -743,12 +744,12 @@ def _weigh(ctx, rmin: int, rem: int, head: _Groups, last, lcm: int, joins: int, 
     runs), runs `_frame`'s table, and once is as in `_scan`.  A node is
     kept iff its rem is in window: the first sibling below window.start
     ends the loop, so a node tests window.stop alone.  integral is a
-    stack of the task's rows with integral l(2) in window, the next one on
-    top, as `_l2_rows` gives them in the same pre-order, over a sentinel
-    of rem -1, and joins is the top row's rem, which this returns as the
-    walk leaves it.  A kept node that is the top row, by rem first and
-    then by runs, pops it and has its witness rebuilt as ((r, b), k) runs
-    over rmax (`_witness`); any other has none.
+    stack of the task's items with integral l(2) in window, their
+    witnesses already rebuilt (`_run_task`), the next one on top, in the
+    pre-order `_l2_rows` gives their rows in, over a sentinel of rem -1,
+    and joins is the top item's rem, which this returns as the walk leaves
+    it.  A kept node that is the top item, by rem first and then by runs,
+    pops it and takes its witness; any other has none.
 
     A kept node's item (head, last, rem, lcm, witness) goes to out, built
     as `_scan` builds its rows.
@@ -775,10 +776,8 @@ def _weigh(ctx, rmin: int, rem: int, head: _Groups, last, lcm: int, joins: int, 
             if node_rem != joins or node_last != integral[-1][1] or node_head != integral[-1][0]:
                 out.append((node_head, node_last, node_rem, node_lcm, None))
             else:
-                integral.pop()
+                out.append((node_head, node_last, node_rem, node_lcm, integral.pop()[4]))
                 joins = integral[-1][2]
-                witness = _witness(node_head + (node_last,), rmax)
-                out.append((node_head, node_last, node_rem, node_lcm, witness))
         if walk:
             joins = _weigh(ctx, r + once, node_rem, node_head, node_last, node_lcm, joins)
     return joins
@@ -797,15 +796,16 @@ def _run_task(args) -> list:
 
     They are the head r0^k0 and its extensions by indices > r0, in
     pre-order, which is lexicographic order of the expanded index sequence.
-    The l2-integral filter's items are the l(2) walk's rows (`_l2_rows`),
-    each with its witness rebuilt.  Any other filter's are the weights
-    walk's (`_weigh`), joined with the l(2) walk's rows at or above the
-    window's floor that are in the window, so witnesses are rebuilt for
-    the kept rows alone; a row the join never meets raises.  The task
-    (r0, k0) = (1, 0) is the root, the empty multiset, alone: its item is
-    ((), None, ...), the runs () with no last run, its rem is the budget,
-    its Cartier index 1 and its witness the empty basket, with l(2) = 0,
-    and it meets the task's one window of the filter here.
+    The l(2) walk (`_l2_rows`), bounded below by the window's floor alone,
+    runs for every filter: its rows below the window's stop, their
+    witnesses rebuilt here at the rebuild's one site (`_witness`), are the
+    l2-integral filter's items, and any other filter's weights walk
+    (`_weigh`) joins them, each witness to its node, so witnesses are
+    rebuilt for the kept rows alone; a row the join never meets raises.
+    The task (r0, k0) = (1, 0) is the root, the empty multiset, alone: its
+    item is ((), None, ...), the runs () with no last run, its rem is the
+    budget, its Cartier index 1 and its witness the empty basket, with
+    l(2) = 0, and it meets the task's one window of the filter here.
 
     The tasks join in task order, r0 ascending, then k0 descending
     (`_tasks`), whatever order they run in (`_map_tasks`), so a row past its
@@ -822,15 +822,14 @@ def _run_task(args) -> list:
         return [((), None, budget, 1, ())] if budget in window else []
     if budget - k0 * weights[r0] < window.start:
         return []  # the head lies below the floor, and its extensions weigh more
+    integral = [
+        (head, last, rem, lcm, _witness(head + (last,), rmax))
+        for head, last, rem, lcm in _l2_rows(max_weight, r0, k0, window.start)
+        if rem < window.stop
+    ]
     if flt.kind == "l2-integral":
-        return [
-            (head, last, rem, lcm, _witness(head + (last,), rmax))
-            for head, last, rem, lcm in _l2_rows(max_weight, r0, k0, window)
-        ]
-    integral = [((), None, -1, 0)] + [
-        row for row in _l2_rows(max_weight, r0, k0, range(window.start, budget + 1))
-        if row[2] < window.stop
-    ][::-1]
+        return integral
+    integral = [((), None, -1, 0, None)] + integral[::-1]
     out: list = []
     last, lcm = (runs[r0][k0 - 1], r0) if k0 > 1 else (None, 1)
     start = budget - (k0 - 1) * weights[r0]

@@ -749,6 +749,19 @@ class TestBoundCommand:
         assert code == 0
         assert out.strip() == "324 / (324) = 1"
 
+    @pytest.mark.parametrize(
+        "value, factors",
+        [("1000000016000000063", ""), ("2000000000078", " = 2 * 1000000000039")],
+        ids=["semiprime", "prime-cofactor"],
+    )
+    def test_large_value_factors_only_when_proven(self, value, factors):
+        # trial division stops at 10^6: the cofactor of (10^9 + 7)(10^9 + 9)
+        # is then not known to be prime, so no factorization is printed; the
+        # prime 10^12 + 39 is below (10^6 + 1)^2, so it is proven
+        code, out, _ = run_cli("bound", "--max-cube", value, "--min-positive", "1")
+        assert code == 0
+        assert out == f"{value} / (1) = {value}{factors}\n"
+
     def test_non_positive_rejected(self):
         code, _, err = run_cli("bound", "--min-positive", "0")
         assert code == 2

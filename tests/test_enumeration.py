@@ -601,21 +601,47 @@ class TestEnumerate:
         assert decided
         assert set(decided) <= {rec.indices for rec in records}
 
-    def test_walk_hands_over_only_integral_multisets(self, monkeypatch):
+    @pytest.mark.parametrize("chi0", [1, 2])
+    @pytest.mark.parametrize(
+        "flt", EVERY_FILTER_KIND, ids=lambda f: f.kind if f.lo is None else f"{f.kind}-{f.lo}-{f.hi}"
+    )
+    def test_walk_hands_over_only_integral_multisets(self, monkeypatch, flt, chi0):
         # the walk runs the same l(2) DP as the witness rebuild, so every
-        # multiset it hands over has an integral basket
+        # multiset it hands over has an integral basket; the rebuild has one
+        # site, before either hand-off, so each kept row is rebuilt once
         outcomes = []
         real = enumeration._witness_runs
 
         def recording(groups, rmax):
             runs = real(groups, rmax)
-            outcomes.append(runs is not None)
+            outcomes.append((groups, runs is not None))
             return runs
 
         monkeypatch.setattr(enumeration, "_witness_runs", recording)
-        records = enumerate_index_multisets(EnumerationQuery(chi0=1))
-        assert all(outcomes)
-        assert len(outcomes) == sum(rec.has_integral_basket for rec in records) == 40
+        if chi0 == 1:
+            records = enumerate_index_multisets(EnumerationQuery(chi0=1, filter=flt))
+            kept = [rec.indices.groups for rec in records if rec.has_integral_basket]
+        else:  # the χ = 2 rows, without their records
+            raw, _ = _enumerate_raw(Fraction(48), flt, jobs=1)
+            kept = [head + (last,) for head, last, *_, witness in raw if witness is not None]
+        assert all(ok for _, ok in outcomes)
+        assert len(set(kept)) == len(kept)
+        assert sorted(groups for groups, _ in outcomes) == sorted(kept)
+        if flt.kind in ("all", "l2-integral"):
+            assert len(kept) == {1: 40, 2: 1399}[chi0]
+
+    @pytest.mark.parametrize("flt", [INTEGRAL_L2, ALL], ids=["l2-integral", "all"])
+    def test_a_rebuilt_witness_of_another_multiset_raises(self, monkeypatch, flt):
+        # both hand-offs take the witness from the one rebuild site, and the
+        # record rules check it against the row's own runs
+        real = enumeration._witness
+
+        def other(runs, rmax):
+            return real(((3, 3),) if runs == ((2, 4),) else ((2, 4),), rmax)
+
+        monkeypatch.setattr(enumeration, "_witness", other)
+        with pytest.raises(ValueError, match="witness does not project onto the index multiset"):
+            checked_lines(EnumerationQuery(chi0=1, filter=flt), cli.RENDERERS["csv"])
 
     @pytest.mark.parametrize("chi0", [0, 1])
     def test_walk_carries_cartier_index(self, chi0):
@@ -674,15 +700,40 @@ class RecordingStop:
         return rem < self.stop
 
 
+class RecordingFloor(int):
+    """A window's floor that records the node and c1c2 of each rem the l(2) walk passes it with.
+
+    The l(2) walk tests a node's rem as rem < floor, which for an int rem
+    falls first to this subclass's reflected `__gt__`; only a test made in
+    `_scan`'s own frame that the rem passes is a node's, and is recorded.
+    """
+
+    def __new__(cls, floor, record):
+        self = super().__new__(cls, floor)
+        self.record = record
+        return self
+
+    def __gt__(self, rem):
+        below = rem < int(self)
+        frame = sys._getframe(1)
+        if not below and frame.f_code.co_name == "_scan":
+            self.record(frame, rem)
+        return below
+
+
 class RecordingWindow:
     """A filter's window that records the node and c1c2 of each rem tested against it.
 
-    The walks test its stop (`RecordingStop`), and `_run_task` tests the
-    root's rem for membership.
+    The weights walk tests its stop (`RecordingStop`), the l2-integral
+    filter's own walk, the l(2) walk, its floor (`RecordingFloor`), and
+    `_run_task` tests the root's rem for membership.  The l(2) walk that
+    another filter's weights walk joins is not that filter's walk, so its
+    floor records nothing.
     """
 
-    def __init__(self, window, scale, nodes, values):
-        self.window, self.start, self.scale = window, window.start, scale
+    def __init__(self, window, scale, nodes, values, floor=False):
+        self.window, self.scale = window, scale
+        self.start = RecordingFloor(window.start, self.record) if floor else window.start
         self.stop = RecordingStop(window.stop, self.record)
         self.nodes, self.values = nodes, values
 
@@ -700,7 +751,8 @@ def record_windows(monkeypatch, nodes, values):
     real = RecordFilter.window
 
     def window(self, scale, budget):
-        return RecordingWindow(real(self, scale, budget), scale, nodes, values)
+        return RecordingWindow(
+            real(self, scale, budget), scale, nodes, values, self.kind == "l2-integral")
 
     monkeypatch.setattr(RecordFilter, "window", window)
 
@@ -711,8 +763,8 @@ class TestFilterOncePerNode:
     # counts are pinned at --jobs 1 with the walked-subtree memo cleared.  In
     # the windows [23, 24] and [24, 48] every node lies below the floor; the
     # window [-1, -1/3] holds no rem, and its walk keeps no row.  Only the
-    # filter's own walk tests its window: the l(2) walk that every other
-    # filter's weights walk joins tests a range of its own.
+    # filter's own walk is recorded: the l(2) walk that every other
+    # filter's weights walk joins tests the same floor, unrecorded.
     FILTERS = EVERY_FILTER_KIND + [c1c2_in_range(-1, Fraction(-1, 3))]
     WALKED = dict(zip(FILTERS, [2151, 2151, 434, 2151, 0, 0, 2151]))
 
@@ -770,7 +822,7 @@ class TestFilterOncePerNode:
     )
     def test_no_walk_of_a_range_tests_a_node_below_its_floor(self, monkeypatch, lo, hi, tested):
         # the weights walk tests the filter's window, and the l(2) walk it
-        # joins tests its own range, which each `_scan` call's ctx gets
+        # joins tests the window's floor, which each `_scan` call's ctx gets
         # recorded in; tested pins both counts, as the l(2) walk's sibling
         # loops end and its subtrees are cut against the room above the floor
         every = enumerate_index_multisets(EnumerationQuery(chi0=1))
@@ -779,9 +831,12 @@ class TestFilterOncePerNode:
         record_windows(monkeypatch, [], weighed)
         real = enumeration._scan
 
+        def record(frame, rem):
+            scanned.append(Fraction(rem, scale))
+
         def scan(ctx, *args):
-            if not isinstance(ctx[4], RecordingWindow):
-                ctx = (*ctx[:4], RecordingWindow(ctx[4], scale, [], scanned), *ctx[5:])
+            if not isinstance(ctx[4], RecordingFloor):
+                ctx = (*ctx[:4], RecordingFloor(ctx[4], record), *ctx[5:])
             real(ctx, *args)
 
         monkeypatch.setattr(enumeration, "_scan", scan)
