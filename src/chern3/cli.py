@@ -8,9 +8,9 @@ byte-deterministic for a given query and never decimalize fractions; the
 markdown format adds a decimal column that is explicitly approximate.
 `enumerate` writes the lines of `enumeration.checked_lines` without
 building records: the walk's one driver runs its tasks, with `--jobs N`
-in N worker processes, each checking its rows and rendering them with
-the format's renderer (`RENDERERS`), and this process only writes the
-lines in the order the driver gives them.  `_emit_records` puts the
+in N processes, this one included, each task checking its rows and
+rendering them with the format's renderer (`RENDERERS`), and this process
+writes the lines in the order the driver gives them.  `_emit_records` puts the
 library's records through the same renderers and writer, and gives the
 same bytes.  One writer, `_write_lines`, prints the tables of both
 `enumerate` and `chi-series` in every format, and one helper,
@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-empty", action="store_true", help="also emit the empty multiset")
     p.add_argument("--format", choices=RENDERERS, default="csv")
     p.add_argument("--output", default=None, help="write to a file instead of stdout")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (output is identical)")
+    p.add_argument("--jobs", type=int, default=1, help="processes, this one included (output is identical)")
     p.add_argument("--unsafe-chi", action="store_true",
                    help="allow chi outside {0, 1, 2} for exploration")
     p.set_defaults(func=_cmd_enumerate)

@@ -42,10 +42,11 @@ many multisets.  A run passes through these layers:
   table).  So a leaf builds no runs tuple; head + (last,) is made only
   where a whole multiset is needed.  The empty multiset's item is
   ((), None, ...).
-- `_enumerate_raw`, the one driver: the tasks run, serially or in a pool,
-  last first, so the l(2) walk's memo is filled at its largest rooms, and
-  come back in task order (`_map_tasks`); one stable sort on rem puts
-  their rows in canonical order.
+- `_enumerate_raw`, the one driver: the tasks run last first, so the l(2)
+  walk's memo is filled at its largest rooms, in this process alone or in
+  it and helper processes that take them from one queue and send their
+  results once, and come back in task order (`_map_tasks`); one stable
+  sort on rem puts their rows in canonical order.
 - `_checked_rows`, the one generator that owns the record rules, the
   witness's (`_check_witness`) among them, which every row and every
   record passes: it steps each row from its head's state, which it looks
@@ -58,7 +59,7 @@ many multisets.  A run passes through these layers:
   the tasks, run as the driver runs them, and `min_positive_c1c2` builds
   records only for the attaining rows.
   `checked_lines` has the driver check and render each task's rows in one
-  pass inside the task, so a pool's workers send back text: `_checked_rows`
+  pass inside the task, so a helper process sends back text: `_checked_rows`
   makes each item a flat row, c1.c2's text reduced over the row's own
   Cartier index, and one renderer per format writes each row as one line.
 
@@ -93,7 +94,7 @@ from .riemann_roch import (
 
 DEFAULT_CHI_DOMAIN = (0, 1, 2)
 
-# run-length multiset as used in tree nodes and worker results
+# run-length multiset as used in tree nodes and task results
 _Groups = tuple[tuple[int, int], ...]
 # a witness as ((r, b), k) runs, strictly ascending by (r, b)
 _Runs = tuple[tuple[tuple[int, int], int], ...]
@@ -562,8 +563,8 @@ def _walked(max_weight: Fraction) -> dict:
     the order decides only how often a key is walked again, at a larger
     room, which is why the tasks run last first (`_map_tasks`).  The memo
     lives until the walk that filled it ends: `_map_tasks`, which runs
-    every walk, clears it then, whether the walk ran in this process or in
-    a pool whose workers each kept their own.
+    every walk, clears it then, whether the walk ran in this process alone
+    or with helper processes that each kept their own.
     """
     return {}
 
@@ -857,7 +858,7 @@ def _tasks(max_weight: Fraction, flt: RecordFilter, include_empty: bool = False)
 
 
 def _map_tasks(fn, tasks: list, jobs: int) -> list:
-    """fn over the tasks, run last first, with `jobs` processes; results in task order.
+    """fn over the tasks, run last first, with `jobs` processes, this one included; results in task order.
 
     Every walk runs its tasks here, and last first, for the l(2) walk's memo
     of walked subtrees (`_walked`): a key is walked again whenever a node
@@ -865,34 +866,77 @@ def _map_tasks(fn, tasks: list, jobs: int) -> list:
     last first a key is usually met first near the top of a light task,
     where it has the most room it will get.  At chi = 2 that walks 1,936
     subtrees for the 1,238 keys, where task order walks 3,097.  What a task
-    returns does not depend on the order (`_walked`), so the results are
-    put back in task order, which is what the callers join or fold.
+    returns does not depend on the order (`_walked`), so each result is put
+    at its task's index, which is what the callers join or fold.
 
-    A pool hands the tasks out one at a time: the (2, k0) tasks hold 78 %
-    of the chi = 2 census's rows, and the default chunking (21 tasks each)
-    gave most of them to one worker.  Run last first, the r0 >= 3 tasks go
-    out first, then (2, 1), (2, 2), ... from the largest to the smallest.
-    Every worker has exited before this returns, and the memo of walked
-    subtrees is freed, whether the tasks ran or raised.  fn and the tasks
+    With jobs >= 2 this process and jobs - 1 helpers (`_help`) take task
+    indices, last first, from one queue, filled once the helpers have
+    started; each helper sends its results, or its error, once, through its
+    own pipe, and they are placed after this process's own tasks run out.
+    An error raised here or in a helper is raised unchanged, and a helper
+    that exits without sending raises a RuntimeError.  Every helper has
+    exited before this returns, and the memo of walked subtrees is freed,
+    whether the tasks ran or raised.  Except under fork, fn and the tasks
     are pickled, fn by name (a partial by its function's name).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    tasks = tasks[::-1]
+    results: list = [None] * len(tasks)
+    order = reversed(range(len(tasks)))
+    helpers: list = []
     try:
-        if jobs == 1 or len(tasks) < 2:
-            results = [fn(task) for task in tasks]
-        else:
-            import multiprocessing  # only a pool needs it, so a serial run never imports it
+        if jobs > 1 and len(tasks) > 1:
+            import multiprocessing  # only helpers need it, so a serial run never imports it
 
-            with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-                results = pool.map(fn, tasks, chunksize=1)
-                pool.close()
-                pool.join()
+            queue = multiprocessing.SimpleQueue()
+            for _ in range(min(jobs, len(tasks)) - 1):
+                receive, send = multiprocessing.Pipe(duplex=False)
+                helper = multiprocessing.Process(target=_help, args=(fn, tasks, queue, send), daemon=True)
+                helper.start()
+                helpers.append((helper, receive))
+                send.close()  # so a helper that exits unsent ends its pipe
+            for i in order:
+                queue.put(i)
+            for _ in range(len(helpers) + 1):
+                queue.put(None)
+            order = iter(queue.get, None)
+        for i in order:
+            results[i] = fn(tasks[i])
+        for helper, receive in helpers:
+            try:
+                sent = receive.recv()
+            except EOFError:
+                helper.join()
+                raise RuntimeError(
+                    f"helper {helper.name} exited with code {helper.exitcode} before sending its results"
+                ) from None
+            if isinstance(sent, BaseException):
+                raise sent
+            for i, result in sent:
+                results[i] = result
+    except BaseException:
+        for helper, _ in helpers:
+            helper.terminate()
+        raise
     finally:
+        for helper, receive in helpers:
+            helper.join()
+            receive.close()
         _walked.cache_clear()
-    results.reverse()
     return results
+
+
+def _help(fn, tasks: list, queue, send) -> None:
+    """A helper process of `_map_tasks`: fn over the tasks whose indices it takes, to the sentinel None.
+
+    It sends its (index, result) pairs, or its error, once, at the end.
+    """
+    try:
+        sent = [(i, fn(tasks[i])) for i in iter(queue.get, None)]
+    except Exception as exc:
+        sent = exc
+    send.send(sent)
+    send.close()
 
 
 def _part(finish, task) -> tuple[list[int], object]:
@@ -916,9 +960,9 @@ def _enumerate_raw(
     as for the empty multiset (`_run_task`).  With include_empty
     the empty multiset is one more task (`_tasks`).
     With finish, each task turns its items into text (`_part`) and the
-    rows are that text's lines, without their newlines; in a pool, finish
-    is pickled by name, so it is a module-level function or a partial of
-    one.  Canonical is weight ascending (rem descending), then
+    rows are that text's lines, without their newlines; for helper
+    processes, finish is pickled by name, so it is a module-level function
+    or a partial of one.  Canonical is weight ascending (rem descending), then
     lexicographic on the expanded index sequence, the order the joined
     parts have among equal rems (`_run_task`) and the stable sort keeps; so
     it never depends on task scheduling.
@@ -1097,8 +1141,8 @@ def checked_lines(query: EnumerationQuery, render, jobs: int = 1) -> list[str]:
     other newline.  Each walk task checks its rows in one `_checked_rows`
     loop, the rules' one home, which `check_record` runs for each record,
     so a row is checked exactly as its record would be, and renders them; with
-    `jobs` > 1 the tasks run in worker processes, so render must be a
-    module-level function, pickled by name.  The parent only splits the
+    `jobs` > 1 the tasks run in helper processes too, so render must be a
+    module-level function, pickled by name.  `_enumerate_raw` then splits the
     texts at newlines and orders the lines.  Returns the lines, without
     their newlines, in the records' order.
     """

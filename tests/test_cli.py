@@ -8,8 +8,10 @@ import io
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -269,21 +271,21 @@ class TestRowPath:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl", "md"])
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-    def test_renderers_reach_fresh_workers(self, monkeypatch, method, fmt):
+    def test_renderers_reach_fresh_workers(self, start_method, method, fmt):
         # workers that import the package afresh receive the renderer by name
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method on this platform")
         serial = run_cli("enumerate", "--chi", "1", "--format", fmt)
-        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
+        start_method(method)
         assert run_cli("enumerate", "--chi", "1", "--format", fmt, "--jobs", "2") == serial
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-    def test_integral_walk_in_fresh_workers(self, monkeypatch, method):
+    def test_integral_walk_in_fresh_workers(self, start_method, method):
         # workers that import the package afresh build their own cuts
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method on this platform")
         argv = ("enumerate", "--chi", "2", "--filter", "l2-integral")
-        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
+        start_method(method)
         code, out, err = run_cli(*argv, "--jobs", "2")
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
@@ -351,8 +353,39 @@ def test_jsonl_lines_match_json_dumps(query):
         assert '{"indices":"\\u2205",' in expected
 
 
+def patch_a_helper(monkeypatch, tmp_path, helper_items, main_items=lambda items: items):
+    """Patch the walk so that a helper process runs the task (2, 16), whose items become helper_items(items).
+
+    The main process's first task waits, for at most 30 s, until a helper
+    starts (2, 16) and writes a marker file.  So the main process holds that
+    one task while the helpers take the rest, run last first, up to (2, 16),
+    the chi = 1 census's last; then the main task's items become
+    main_items(items).  The patched walk reaches the helpers only by fork.
+    """
+    parent, real, marker = os.getpid(), enumeration._run_task, tmp_path / "helper-started"
+    waited = []
+
+    def patched(task):
+        if os.getpid() != parent:
+            if task[2:] != (2, 16):
+                return real(task)
+            marker.touch()
+            return helper_items(real(task))
+        if waited:
+            return real(task)
+        waited.append(task)
+        deadline = time.monotonic() + 30
+        while not marker.exists():
+            if time.monotonic() > deadline:
+                pytest.fail("no helper started the task (2, 16) within 30 s")
+            time.sleep(0.005)
+        return main_items(real(task))
+
+    monkeypatch.setattr(enumeration, "_run_task", patched)
+
+
 class TestWorkerMutants:
-    """A bad raw item made inside a pool worker exits 2 and keeps an earlier --output."""
+    """A bad raw item made inside a helper process exits 2 and keeps an earlier --output."""
 
     @pytest.mark.parametrize(
         "mutate, message",
@@ -363,27 +396,64 @@ class TestWorkerMutants:
         ],
         ids=["rem", "lcm", "other-witness"],
     )
-    def test_bad_item_in_a_worker_exits_2(self, tmp_path, monkeypatch, mutate, message):
+    def test_bad_item_in_a_worker_exits_2(self, tmp_path, monkeypatch, start_method, mutate, message):
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("the patched walk reaches the workers only by fork")
-        parent, real = os.getpid(), enumeration._run_task
 
-        def corrupted(task):
-            items = real(task)
-            # the task (2, 16) emits its head 2^16; only a worker corrupts it
-            if os.getpid() != parent and task[2:] == (2, 16):
-                i = next(i for i, item in enumerate(items) if item[:2] == ((), (2, 16)))
-                items[i] = mutate(*items[i])
+        def corrupted(items):
+            # the task (2, 16) emits its head 2^16; only a helper corrupts it
+            i = next(i for i, item in enumerate(items) if item[:2] == ((), (2, 16)))
+            items[i] = mutate(*items[i])
             return items
 
-        monkeypatch.setattr(enumeration, "_run_task", corrupted)
-        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
+        patch_a_helper(monkeypatch, tmp_path, corrupted)
+        start_method("fork")
         path = tmp_path / "census.csv"
         path.write_bytes(b"earlier output\n")
         code, out, err = run_cli("enumerate", "--chi", "1", "--jobs", "2", "--output", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
         assert path.read_bytes() == b"earlier output\n"
+
+    def test_a_helper_that_dies_raises_instead_of_hanging(self, tmp_path, monkeypatch, start_method):
+        # the helper exits mid-task without sending its results; the main
+        # process's end of its pipe is the only one left, so it reads EOF
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the patched walk reaches the helpers only by fork")
+        patch_a_helper(monkeypatch, tmp_path, lambda items: os._exit(1))
+        start_method("fork")
+
+        def hung(signum, frame):
+            pytest.fail("the main process still waited for the dead helper after 60 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError) as raised:
+                enumeration.checked_lines(EnumerationQuery(chi0=1), cli._render_csv, jobs=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert str(raised.value).startswith("helper ")
+        assert str(raised.value).endswith(" exited with code 1 before sending its results")
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_in_the_main_process_stops_the_helpers(self, tmp_path, monkeypatch, start_method):
+        # the main process's own task raises while a helper has yet to send its results
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the patched walk reaches the helpers only by fork")
+
+        def bad(items):
+            raise ValueError("a bad row in the main process")
+
+        patch_a_helper(monkeypatch, tmp_path, lambda items: items, bad)
+        start_method("fork")
+        path = tmp_path / "census.csv"
+        path.write_bytes(b"earlier output\n")
+        code, out, err = run_cli("enumerate", "--chi", "1", "--jobs", "2", "--output", str(path))
+        assert (code, out, err) == (2, "", "error: a bad row in the main process\n")
+        assert path.read_bytes() == b"earlier output\n"
+        assert multiprocessing.active_children() == []
 
 
 class TestChiSeriesCommand:

@@ -524,13 +524,13 @@ class TestEnumerate:
         assert serial == parallel
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-    def test_jobs_under_fresh_import_start_methods(self, monkeypatch, method):
-        # macOS starts pool workers with spawn and Python 3.14 on Linux with
-        # forkserver: the workers import the package afresh
+    def test_jobs_under_fresh_import_start_methods(self, start_method, method):
+        # macOS starts helper processes with spawn and Python 3.14 on Linux
+        # with forkserver: the helpers import the package afresh
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method on this platform")
         serial = enumerate_index_multisets(EnumerationQuery(chi0=1))
-        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
+        start_method(method)
         assert enumerate_index_multisets(EnumerationQuery(chi0=1), jobs=2) == serial
 
     def test_root_task_in_a_pool(self):
