@@ -10,9 +10,9 @@ markdown format adds a decimal column that is explicitly approximate.
 building records: the walk's one driver runs its tasks, with `--jobs N`
 in N processes, this one included, each task checking its rows and
 rendering them with the format's renderer (`RENDERERS`), and this process
-writes the lines in the order the driver gives them.  `_emit_records` puts the
-library's records through the same renderers and writer, and gives the
-same bytes.  One writer, `_write_lines`, prints the tables of both
+writes the lines in the order the driver gives them.  The library's
+records pass the same per-task check, so they hold the same values.
+One writer, `_write_lines`, prints the tables of both
 `enumerate` and `chi-series` in every format, and one helper,
 `_write_output`, owns `--output` for both.  The table and quotient modules
 are imported where their commands run, so `enumerate` never loads them.
@@ -26,20 +26,14 @@ import stat
 import sys
 from contextlib import nullcontext, suppress
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import enumeration
-from .enumeration import (
-    ChernRecord,
-    EnumerationQuery,
-    NoPositiveValueError,
-    RecordFilter,
-)
+from .enumeration import EnumerationQuery, NoPositiveValueError, RecordFilter
 from .riemann_roch import (
     EMPTY_SYMBOL,
     ChernContext,
     chi_series,
-    format_basket,
     format_index_multiset,
     parse_basket,
     parse_rational,
@@ -190,35 +184,6 @@ def _write_output(args, header: Sequence[str], make_lines) -> None:
         raise
 
 
-def _record_row(rec: ChernRecord) -> tuple:
-    """A record as the flat row that `enumeration._checked_rows` makes of its item."""
-    # a record's c1.c2 has a denominator dividing its Cartier index
-    r_x, c1c2 = rec.cartier_index, rec.c1c2
-    return (
-        format_index_multiset(rec.indices),
-        r_x,
-        str(c1c2),
-        "true" if rec.has_integral_basket else "false",
-        format_basket(rec.witness) if rec.witness is not None else "",
-        c1c2.numerator * (r_x // c1c2.denominator),
-    )
-
-
-def _emit_records(records: Iterable[ChernRecord], fmt: str, stream) -> None:
-    """Write library records as `enumerate` writes its rows: the rows' reference."""
-    text = RENDERERS[fmt](map(_record_row, records))
-    _write_lines(text.split("\n")[:-1], fmt, stream, MD_HEADER)
-
-
-def _build_filter(args) -> RecordFilter:
-    if args.filter == "c1c2-range":
-        if args.lo is None or args.hi is None:
-            raise ValueError("--filter c1c2-range requires both --lo and --hi")
-    elif args.lo is not None or args.hi is not None:
-        raise ValueError("--lo/--hi are only meaningful with --filter c1c2-range")
-    return RecordFilter(args.filter, args.lo, args.hi)
-
-
 def _cmd_enumerate(args) -> int:
     if args.depth < 2:
         raise ValueError(f"integrality depth must be >= 2, got {args.depth}")
@@ -226,7 +191,7 @@ def _cmd_enumerate(args) -> int:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     query = EnumerationQuery(
         chi0=args.chi,
-        filter=_build_filter(args),
+        filter=RecordFilter(args.filter, args.lo, args.hi),
         include_empty=args.include_empty,
         allow_any_chi=args.unsafe_chi,
     )

@@ -48,20 +48,21 @@ many multisets.  A run passes through these layers:
   results once, and come back in task order (`_map_tasks`); one stable
   sort on rem puts their rows in canonical order.
 - `_checked_rows`, the one generator that owns the record rules, the
-  witness's (`_check_witness`) among them, which every row and every
-  record passes: it steps each row from its head's state, which it looks
-  up (`_Heads`) only when the head is not the previous row's head object,
-  with its last run's facts, made once per run (`_run`), and yields the
-  row's flat record.  `check_record` is its one-item input, which every
-  `ChernRecord` passes.
-- `enumerate_index_multisets` turns the rows into `ChernRecord`s with
-  `Basket` witnesses; `min_positive_c1c2` and `count_candidates` fold over
-  the tasks, run as the driver runs them, and `min_positive_c1c2` builds
-  records only for the attaining rows.
-  `checked_lines` has the driver check and render each task's rows in one
-  pass inside the task, so a helper process sends back text: `_checked_rows`
-  makes each item a flat row, c1.c2's text reduced over the row's own
-  Cartier index, and one renderer per format writes each row as one line.
+  witness's (`_check_witness`) among them: it steps each row from its
+  head's state, which it looks up (`_Heads`) only when the head is not the
+  previous row's head object, with its last run's facts, made once per run
+  (`_run`), and yields the row's flat record.  Each walk task runs it once
+  over its items (`_checked_part`), with one head memo: `checked_lines`
+  renders the rows there, one renderer per format writing each row as one
+  line, c1.c2's text reduced over the row's own Cartier index, so a helper
+  process sends back text; `enumerate_index_multisets` keeps the items,
+  each with its row's c1.c2 over its own Cartier index.  `check_record` is
+  its one-item input, which the public `ChernRecord(...)` passes.
+- `enumerate_index_multisets` builds its records from the checked items
+  (`ChernRecord._checked`), with `Basket` witnesses, and does not check
+  them again; `min_positive_c1c2` and `count_candidates` fold over the
+  tasks, run as the driver runs them, and `min_positive_c1c2` checks and
+  builds records only for the attaining rows.
 
 The walk and the record build leave no reference cycle and run with the
 cyclic garbage collector paused (`collector_paused`).
@@ -105,7 +106,7 @@ class NoPositiveValueError(ValueError):
 
 
 class RecordFilter(Frozen):
-    """Which enumerated records are emitted: its kind, exact bounds and `window` live here alone."""
+    """Which records are emitted: its kind, bounds (the CLI's --lo/--hi) and `window` live here alone."""
 
     __slots__ = _fields = ("kind", "lo", "hi")
     KINDS = ("all", "c1c2-zero", "l2-integral", "c1c2-range")
@@ -115,14 +116,14 @@ class RecordFilter(Frozen):
             raise ValueError(f"unknown filter kind {kind!r}")
         if kind == "c1c2-range":
             if lo is None or hi is None:
-                raise ValueError("c1c2-range filter needs both bounds")
+                raise ValueError("c1c2-range filter needs both bounds, --lo and --hi")
             if type(lo) not in (int, Fraction) or type(hi) not in (int, Fraction):
                 raise ValueError(f"c1c2-range bounds must be ints or Fractions, got ({lo!r}, {hi!r})")
             lo, hi = Fraction(lo), Fraction(hi)
             if lo > hi:
                 raise ValueError(f"empty range: {lo} > {hi}")
         elif lo is not None or hi is not None:
-            raise ValueError(f"bounds are only meaningful for c1c2-range, not {kind!r}")
+            raise ValueError(f"bounds --lo/--hi are only meaningful for c1c2-range, not {kind!r}")
         self._set(kind, lo, hi)
 
     def window(self, scale: int, budget: int) -> range:
@@ -165,10 +166,12 @@ class EnumerationQuery(Frozen):
 class ChernRecord(Frozen):
     """One admissible index multiset together with its exact Chern data.
 
-    Construction passes the fields through `check_record`, the one-item
-    input of the record rules' home (`_checked_rows`), which re-derives
-    c1.c2 and the Cartier index from the multiset and re-checks the
-    witness, as runs, so a record that exists is consistent.
+    `ChernRecord(...)` passes the fields through `check_record`, the
+    one-item input of the record rules' home (`_checked_rows`), which
+    re-derives c1.c2 and the Cartier index from the multiset and re-checks
+    the witness, as runs, so a record that exists is consistent.  The
+    library builds its records from items that `_checked_rows` has already
+    passed, once each, in the walk task that found them (`_checked`).
     `has_integral_basket` is read from the witness, which must have
     integral l(m) for every m >= 2.  Records are built with the cyclic
     collector paused by the enumerator, and `cli.main` keeps it paused
@@ -189,10 +192,27 @@ class ChernRecord(Frozen):
         )
         self._set(indices, chi0, c1c2, cartier_index, witness)
 
+    @classmethod
+    def _checked(cls, item: tuple, chi0: int) -> ChernRecord:
+        """The record of a checked item (head, last, scaled, lcm, witness runs) (`_checked_part`).
+
+        Its row is not checked again; a pickle or a copy runs `__init__`, and so the check.
+        """
+        head, last, scaled, lcm, witness = item
+        record = cls.__new__(cls)
+        basket = None if witness is None else _basket(witness)
+        record._set(IndexMultiset(_whole(head, last)), chi0, Fraction(scaled, lcm), lcm, basket)
+        return record
+
     @property
     def has_integral_basket(self) -> bool:
         return self.witness is not None
 
+
+# the private constructor, bound once, so the library builds its records even
+# where the module's `ChernRecord` is replaced by a wrapper, as
+# perfbench/trace_cli.py replaces it to time the public constructor
+_checked_record = ChernRecord._checked
 
 def _runs(basket: Basket) -> _Runs:
     """A basket's witness runs ((r, b), k)."""
@@ -291,8 +311,8 @@ def check_record(
 ) -> tuple[str, int]:
     """Raise ValueError unless these are the fields of a consistent record; else (text, scaled).
 
-    The record rules, which `ChernRecord` and `checked_lines` both apply,
-    have one home, `_checked_rows`; this is its one-item input, the runs
+    The record rules, which every record and every row passes, have one
+    home, `_checked_rows`; this is its one-item input, the runs
     as a head with no last run, which a fresh head memo derives from
     scratch.  The text is the runs as `format_index_multiset` prints them,
     and scaled is c1.c2 * lcm, an int, so num/den = scaled/lcm once the
@@ -943,9 +963,8 @@ def _part(finish, task) -> tuple[list[int], object]:
     """A task's part: the rems of its items in walk order, and the items or their text.
 
     The items are (head, last, rem, lcm, witness) (`_run_task`).  With finish
-    they become finish(items), one text with one newline-terminated line
-    per item, in the same order; `checked_lines`' finish checks them in one
-    `_checked_rows` loop, whose head memo lives for that one task.
+    they become finish(items): the items, checked, or one text with one
+    newline-terminated line per item, in the same order (`_checked_part`).
     """
     items = _run_task(task)
     return list(map(itemgetter(2), items)), items if finish is None else finish(items)
@@ -959,8 +978,9 @@ def _enumerate_raw(
     An item's runs are head + (last,), or head alone when last is None,
     as for the empty multiset (`_run_task`).  With include_empty
     the empty multiset is one more task (`_tasks`).
-    With finish, each task turns its items into text (`_part`) and the
-    rows are that text's lines, without their newlines; for helper
+    With finish, each task checks its items (`_part`), and the rows are
+    the checked items or, when finish returns text, that text's lines,
+    without their newlines; for helper
     processes, finish is pickled by name, so it is a module-level function
     or a partial of one.  Canonical is weight ascending (rem descending), then
     lexicographic on the expanded index sequence, the order the joined
@@ -978,7 +998,7 @@ def _enumerate_raw(
     rows: list = []
     for i, part in enumerate(parts):
         parts[i] = None
-        rows += part if finish is None else part.split("\n")[:-1]
+        rows += part if type(part) is list else part.split("\n")[:-1]
     if len(rows) != len(order):
         raise RuntimeError("a rendered row is not one line; this is a bug")
     return list(map(rows.__getitem__, order)), _frame(max_weight)[1]
@@ -1006,24 +1026,18 @@ def enumerate_index_multisets(
     """All index multisets with weight <= 24*chi0 passing the query filter.
 
     Records come in canonical order (weight ascending, then lexicographic
-    on the expanded index sequence) regardless of `jobs`.  The walk and the
-    record build run with the cyclic garbage collector paused.
+    on the expanded index sequence) regardless of `jobs`.  Each walk task
+    checks its items once, as for `checked_lines`, and each record is built
+    from its item without a second check (`ChernRecord._checked`).  The
+    walk and the record build run with the cyclic garbage collector paused.
     """
     with collector_paused():
-        max_weight = Fraction(24 * query.chi0)
-        raw, scale = _enumerate_raw(max_weight, query.filter, jobs, query.include_empty)
-        # each raw item is replaced by its record in place, so the raw items
-        # are freed while the records are built
+        raw = _checked_raw(query, None, jobs)[0]
+        # each item is replaced by its record in place, so the items are
+        # freed while the records are built
         for i, item in enumerate(raw):
-            raw[i] = _record(item, query.chi0, scale)
+            raw[i] = _checked_record(item, query.chi0)
     return raw
-
-
-def _record(item: tuple, chi0: int, scale: int) -> ChernRecord:
-    """The checked `ChernRecord` of a raw item (head, last, rem, lcm, witness runs)."""
-    head, last, rem, lcm, witness = item
-    basket = None if witness is None else _basket(witness)
-    return ChernRecord(IndexMultiset(_whole(head, last)), chi0, Fraction(rem, scale), lcm, basket)
 
 
 # the text of each witness run ((r, b), k), kept for the life of the
@@ -1042,7 +1056,7 @@ def _checked_rows(items, chi0: int, den: int, heads: Optional[_Heads] = None) ->
     """Each item (head, last, num, lcm, witness), checked, as the flat row of its record.
 
     The one owner of the record rules, which every row and every record
-    (`check_record`) passes: the runs head + (last,), or head alone when
+    passes, once: the runs head + (last,), or head alone when
     last is None, are canonical index runs; c1.c2 = num/den (den > 0) is
     24*chi0 minus their weight and not negative; lcm is their Cartier
     index; and a witness, given as runs ((r, b), k), passes
@@ -1128,28 +1142,40 @@ def _checked_rows(items, chi0: int, den: int, heads: Optional[_Heads] = None) ->
             yield text, lcm, c1c2, "true", _witness_text(witness), scaled
 
 
-def _checked_text(render, chi0: int, scale: int, items: list) -> str:
-    """The items' checked rows as `render` writes them: `checked_lines`' finish."""
-    return render(_checked_rows(items, chi0, scale))
+def _checked_part(render, chi0: int, scale: int, items: list):
+    """A task's items checked in one `_checked_rows` loop, with one head memo: the driver's finish.
+
+    With render, their rows as render writes them (`checked_lines`); with
+    render None, the checked items (head, last, scaled, lcm, witness), each
+    item's c1.c2 as scaled over its own Cartier index, as its row has it.
+    """
+    rows = _checked_rows(items, chi0, scale)
+    if render is not None:
+        return render(rows)
+    return [(head, last, row[-1], lcm, runs) for (head, last, _, lcm, runs), row in zip(items, rows)]
+
+
+def _checked_raw(query: EnumerationQuery, render, jobs: int) -> tuple[list, int]:
+    """The query's checked items (`_checked_part`), or their lines, in canonical order, and the scale."""
+    max_weight = Fraction(24 * query.chi0)
+    finish = partial(_checked_part, render, query.chi0, _frame(max_weight)[1])
+    return _enumerate_raw(max_weight, query.filter, jobs, query.include_empty, finish)
 
 
 def checked_lines(query: EnumerationQuery, render, jobs: int = 1) -> list[str]:
     """The records of `enumerate_index_multisets` as lines of text, without the records.
 
     render turns an iterable of flat rows, as `_checked_rows` makes them,
-    into text with one newline-terminated line per row and no
-    other newline.  Each walk task checks its rows in one `_checked_rows`
-    loop, the rules' one home, which `check_record` runs for each record,
-    so a row is checked exactly as its record would be, and renders them; with
-    `jobs` > 1 the tasks run in helper processes too, so render must be a
-    module-level function, pickled by name.  `_enumerate_raw` then splits the
-    texts at newlines and orders the lines.  Returns the lines, without
-    their newlines, in the records' order.
+    into text with one newline-terminated line per row and no other
+    newline.  Each walk task checks its rows in one `_checked_rows` loop,
+    the rules' one home, as it does for the library's records, and renders
+    them; with `jobs` > 1 the tasks run in helper processes too, so render
+    must be a module-level function, pickled by name.  `_enumerate_raw` then
+    splits the texts at newlines and orders the lines.  Returns the lines,
+    without their newlines, in the records' order.
     """
-    max_weight = Fraction(24 * query.chi0)
-    finish = partial(_checked_text, render, query.chi0, _frame(max_weight)[1])
     with collector_paused():
-        return _enumerate_raw(max_weight, query.filter, jobs, query.include_empty, finish)[0]
+        return _checked_raw(query, render, jobs)[0]
 
 
 def feasible_index_multisets(max_weight: Fraction) -> list[IndexMultiset]:
@@ -1261,8 +1287,9 @@ def min_positive_c1c2(
     (`_map_tasks`): each task keeps its least positive rem and the items
     attaining it, in walk order, and their results come back in task
     order, which is canonical among equal rems (`_run_task`), so no rows
-    are sorted or gathered; only the attaining items become records.  The
-    memo of walked subtrees is freed as the walk ends (`_map_tasks`).
+    are sorted or gathered; only the attaining items are checked, in one
+    `_checked_rows` loop, and become records.  The memo of walked subtrees
+    is freed as the walk ends (`_map_tasks`).
     """
     query = EnumerationQuery(chi0=chi0, filter=INTEGRAL_L2 if require_integral else ALL)
     max_weight = Fraction(24 * chi0)
@@ -1284,9 +1311,8 @@ def min_positive_c1c2(
             under = " under the integral-basket filter" if require_integral else ""
             raise NoPositiveValueError(f"no positive c1c2 value for chi0={chi0}{under}")
         scale = _frame(max_weight)[1]
-        records = [
-            _record(item, chi0, scale) for rem, items in parts if rem == least for item in items
-        ]
+        attaining = [item for rem, items in parts if rem == least for item in items]
+        records = [_checked_record(item, chi0) for item in _checked_part(None, chi0, scale, attaining)]
     return records[0].c1c2, [rec.indices for rec in records]
 
 

@@ -28,6 +28,8 @@ from chern3 import (
     cartier_index,
     chi_minus_nk,
     enumerate_index_multisets,
+    format_basket,
+    format_index_multiset,
     l_value,
     parse_basket,
     parse_index_multiset,
@@ -162,6 +164,25 @@ class TestEnumerateCommand:
         assert code == 2
         assert "--lo" in err
 
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["--filter", "c1c2-range"], "c1c2-range filter needs both bounds, --lo and --hi"),
+            (["--filter", "c1c2-range", "--lo", "0"], "c1c2-range filter needs both bounds, --lo and --hi"),
+            (["--filter", "c1c2-range", "--hi", "1"], "c1c2-range filter needs both bounds, --lo and --hi"),
+            (["--lo", "0"], "bounds --lo/--hi are only meaningful for c1c2-range, not 'all'"),
+            (["--filter", "c1c2-zero", "--hi", "1"],
+             "bounds --lo/--hi are only meaningful for c1c2-range, not 'c1c2-zero'"),
+            (["--filter", "l2-integral", "--lo", "0", "--hi", "1"],
+             "bounds --lo/--hi are only meaningful for c1c2-range, not 'l2-integral'"),
+            (["--filter", "c1c2-range", "--lo", "1", "--hi", "-1/2"], "empty range: 1 > -1/2"),
+        ],
+        ids=["no-bounds", "no-hi", "no-lo", "all", "c1c2-zero", "l2-integral", "empty"],
+    )
+    def test_filter_bound_error_lines(self, argv, line):
+        # `RecordFilter` owns the bound rules and their messages, and the CLI passes them through
+        assert run_cli("enumerate", "--chi", "1", *argv) == (2, "", f"error: {line}\n")
+
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
@@ -247,14 +268,34 @@ ROW_QUERIES = pytest.mark.parametrize(
 
 
 class TestRowPath:
-    """`enumerate` writes checked rows; their bytes equal the records' through `_emit_records`."""
+    """`enumerate` writes checked rows; their bytes equal the library's records put through `emit_records`."""
 
     @staticmethod
-    def assert_rows_equal_records(argv, query, fmt):
+    def record_row(rec):
+        """A record as the flat row that `enumeration._checked_rows` makes of its item."""
+        # a record's c1.c2 has a denominator dividing its Cartier index
+        r_x, c1c2 = rec.cartier_index, rec.c1c2
+        return (
+            format_index_multiset(rec.indices),
+            r_x,
+            str(c1c2),
+            "true" if rec.has_integral_basket else "false",
+            format_basket(rec.witness) if rec.witness is not None else "",
+            c1c2.numerator * (r_x // c1c2.denominator),
+        )
+
+    @classmethod
+    def emit_records(cls, records, fmt, stream):
+        """Write library records as `enumerate` writes its rows: the rows' reference renderer."""
+        text = cli.RENDERERS[fmt](map(cls.record_row, records))
+        cli._write_lines(text.split("\n")[:-1], fmt, stream, cli.MD_HEADER)
+
+    @classmethod
+    def assert_rows_equal_records(cls, argv, query, fmt):
         code, out, err = run_cli("enumerate", *argv, "--format", fmt)
         assert (code, err) == (0, "")
         expected = io.StringIO()
-        cli._emit_records(enumerate_index_multisets(query), fmt, expected)
+        cls.emit_records(enumerate_index_multisets(query), fmt, expected)
         assert out.splitlines()
         assert out == expected.getvalue()
 

@@ -2,6 +2,7 @@
 
 import gc
 import multiprocessing
+import pickle
 import random
 import re
 import sys
@@ -1593,6 +1594,105 @@ class TestWitnessMutants:
             list(enumeration._checked_rows([(head, None, 84, 2, (((2, 1), 4.0),))], 2, 2))
         [row] = enumeration._checked_rows([(head, None, 84, 2, (((2, 1), 4),))], 2, 2)
         assert row[3:5] == ("true", "(1,2)^4")
+
+
+# the library's queries for the record oracle: every filter kind at χ = 0, 1
+# and 2, the empty multiset included, at --jobs 1 and 2; the χ = 2 census once
+LIBRARY_QUERIES = [
+    pytest.param(chi0, kind, jobs, id=f"{kind}-chi{chi0}-jobs{jobs}")
+    for chi0 in (0, 1, 2)
+    for kind in RecordFilter.KINDS
+    for jobs in (1, 2)
+    if (chi0, kind, jobs) != (2, "all", 1)
+]
+
+
+class TestLibraryRecords:
+    """The library builds its records from items its walk tasks have checked, once each."""
+
+    # 2^4,3^3,5^2 attains the least positive c1c2 at χ = 1 with an integral
+    # basket, 2/5, with the witness (1,2)^4,(1,3)^3,(1,5),(2,5); each mutant
+    # is its item as a walk task returns it, corrupted
+    TARGET = parse_index_multiset("2^4,3^3,5^2").groups
+    MUTANTS = {
+        "rem": (lambda h, last, rem, lcm, w: (h, last, rem - 1, lcm, w), "c1c2 mismatch"),
+        "lcm": (lambda h, last, rem, lcm, w: (h, last, rem, 2 * lcm, w), "Cartier index mismatch"),
+        "l2": (lambda h, last, rem, lcm, w: (h, last, rem, lcm, w[:2] + (((5, 1), 2),)),
+               "witness has non-integral l(2)"),
+    }
+
+    @classmethod
+    def corrupt(cls, monkeypatch, name):
+        """Make the walk task that finds the target return its mutant; returns the mutant's message."""
+        mutate, message = cls.MUTANTS[name]
+        real = enumeration._run_task
+
+        def corrupted(task):
+            return [mutate(*item) if item[0] + (item[1],) == cls.TARGET else item for item in real(task)]
+
+        monkeypatch.setattr(enumeration, "_run_task", corrupted)
+        return re.escape(message)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("name", MUTANTS)
+    def test_enumerate_raises_on_a_bad_item(self, monkeypatch, start_method, name, jobs):
+        # forked helper processes run the corrupted task too
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        start_method("fork")
+        message = self.corrupt(monkeypatch, name)
+        for flt in (ALL, INTEGRAL_L2):
+            with pytest.raises(ValueError, match=message):
+                enumerate_index_multisets(EnumerationQuery(chi0=1, filter=flt), jobs=jobs)
+
+    @pytest.mark.parametrize("name", MUTANTS)
+    def test_min_raises_on_a_bad_attaining_item(self, monkeypatch, name):
+        assert min_positive_c1c2(1, require_integral=True) == (Fraction(2, 5), [IndexMultiset(self.TARGET)])
+        message = self.corrupt(monkeypatch, name)
+        with pytest.raises(ValueError, match=message):
+            min_positive_c1c2(1, require_integral=True)
+
+    @pytest.mark.parametrize("chi0,kind,jobs", LIBRARY_QUERIES)
+    def test_records_equal_public_construction(self, chi0, kind, jobs):
+        # the reference builds each record from the walk's unchecked items
+        # through `ChernRecord(...)`, which checks it from scratch
+        flt = RecordFilter(kind, *[Fraction(0), Fraction(1)] * (kind == "c1c2-range"))
+        raw, scale = _enumerate_raw(Fraction(24 * chi0), flt, 1, include_empty=True)
+        records = enumerate_index_multisets(EnumerationQuery(chi0, flt, include_empty=True), jobs=jobs)
+        assert len(records) == len(raw) > 0
+        for rec, (head, last, rem, lcm, witness) in zip(records, raw):
+            basket = None if witness is None else enumeration._basket(witness)
+            indices = IndexMultiset(head if last is None else head + (last,))
+            expected = ChernRecord(indices, chi0, Fraction(rem, scale), lcm, basket)
+            assert (rec, hash(rec), repr(rec)) == (expected, hash(expected), repr(expected))
+
+    def test_records_do_not_go_through_the_module_name(self, monkeypatch):
+        # perfbench/trace_cli.py replaces the module's ChernRecord with a
+        # timing wrapper; the library's records are built without it
+        calls = []
+        public = enumeration.ChernRecord
+        monkeypatch.setattr(enumeration, "ChernRecord", lambda *args: calls.append(args) or public(*args))
+        assert min_positive_c1c2(1) == (Fraction(1, 252), [parse_index_multiset("2^3,4,7,9")])
+        records = enumerate_index_multisets(EnumerationQuery(chi0=1))
+        assert type(records[0]) is public and len(records) == count_candidates(1)
+        assert calls == []
+
+    def test_pickle_runs_the_check(self, monkeypatch):
+        records = enumerate_index_multisets(EnumerationQuery(chi0=1, filter=INTEGRAL_L2, include_empty=True))
+        calls = []
+        check = enumeration.check_record
+        monkeypatch.setattr(enumeration, "check_record", lambda *args: calls.append(args) or check(*args))
+        for rec in records:
+            copy = pickle.loads(pickle.dumps(rec))
+            assert (copy, hash(copy), repr(copy)) == (rec, hash(rec), repr(rec))
+        assert len(calls) == len(records) == 41
+        # a record the private path builds from a bad item exists, but its
+        # pickle does not load
+        item, scale = TestCheckedRowMutants.walked("2,4,8^2")
+        [(head, last, scaled, lcm, witness)] = enumeration._checked_part(None, 1, scale, [item])
+        bad = ChernRecord._checked((head, last, scaled + 1, lcm, witness), 1)
+        with pytest.raises(ValueError, match="c1c2 mismatch"):
+            pickle.loads(pickle.dumps(bad))
 
 
 def reference_check(groups, chi0, num, den, r_x, witness):
