@@ -232,7 +232,7 @@ def _cmd_min(args) -> int:
 def _cmd_bound(args) -> int:
     value = enumeration.effective_bound(args.min_positive, args.max_cube)
     line = f"{args.max_cube} / ({args.min_positive}) = {value}"
-    if value.denominator == 1:
+    if value.denominator == 1 and value >= 1:
         factors = _factorization(int(value))
         if factors not in (None, str(value)):
             line += f" = {factors}"

@@ -873,6 +873,16 @@ class TestBoundCommand:
         assert code == 0
         assert out == f"{value} / (1) = {value}{factors}\n"
 
+    @pytest.mark.parametrize(
+        "max_cube, line", [("0", "0 / (1/252) = 0"), ("-324", "-324 / (1/252) = -81648")]
+    )
+    def test_value_below_one_is_not_factored(self, max_cube, line):
+        # the computed value has no prime factorization; its line ends at the value
+        code, out, err = run_cli("bound", "--max-cube", max_cube)
+        assert (code, out, err) == (0, f"{line}\n", "")
+        with pytest.raises(ValueError, match="positive integers"):
+            cli._factorization(int(max_cube) * 252)
+
     def test_non_positive_rejected(self):
         code, _, err = run_cli("bound", "--min-positive", "0")
         assert code == 2
